@@ -16,8 +16,9 @@ unbounded (the default) or LRU-bounded (``max_entries``).  It also
 cached ``successors`` call is interned to one canonical
 :class:`~repro.core.state.GlobalState` object per distinct value, so the
 dict lookups in the BFS/Tarjan inner loops hit CPython's pointer-equality
-fast path instead of comparing tuples element by element (state hashing
-itself is already precomputed at construction — see ``GlobalState``).
+fast path instead of comparing tuples element by element.  A state
+computes its hash on first use and keeps it (see ``GlobalState``), so the
+canonical objects the engines keep reusing carry their hashes with them.
 
 Invariants the wrapper guarantees (and relies on):
 

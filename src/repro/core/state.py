@@ -31,21 +31,34 @@ class GlobalState:
 
     env: Hashable
     locals: tuple[Hashable, ...] = field(default=())
-    _hash: int = field(
-        default=0, init=False, repr=False, compare=False
+    _hash: int | None = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
         if not isinstance(self.locals, tuple):
             object.__setattr__(self, "locals", tuple(self.locals))
-        # States spend their lives as dict keys (visited sets, memo
-        # tables, BFS parents); a state is hashed many more times than it
-        # is built, so the hash is computed once here.  Excluded from
-        # __eq__ (compare=False), so equality is still structural.
-        object.__setattr__(self, "_hash", hash((self.env, self.locals)))
 
     def __hash__(self) -> int:
-        return self._hash
+        # Hashed on first use, then cached: a layer fold builds one state
+        # per layer endpoint, and only the states that become dict keys
+        # (visited sets, memo tables, BFS parents) pay for hashing.  The
+        # cache is excluded from __eq__ (compare=False), so equality is
+        # still structural.
+        cached = self._hash
+        if cached is None:
+            cached = hash((self.env, self.locals))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    # A hash is only valid in the interpreter that computed it (``str``
+    # hashes are salted per process, and before Python 3.12 ``hash(None)``
+    # is derived from an address), so a state pickles as its constructor
+    # call and is rebuilt with an empty cache.  ``__reduce__`` rather than
+    # ``__getstate__``: a slots dataclass on some Python versions replaces
+    # a class-body ``__getstate__``/``__setstate__`` with its own.
+    def __reduce__(self) -> tuple:
+        return (GlobalState, (self.env, self.locals))
 
     @property
     def n(self) -> int:
@@ -81,6 +94,20 @@ class GlobalState:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GlobalState(env={self.env!r}, locals={self.locals!r})"
+
+
+def _drop_hash_setstate(self: GlobalState, state) -> None:
+    """Load the ``[env, locals, _hash]`` state older versions pickled,
+    dropping its stale hash."""
+    object.__setattr__(self, "env", state[0])
+    object.__setattr__(self, "locals", state[1])
+    object.__setattr__(self, "_hash", None)
+
+
+# Set after the class body, where the dataclass decorator cannot replace
+# it with its own field-restoring ``__setstate__``; ``setattr`` because
+# type checkers do not see the decorator's method.
+setattr(GlobalState, "__setstate__", _drop_hash_setstate)  # noqa: B010
 
 
 def agree_modulo(x: GlobalState, y: GlobalState, j: int) -> bool:

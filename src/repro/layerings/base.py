@@ -15,6 +15,14 @@ embedding required by the paper's definition holds *by construction* — and
 each primitive in the expansion must be enabled in the model at the point
 it is applied.
 
+The fold is one call, :meth:`repro.models.base.Model.apply_many`.  An
+``S``-run is made of layer endpoints only, so models whose layers are many
+primitives run the whole expansion on scratch locals and build a single
+:class:`GlobalState` at the endpoint (hashed lazily, on first use).
+:func:`verify_layering_embedding` steps through :meth:`Model.apply` one
+primitive at a time instead, so it also checks the batch fold against the
+single-step fold.
+
 Layerings implement the :class:`SuccessorSystem` interface consumed by the
 analyzers in :mod:`repro.core` (valence, connectivity, bivalence): they are
 the submodels on which all of the paper's round-by-round analysis runs.
@@ -77,16 +85,13 @@ class Layering(ABC):
         """The primitive model actions a layer action expands into.
 
         The expansion may depend on the state (e.g. which processes have
-        pending writes).  Folding the expansion through
-        :meth:`Model.apply` defines :meth:`apply`.
+        pending writes).  Folding the expansion through the model
+        (:meth:`Model.apply_many`) defines :meth:`apply`.
         """
 
     def apply(self, state: GlobalState, action: Hashable) -> GlobalState:
         """Apply one layer: fold the expansion through the model."""
-        current = state
-        for primitive in self.expand(state, action):
-            current = self._model.apply(current, primitive)
-        return current
+        return self._model.apply_many(state, self.expand(state, action))
 
     # -- SuccessorSystem ---------------------------------------------------
     def successors(

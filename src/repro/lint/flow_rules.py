@@ -75,6 +75,7 @@ TRANSITION_METHODS = frozenset(
         "decisions",
         "actions",
         "apply",
+        "apply_many",
         "layer_actions",
         "expand",
         "initial_state",

@@ -43,7 +43,7 @@ so the model displays no finite failure.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 
 from repro.core.state import GlobalState
 from repro.models.base import Model
@@ -138,65 +138,64 @@ class AsyncMessagePassingModel(Model):
         return out
 
     def apply(self, state: GlobalState, action: tuple) -> GlobalState:
-        kind, i = action
-        if kind == "stage":
-            return self._apply_stage(state, i)
-        if kind == "recv":
-            return self._apply_recv(state, i)
-        if kind == "flush":
-            return self._apply_flush(state, i)
-        raise ValueError(f"unknown async-MP action {action!r}")
+        return self.apply_many(state, (action,))
 
-    def _apply_stage(self, state: GlobalState, i: int) -> GlobalState:
-        _, proto_local, outbox = state.local(i)
-        if outbox is not NO_OUTBOX:
-            raise ValueError(f"process {i} already has staged messages")
-        outgoing = self._protocol.outgoing(i, self.n, proto_local)
-        if i in outgoing:
-            raise ValueError(f"process {i} attempted a self-message")
-        staged = tuple(sorted(outgoing.items()))
-        return state.replace_local(i, ("amp", proto_local, staged))
-
-    def _apply_recv(self, state: GlobalState, i: int) -> GlobalState:
-        _, proto_local, outbox = state.local(i)
+    def apply_many(
+        self, state: GlobalState, actions: Iterable[tuple]
+    ) -> GlobalState:
+        """Fold stage/recv/flush primitives on scratch locals and bag."""
+        n, protocol = self.n, self._protocol
+        locals_ = list(state.locals)
         bag = self.bag(state)
-        received = {}
-        for (sender, dest) in list(bag):
-            if dest == i:
-                received[sender] = MessageBatch(bag.pop((sender, dest)))
-        new_proto = self._protocol.transition(i, self.n, proto_local, received)
-        new_local = ("amp", new_proto, outbox)
-        new_env = mp_env(tuple(sorted(bag.items())))
-        return GlobalState(new_env, state.locals).replace_local(i, new_local)
-
-    def _apply_flush(self, state: GlobalState, i: int) -> GlobalState:
-        _, proto_local, outbox = state.local(i)
-        if outbox is NO_OUTBOX:
-            raise ValueError(f"process {i} has no staged messages to flush")
-        bag = self.bag(state)
-        for dest, payload in outbox:
-            channel = (i, dest)
-            queue = bag.get(channel, ())
-            # Idempotent channel compression: consecutive identical
-            # undelivered payloads collapse into one.  Without this, a
-            # protocol that keeps gossiping a stabilized value at a
-            # never-scheduled process grows the channel without bound and
-            # no exhaustive analysis terminates.  The quotient is faithful
-            # for the monotone-emission protocols this library ships (a
-            # sender's successive payloads change only when its state
-            # does), and it only ever merges *adjacent equal* messages, so
-            # FIFO order and message distinctness are preserved.
-            if not (queue and queue[-1] == payload):
-                bag[channel] = queue + (payload,)
-        new_local = ("amp", proto_local, NO_OUTBOX)
-        new_env = mp_env(tuple(sorted(bag.items())))
-        return GlobalState(new_env, state.locals).replace_local(i, new_local)
+        for action in actions:
+            kind, i = action
+            if kind not in ("stage", "recv", "flush"):
+                raise ValueError(f"unknown async-MP action {action!r}")
+            _, proto_local, outbox = locals_[i]
+            if kind == "stage":
+                if outbox is not NO_OUTBOX:
+                    raise ValueError(f"process {i} already has staged messages")
+                outgoing = protocol.outgoing(i, n, proto_local)
+                if i in outgoing:
+                    raise ValueError(f"process {i} attempted a self-message")
+                locals_[i] = ("amp", proto_local, tuple(sorted(outgoing.items())))
+            elif kind == "recv":
+                # Senders in ascending order, as in the canonical bag.
+                received = {}
+                for sender in range(n):
+                    payloads = bag.pop((sender, i), None)
+                    if payloads is not None:
+                        received[sender] = MessageBatch(payloads)
+                new_proto = protocol.transition(i, n, proto_local, received)
+                locals_[i] = ("amp", new_proto, outbox)
+            else:
+                if outbox is NO_OUTBOX:
+                    raise ValueError(
+                        f"process {i} has no staged messages to flush"
+                    )
+                for dest, payload in outbox:
+                    channel = (i, dest)
+                    queue = bag.get(channel, ())
+                    # Idempotent channel compression: consecutive identical
+                    # undelivered payloads collapse into one.  Without
+                    # this, a protocol that keeps gossiping a stabilized
+                    # value at a never-scheduled process grows the channel
+                    # without bound and no exhaustive analysis terminates.
+                    # The quotient is faithful for the monotone-emission
+                    # protocols this library ships (a sender's successive
+                    # payloads change only when its state does), and it
+                    # only ever merges *adjacent equal* messages, so FIFO
+                    # order and message distinctness are preserved.
+                    if not (queue and queue[-1] == payload):
+                        bag[channel] = queue + (payload,)
+                locals_[i] = ("amp", proto_local, NO_OUTBOX)
+        return GlobalState(mp_env(tuple(sorted(bag.items()))), tuple(locals_))
 
     def local_phase(self, state: GlobalState, i: int) -> GlobalState:
         """One complete sequential local phase of *i* (Section 5.1)."""
-        for action in (stage_action(i), recv_action(i), flush_action(i)):
-            state = self.apply(state, action)
-        return state
+        return self.apply_many(
+            state, (stage_action(i), recv_action(i), flush_action(i))
+        )
 
     def failed_at(self, state: GlobalState) -> frozenset[int]:
         """The asynchronous model displays no finite failure."""

@@ -60,6 +60,22 @@ class Model(ABC):
     def apply(self, state: GlobalState, action: Hashable) -> GlobalState:
         """Apply one primitive environment action."""
 
+    def apply_many(
+        self, state: GlobalState, actions: Iterable[Hashable]
+    ) -> GlobalState:
+        """Apply a sequence of primitive actions, left to right.
+
+        This is the layer fold of :meth:`repro.layerings.base.Layering.apply`.
+        The default folds :meth:`apply`; models whose layers are many
+        primitives override it to work on scratch locals and build one
+        :class:`GlobalState` at the end.  Either way the result equals the
+        one-at-a-time fold, which
+        :func:`~repro.layerings.base.verify_layering_embedding` checks.
+        """
+        for action in actions:
+            state = self.apply(state, action)
+        return state
+
     @abstractmethod
     def failed_at(self, state: GlobalState) -> frozenset[int]:
         """Processes *failed at* this state (faulty in every run through it).

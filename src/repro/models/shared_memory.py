@@ -23,7 +23,7 @@ displays no finite failure (Section 3), as in FLP-style analyses.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 
 from repro.core.state import GlobalState
 from repro.models.base import Model
@@ -103,32 +103,34 @@ class SharedMemoryModel(Model):
         return [step_action(i) for i in range(self.n)]
 
     def apply(self, state: GlobalState, action: tuple) -> GlobalState:
-        kind, i = action
-        if kind != "step":
-            raise ValueError(f"unknown M^rw action {action!r}")
-        tag, proto_local, stage, reads = state.local(i)
-        registers = self.registers(state)
-        if stage == 0:
-            value = self._protocol.write_value(i, self.n, proto_local)
-            new_registers = registers
-            if value is not None:
-                new_registers = (
-                    registers[:i] + (value,) + registers[i + 1 :]
-                )
-            new_local = _wrapper(proto_local, 1, ())
-            return GlobalState(rw_env(new_registers), state.locals).replace_local(
-                i, new_local
-            )
-        # A read of register ``stage - 1``.
-        new_reads = reads + (registers[stage - 1],)
-        if stage == self.n:
-            new_proto = self._protocol.after_reads(
-                i, self.n, proto_local, new_reads
-            )
-            new_local = _wrapper(new_proto, 0, ())
-        else:
-            new_local = _wrapper(proto_local, stage + 1, new_reads)
-        return state.replace_local(i, new_local)
+        return self.apply_many(state, (action,))
+
+    def apply_many(
+        self, state: GlobalState, actions: Iterable[tuple]
+    ) -> GlobalState:
+        """Fold ``step`` primitives on scratch locals and registers."""
+        n, protocol = self.n, self._protocol
+        locals_ = list(state.locals)
+        registers = list(self.registers(state))
+        for action in actions:
+            kind, i = action
+            if kind != "step":
+                raise ValueError(f"unknown M^rw action {action!r}")
+            _, proto_local, stage, reads = locals_[i]
+            if stage == 0:
+                value = protocol.write_value(i, n, proto_local)
+                if value is not None:
+                    registers[i] = value
+                locals_[i] = _wrapper(proto_local, 1, ())
+                continue
+            # A read of register ``stage - 1``.
+            new_reads = reads + (registers[stage - 1],)
+            if stage == n:
+                new_proto = protocol.after_reads(i, n, proto_local, new_reads)
+                locals_[i] = _wrapper(new_proto, 0, ())
+            else:
+                locals_[i] = _wrapper(proto_local, stage + 1, new_reads)
+        return GlobalState(rw_env(registers), tuple(locals_))
 
     def failed_at(self, state: GlobalState) -> frozenset[int]:
         """``M^rw`` displays no finite failure."""

@@ -27,7 +27,7 @@ The model displays no finite failure (crashes are scheduling phenomena).
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 
 from repro.core.state import GlobalState
 from repro.models.base import Model
@@ -99,28 +99,33 @@ class SnapshotMemoryModel(Model):
         ]
 
     def apply(self, state: GlobalState, action: tuple) -> GlobalState:
-        kind, i = action
-        _, proto_local, pending = state.local(i)
-        if kind != pending:
-            raise ValueError(
-                f"process {i} must {pending} next, cannot {kind}"
-            )
-        if kind == "update":
-            value = self._protocol.write_value(i, self.n, proto_local)
-            cells = self.cells(state)
-            if value is not None:
-                cells = cells[:i] + (value,) + cells[i + 1 :]
-            new_local = ("sn", proto_local, "scan")
-            return GlobalState(snapshot_env(cells), state.locals).replace_local(
-                i, new_local
-            )
-        if kind == "scan":
-            snapshot = self.cells(state)
-            new_proto = self._protocol.after_reads(
-                i, self.n, proto_local, snapshot
-            )
-            return state.replace_local(i, ("sn", new_proto, "update"))
-        raise ValueError(f"unknown snapshot-model action {action!r}")
+        return self.apply_many(state, (action,))
+
+    def apply_many(
+        self, state: GlobalState, actions: Iterable[tuple]
+    ) -> GlobalState:
+        """Fold update/scan primitives on scratch locals and cells."""
+        n, protocol = self.n, self._protocol
+        locals_ = list(state.locals)
+        cells = list(self.cells(state))
+        for action in actions:
+            kind, i = action
+            _, proto_local, pending = locals_[i]
+            if kind != pending:
+                raise ValueError(
+                    f"process {i} must {pending} next, cannot {kind}"
+                )
+            if kind == "update":
+                value = protocol.write_value(i, n, proto_local)
+                if value is not None:
+                    cells[i] = value
+                locals_[i] = ("sn", proto_local, "scan")
+            elif kind == "scan":
+                new_proto = protocol.after_reads(i, n, proto_local, tuple(cells))
+                locals_[i] = ("sn", new_proto, "update")
+            else:
+                raise ValueError(f"unknown snapshot-model action {action!r}")
+        return GlobalState(snapshot_env(cells), tuple(locals_))
 
     def failed_at(self, state: GlobalState) -> frozenset[int]:
         """Snapshot memory displays no finite failure."""

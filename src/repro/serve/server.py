@@ -190,6 +190,7 @@ class VerifyServer:
         self._done_order: deque[str] = deque()
         self._queue: asyncio.Queue[str] = asyncio.Queue()
         self._active = 0
+        self._high_water = 0  # the most accepted-but-unfinished jobs seen
         self._draining = False
         self._stopping = asyncio.Event()
         self._exit_code = EXIT_OK
@@ -294,6 +295,7 @@ class VerifyServer:
             )
             self._jobs[fp] = state
             self._active += 1
+            self._high_water = max(self._high_water, self._active)
             self._queue.put_nowait(fp)
             self.counters["recovered"] += 1
 
@@ -616,6 +618,7 @@ class VerifyServer:
         )
         self._jobs[fingerprint] = state
         self._active += 1
+        self._high_water = max(self._high_water, self._active)
         # Durable acceptance *before* the client hears ACCEPTED: once
         # acknowledged, a kill -9 cannot lose the job.
         crashpoint("serve.accept.pre")
@@ -865,6 +868,7 @@ class VerifyServer:
         return {
             "draining": self._draining,
             "active": self._active,
+            "high_water": self._high_water,
             "queued": self._queue.qsize(),
             "store_records": len(self._store),
             "counters": dict(self.counters),

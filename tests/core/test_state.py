@@ -1,5 +1,7 @@
 """Unit tests for global states and agreement-modulo."""
 
+import pickle
+
 import pytest
 
 from repro.core.state import (
@@ -27,6 +29,34 @@ class TestGlobalState:
         assert gs("e", "a") == gs("e", "a")
         assert hash(gs("e", "a")) == hash(gs("e", "a"))
         assert gs("e", "a") != gs("f", "a")
+
+    def test_hash_is_lazy(self):
+        x = gs("e", "a", "b")
+        assert x._hash is None
+        assert hash(x) == hash(("e", ("a", "b")))
+        assert x._hash == hash(x)
+
+    def test_cached_hash_ignored_by_equality(self):
+        hashed, fresh = gs("e", "a"), gs("e", "a")
+        hash(hashed)
+        assert hashed == fresh and fresh._hash is None
+        assert hash(hashed) == hash(fresh)
+
+    def test_pickle_round_trip_drops_the_cache(self):
+        # a hash cached by another interpreter is wrong in this one;
+        # simulate one with a deliberately stale value
+        x = gs(("mp", ()), ("a", None), "b")
+        object.__setattr__(x, "_hash", hash(x) + 1)
+        y = pickle.loads(pickle.dumps(x))
+        assert y == x and y._hash is None
+        assert hash(y) == hash(gs(("mp", ()), ("a", None), "b"))
+
+    def test_older_pickle_state_drops_its_hash(self):
+        # the [env, locals, _hash] state older versions pickled
+        y = GlobalState.__new__(GlobalState)
+        y.__setstate__(["e", ("a",), 12345])
+        assert y == gs("e", "a") and y._hash is None
+        assert hash(y) == hash(gs("e", "a"))
 
     def test_replace_local(self):
         x = gs("e", "a", "b")

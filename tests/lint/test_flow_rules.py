@@ -118,6 +118,26 @@ class TestRP401Nondeterminism:
         )
         assert not by_code(findings, "RP401")
 
+    def test_nondet_in_apply_many(self, tmp_path):
+        # the batch layer fold is transition surface like apply itself
+        findings = deep(
+            tmp_path,
+            {
+                "model.py": """
+                import random
+
+                class Coin(Model):
+                    def apply_many(self, state, actions):
+                        for action in actions:
+                            state = (state, random.random())
+                        return state
+                """
+            },
+        )
+        found = by_code(findings, "RP401")
+        assert found
+        assert found[0].witness.chain[0].qualname == "model.Coin.apply_many"
+
 
 class TestRP402GlobalWrites:
     def test_impure_helper_mutating_module_dict(self, tmp_path):
@@ -201,6 +221,39 @@ class TestRP403ReceiverMutation:
         assert found
         chain = [s.qualname for s in found[0].witness.chain]
         assert chain[:2] == ["model.Lazy.successors", "model.Lazy._warm"]
+
+    def test_apply_many_writing_self(self, tmp_path):
+        findings = deep(
+            tmp_path,
+            {
+                "model.py": """
+                class Memo(Model):
+                    def apply_many(self, state, actions):
+                        self.last = state
+                        return state
+                """
+            },
+        )
+        found = by_code(findings, "RP403")
+        assert found
+        assert found[0].witness.chain[0].qualname == "model.Memo.apply_many"
+
+    def test_apply_many_scratch_locals_are_fine(self, tmp_path):
+        # the shipped batch folds mutate fresh local lists, not the model
+        findings = deep(
+            tmp_path,
+            {
+                "model.py": """
+                class Fold(Model):
+                    def apply_many(self, state, actions):
+                        locals_ = list(state)
+                        for i, value in actions:
+                            locals_[i] = value
+                        return tuple(locals_)
+                """
+            },
+        )
+        assert not findings
 
     def test_init_chain_is_fine(self, tmp_path):
         findings = deep(

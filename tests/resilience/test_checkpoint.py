@@ -7,6 +7,12 @@ must yield a verdict identical to the uninterrupted run's, witness
 included.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.core.checker import ConsensusChecker
@@ -267,3 +273,64 @@ class TestCampaignCheckpoint:
         campaign.suspend("a", inner="partial-a")
         assert campaign.resume_point("a") == "partial-a"
         assert campaign.resume_point("b") is None
+
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+#: Check one assignment of WaitForAll in S^per, n=3: uninterrupted it is a
+#: DECISION violation after 538 states.  ``budget`` trips the first run.
+_CROSS_PROCESS_CHECK = textwrap.dedent(
+    """
+    import pickle, sys
+    from repro import AsyncMessagePassingModel, PermutationLayering, WaitForAll
+    from repro.core.checker import ConsensusChecker
+    from repro.resilience import Budget
+
+    mode, path, budget = sys.argv[1], sys.argv[2], int(sys.argv[3])
+    model = AsyncMessagePassingModel(WaitForAll(), 3)
+    checker = ConsensusChecker(
+        PermutationLayering(model), max_states=Budget(max_states=budget)
+    )
+    checkpoint = None
+    if mode == "resume":
+        with open(path, "rb") as fh:
+            checkpoint = pickle.load(fh)
+    inputs = (0, 1, 1)
+    report = checker.check(model.initial_state(inputs), inputs, checkpoint)
+    if mode == "start":
+        with open(path, "wb") as fh:
+            pickle.dump(report.checkpoint, fh)
+    print(report.verdict.name, report.states_explored)
+    """
+)
+
+
+def _run_check(mode, path, budget):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    env.pop("PYTHONHASHSEED", None)  # each interpreter salts its own hashes
+    done = subprocess.run(
+        [sys.executable, "-c", _CROSS_PROCESS_CHECK, mode, str(path),
+         str(budget)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return done.stdout.split()
+
+
+class TestCrossInterpreterResume:
+    def test_resume_in_a_fresh_interpreter_matches_uninterrupted(
+        self, tmp_path
+    ):
+        """A checkpoint pickled in one process and resumed in another
+        must reach the uninterrupted verdict.  A state's cached hash is
+        valid only in the interpreter that computed it: resumed with
+        stale hashes, the search misses every visited-set lookup and
+        here reports SATISFIED after 621 states."""
+        path = tmp_path / "check.pickle"
+        assert _run_check("start", path, 150)[0] == "UNKNOWN"
+        assert _run_check("resume", path, 100_000) == ["DECISION", "538"]
+        assert _run_check("uninterrupted", path, 100_000) == [
+            "DECISION", "538",
+        ]

@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -144,12 +145,45 @@ class TestOverload:
             rejected = [r for r in responses if r["status"] == "rejected"]
             assert rejected, "10x overload produced no shedding"
             assert {r["reason"] for r in rejected} == {"queue-full"}
-            # Shedding is load-dependent, the bound is not: accepted
-            # jobs never exceed the configured queue limit.
-            accepted = [r for r in responses if r["status"] == "accepted"]
-            assert len(accepted) <= bound
+            # Shedding is load-dependent, the bound is not: the number of
+            # accepted-but-unfinished jobs never exceeds the queue limit.
+            # (Total accepts may, since finished jobs free their slots.)
+            stats = client.stats()
+            assert 1 <= stats["high_water"] <= bound
             assert client.ping()["status"] == "ok"
-            assert client.stats()["counters"]["errors"] == 0
+            assert stats["counters"]["errors"] == 0
+        finally:
+            _stop(proc)
+
+    def test_parallel_submits_never_exceed_the_bound(self, tmp_path):
+        """Tiny probes from many clients at once: jobs finish about as
+        fast as they arrive, so the bound is checked on the server's
+        queue-depth high-water mark, not on how many jobs got in."""
+        bound, clients, per_client = 2, 8, 5
+        proc = _start(tmp_path, "--queue-limit", str(bound))
+        try:
+            first = _client(tmp_path, proc)
+            host, port = first.host, first.port
+
+            def burst(c):
+                client = ServeClient(host, port, timeout=30.0)
+                return [
+                    client.submit(_probe(50, f"burst-{c}-{k}"))
+                    for k in range(per_client)
+                ]
+
+            with ThreadPoolExecutor(max_workers=clients) as pool:
+                responses = [
+                    r for rs in pool.map(burst, range(clients)) for r in rs
+                ]
+            assert len(responses) == clients * per_client
+            assert {r["status"] for r in responses} <= {"accepted",
+                                                        "rejected"}
+            assert {r["reason"] for r in responses
+                    if r["status"] == "rejected"} <= {"queue-full"}
+            stats = first.stats()
+            assert 1 <= stats["high_water"] <= bound
+            assert stats["counters"]["errors"] == 0
         finally:
             _stop(proc)
 
