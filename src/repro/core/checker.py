@@ -322,7 +322,12 @@ class ConsensusChecker:
         sequential path — and the per-assignment reports are merged **in
         assignment order**, so the returned report (verdict, witness,
         statistics, checkpoint) is identical to the sequential run's,
-        whatever the stealing schedule.  A shard whose worker crashes
+        whatever the stealing schedule.  The merge runs as soon as the
+        sweep is decided — its completed shards reach, in assignment
+        order, the first non-SATISFIED report — and the shards after
+        that point which have not started are withdrawn, so a refuting
+        sweep stops about where the sequential one does (shards already
+        running finish first).  A shard whose worker crashes
         repeatedly is *quarantined*: the sweep reports ``UNKNOWN`` at
         that shard's cursor with the crash cause in the detail
         (resumable from that index), instead of the whole sweep dying
@@ -407,12 +412,15 @@ class ConsensusChecker:
         config = pool or PoolConfig()
         if config.workers != workers:
             config = dataclasses.replace(config, workers=workers)
-        outcomes = run_units(
-            _check_shard_unit, units, config, context=context
-        ).outcomes
-        return self._merge_shard_spans(
-            model, domain, assignments, total, spans, outcomes.__getitem__
+        prefix = _DecidedPrefix(self, model, domain, assignments, total, spans)
+        run_units(
+            _check_shard_unit,
+            units,
+            config,
+            on_complete=lambda outcome: prefix.offer(outcome.key, outcome),
+            context=context,
         )
+        return prefix.report
 
     def _merge_shard_spans(
         self,
@@ -851,6 +859,63 @@ class ConsensusChecker:
         return None
 
 
+class _DecidedPrefix:
+    """Merge one sharded sweep the moment its verdict is fixed.
+
+    Shard outcomes arrive in completion order.  Walking the spans in
+    assignment order, the sweep is *decided* at the first quarantined
+    shard or non-SATISFIED report (the sequential sweep stops there), or
+    once every span is done.  At that point :meth:`_merge_shard_spans`
+    folds the decided prefix — exactly the spans it would have read from
+    a complete sweep, so the report is the same — and the unfinished
+    spans after the prefix can be withdrawn from the pool: their results
+    could never change the verdict.
+    """
+
+    def __init__(self, checker, model, domain, assignments, total, spans):
+        self._checker = checker
+        self._model = model
+        self._domain = domain
+        self._assignments = assignments
+        self._total = total
+        self._spans = spans
+        self._outcomes: dict = {}
+        self._cursor = 0
+        self.report: Optional[ConsensusReport] = None
+
+    def offer(self, lo: int, outcome: UnitOutcome) -> Optional[list]:
+        """Fold the outcome of the span starting at *lo*.
+
+        Returns None while the sweep is undecided (and for outcomes that
+        arrive after it was decided, which are ignored); on the outcome
+        that decides it, sets :attr:`report` and returns the start
+        indices of the unfinished spans after the prefix.
+        """
+        if self.report is not None:
+            return None
+        self._outcomes[lo] = outcome
+        spans = self._spans
+        while self._cursor < len(spans):
+            unit = self._outcomes.get(spans[self._cursor][0])
+            if unit is None:
+                return None
+            self._cursor += 1
+            if unit.quarantined or not unit.value[-1].satisfied:
+                break
+        self.report = self._checker._merge_shard_spans(
+            self._model,
+            self._domain,
+            self._assignments,
+            self._total,
+            spans[: self._cursor],
+            self._outcomes.__getitem__,
+        )
+        return [
+            start for start, _ in spans[self._cursor:]
+            if start not in self._outcomes
+        ]
+
+
 # -- parallel work units ------------------------------------------------------
 #
 # The pool pickles payloads into worker processes and calls a module-level
@@ -1074,16 +1139,21 @@ def run_campaign(
     within each sweep** with the same early-stop rule, so both paths
     return identical results for identical inputs; a shard the pool
     quarantined merges its sweep as UNKNOWN at the shard's cursor
-    (resumable) without failing its neighbours.
+    (resumable) without failing its neighbours.  Shards are dispatched
+    breadth-first — every sweep's first shard before any sweep's second
+    — and a sweep is merged the moment its verdict is decided (its
+    completed shards reach, in assignment order, a violation, an
+    inconclusive report or a quarantine, or cover the whole sweep); its
+    unstarted shards are then withdrawn from the pool.
 
     A :class:`~repro.resilience.CampaignCheckpoint` is honoured and
     maintained either way: completed units are reused instantly,
-    conclusive reports are recorded **as their last shard finishes** (an
-    interrupt loses at most in-flight units), and the first inconclusive
-    unit's partial progress is suspended for resume.  *on_unit*, when
-    given, is called as ``on_unit(key, report)`` after each freshly-run
-    unit's campaign update — the CLI hooks its incremental checkpoint
-    autosave here.
+    conclusive reports are recorded **the moment their sweep is
+    decided** (an interrupt loses at most undecided units), and the
+    first inconclusive unit's partial progress is suspended for resume.
+    *on_unit*, when given, is called as ``on_unit(key, report)`` after
+    each freshly-run unit's campaign update — the CLI hooks its
+    incremental checkpoint autosave here.
 
     Returns ``(key, report)`` pairs in submission order, truncated at
     the first inconclusive report.
@@ -1106,10 +1176,10 @@ def run_campaign(
     reports: Optional[dict] = None
     if workers is not None and workers > 1 and pending:
         domain = (0, 1)  # run_sweep_unit's check_all default
-        plans: dict = {}
-        shard_units: list[tuple] = []
+        prefixes: dict = {}
+        ranked: list[tuple] = []
         merged: dict = {}
-        for key, unit in pending:
+        for sweep, (key, unit) in enumerate(pending):
             checker = ConsensusChecker(
                 unit.system, unit.budget, cache=unit.cache,
                 preflight=unit.preflight,
@@ -1124,10 +1194,16 @@ def run_campaign(
                 total = unit.resume.states_total
                 inner = unit.resume.inner
             spans = _shard_spans(start, len(assignments), shard_states)
-            plans[key] = (checker, unit, assignments, total, spans)
-            for lo, hi in spans:
-                shard_units.append(
-                    ((key, lo), (key, (lo, hi, inner if lo == start else None)))
+            prefixes[key] = _DecidedPrefix(
+                checker, unit.model, domain, assignments, total, spans
+            )
+            for index, (lo, hi) in enumerate(spans):
+                ranked.append(
+                    (
+                        (index, sweep),
+                        (key, lo),
+                        (key, (lo, hi, inner if lo == start else None)),
+                    )
                 )
             if not spans:
                 # Resumed past the last assignment: nothing left to run.
@@ -1139,7 +1215,12 @@ def run_campaign(
                     campaign.record(key, merged[key])
                 if on_unit is not None:
                     on_unit(key, merged[key])
-        if shard_units:
+        if ranked:
+            # Breadth-first across sweeps: every sweep's first shard is
+            # dispatched before any sweep's second, so idle workers open
+            # new sweeps rather than reading deeper into one that its
+            # first violation may already have decided.
+            ranked.sort(key=lambda entry: entry[0])
             config = pool or PoolConfig()
             if config.workers != workers:
                 config = dataclasses.replace(config, workers=workers)
@@ -1147,35 +1228,27 @@ def run_campaign(
                 key: dataclasses.replace(unit, resume=None)
                 for key, unit in pending
             }
-            shard_outcomes: dict = {}
-            remaining = {
-                key: len(plan[4]) for key, plan in plans.items() if plan[4]
-            }
 
-            def record_finished(outcome: UnitOutcome) -> None:
-                key, _ = outcome.key
-                shard_outcomes[outcome.key] = outcome
-                remaining[key] -= 1
-                if remaining[key]:
-                    return
-                checker, unit, assignments, total, spans = plans[key]
-                report = checker._merge_shard_spans(
-                    unit.model, domain, assignments, total, spans,
-                    lambda lo: shard_outcomes[(key, lo)],
-                )
-                merged[key] = report
+            def record_decided(outcome: UnitOutcome) -> Optional[list]:
+                key, lo = outcome.key
+                prefix = prefixes[key]
+                unread = prefix.offer(lo, outcome)
+                if unread is None:
+                    return None
+                report = merged[key] = prefix.report
                 if not report.inconclusive:
                     crashpoint("campaign.unit.finish")
                     if campaign is not None:
                         campaign.record(key, report)
                     if on_unit is not None:
                         on_unit(key, report)
+                return [(key, start) for start in unread]
 
             run_units(
                 _campaign_shard_unit,
-                shard_units,
+                [(unit_key, payload) for _, unit_key, payload in ranked],
                 config,
-                on_complete=record_finished,
+                on_complete=record_decided,
                 context=_CampaignContext(specs),
             )
         reports = merged

@@ -29,7 +29,11 @@ event rather than a run-ending catastrophe:
   sweep's output is a pure function of its input, independent of worker
   scheduling.  The unit functions themselves are deterministic, so even
   a retried unit returns the same value it would have on its first
-  attempt.
+  attempt;
+* **withdrawal** — the ``on_complete`` callback may name units whose
+  results the caller no longer needs (a sweep whose verdict is already
+  fixed); their pending attempts are dropped undispatched, while units
+  already running finish normally.
 
 The unit function must be a **module-level callable** (pickled by
 reference under the ``spawn`` start method) taking one picklable payload
@@ -260,7 +264,9 @@ class PoolReport:
     """Everything a pool run produced, keyed for deterministic merging.
 
     Attributes:
-        outcomes: ``{key: UnitOutcome}`` — one entry per submitted unit.
+        outcomes: ``{key: UnitOutcome}`` — one entry per unit that ran to
+            resolution, in submission order.  Together with *withdrawn*
+            it covers every submitted unit exactly once.
         faults: every failed attempt across all units, in detection order
             (the only completion-order-dependent field; it is a log, not
             an input to any merge).
@@ -272,6 +278,10 @@ class PoolReport:
             run).  ``seconds - spawn_seconds`` approximates the
             steady-state sweep time; benchmarks report both so process
             fan-out cost is never silently booked against the engine.
+        withdrawn: keys of the units ``on_complete`` withdrew before they
+            resolved, in submission order.  None of them has an outcome;
+            a withdrawn unit whose failed attempt was running keeps that
+            fault in *faults* but is never retried.
     """
 
     outcomes: dict
@@ -279,6 +289,7 @@ class PoolReport:
     workers: int
     seconds: float
     spawn_seconds: float = 0.0
+    withdrawn: tuple = ()
 
     def value(self, key) -> Any:
         """The OK value for *key*; raises KeyError / ValueError otherwise."""
@@ -303,8 +314,10 @@ class PoolReport:
 
     def describe(self) -> str:
         """One-line summary for CLI diagnostics."""
-        n = len(self.outcomes)
+        n = len(self.outcomes) + len(self.withdrawn)
         parts = [f"{n} units on {self.workers or 'no'} workers"]
+        if self.withdrawn:
+            parts.append(f"{len(self.withdrawn)} withdrawn")
         if self.retried:
             parts.append(f"{len(self.retried)} retried")
         if self.quarantined:
@@ -519,6 +532,7 @@ class _Supervisor:
         self._workers: list[_Worker] = []
         self._pending: list[_Pending] = []
         self._outcomes: dict = {}
+        self._withdrawn: set = set()
         self._faults: list[PoolFault] = []
         self._unit_faults: dict = {}
         self._dispatched_at: dict = {}
@@ -535,9 +549,8 @@ class _Supervisor:
     def run(self) -> PoolReport:
         started = time.monotonic()
         self._started = started
+        _unit_keys(self._units)
         for order, (key, payload) in enumerate(self._units):
-            if key in self._unit_faults:
-                raise ValueError(f"duplicate unit key {key!r}")
             self._unit_faults[key] = []
             self._pending.append(_Pending(key, 1, payload, 0.0, order))
         try:
@@ -545,7 +558,7 @@ class _Supervisor:
                 worker = self._spawn_worker()
                 self._initial_ids.add(worker.id)
                 self._workers.append(worker)
-            while len(self._outcomes) < len(self._units):
+            while self._unresolved():
                 self._dispatch()
                 self._drain(timeout=0.05)
                 self._check_health()
@@ -557,13 +570,22 @@ class _Supervisor:
         spawn_seconds = max(ready) - started if ready else 0.0
         return PoolReport(
             outcomes={
-                key: self._outcomes[key] for key, _ in self._units
+                key: self._outcomes[key]
+                for key, _ in self._units
+                if key in self._outcomes
             },
             faults=tuple(self._faults),
             workers=self._config.workers,
             seconds=time.monotonic() - started,
             spawn_seconds=spawn_seconds,
+            withdrawn=tuple(
+                key for key, _ in self._units if key in self._withdrawn
+            ),
         )
+
+    def _unresolved(self) -> bool:
+        """Whether some unit is still waiting for dispatch or running."""
+        return bool(self._pending) or any(w.busy for w in self._workers)
 
     def _spawn_worker(self) -> _Worker:
         worker_id = self._next_worker_id
@@ -730,7 +752,7 @@ class _Supervisor:
                         f"worker process died (exitcode "
                         f"{worker.process.exitcode})",
                     )
-                elif self._pending or len(self._outcomes) < len(self._units):
+                elif self._unresolved():
                     worker.close_channel()
                     self._workers[index] = self._spawn_worker()
                 continue
@@ -764,17 +786,25 @@ class _Supervisor:
     # -- outcome accounting -------------------------------------------------
     def _finish(self, key, attempt, value) -> None:
         crashpoint("pool.merge")
-        outcome = UnitOutcome(
-            key=key,
-            status=UNIT_OK,
-            value=value,
-            attempts=attempt,
-            faults=tuple(self._unit_faults[key]),
-            seconds=time.monotonic() - self._dispatched_at[key],
+        # A unit withdrawn while it ran has now run to completion.
+        self._withdrawn.discard(key)
+        self._resolve(
+            UnitOutcome(
+                key=key,
+                status=UNIT_OK,
+                value=value,
+                attempts=attempt,
+                faults=tuple(self._unit_faults[key]),
+                seconds=time.monotonic() - self._dispatched_at[key],
+            )
         )
-        self._outcomes[key] = outcome
-        if self._on_complete is not None:
-            self._on_complete(outcome)
+
+    def _resolve(self, outcome: UnitOutcome) -> None:
+        self._outcomes[outcome.key] = outcome
+        for key in _withdrawals(self._on_complete, outcome):
+            if key in self._unit_faults and key not in self._outcomes:
+                self._withdrawn.add(key)
+                self._pending[:] = [p for p in self._pending if p.key != key]
 
     def _attempt_failed(
         self, key, attempt, kind, detail, category=None
@@ -785,6 +815,8 @@ class _Supervisor:
         )
         self._faults.append(fault)
         self._unit_faults[key].append(fault)
+        if key in self._withdrawn:
+            return  # withdrawn while it ran: never retried
         config = self._config
         if attempt <= config.max_retries:
             delay = self._retry_policy.delay(key, attempt)
@@ -807,17 +839,17 @@ class _Supervisor:
             "unit %r quarantined after %d attempt(s): %s",
             key, attempt, fault.kind,
         )
-        outcome = UnitOutcome(
-            key=key,
-            status=UNIT_QUARANTINED,
-            value=None,
-            attempts=attempt,
-            faults=tuple(self._unit_faults[key]),
-            seconds=time.monotonic() - self._dispatched_at.get(key, time.monotonic()),
+        self._resolve(
+            UnitOutcome(
+                key=key,
+                status=UNIT_QUARANTINED,
+                value=None,
+                attempts=attempt,
+                faults=tuple(self._unit_faults[key]),
+                seconds=time.monotonic()
+                - self._dispatched_at.get(key, time.monotonic()),
+            )
         )
-        self._outcomes[key] = outcome
-        if self._on_complete is not None:
-            self._on_complete(outcome)
 
     def _payload_for(self, key):
         for unit_key, payload in self._units:
@@ -832,10 +864,29 @@ class _Supervisor:
         raise KeyError(key)
 
 
+def _unit_keys(units) -> set:
+    """The set of unit keys; raises ValueError on a duplicate key."""
+    keys: set = set()
+    for key, _ in units:
+        if key in keys:
+            raise ValueError(f"duplicate unit key {key!r}")
+        keys.add(key)
+    return keys
+
+
+def _withdrawals(on_complete, outcome: UnitOutcome):
+    """Report *outcome* to *on_complete*; the unit keys it withdraws."""
+    if on_complete is None:
+        return ()
+    return on_complete(outcome) or ()
+
+
 # -- serial fallback ---------------------------------------------------------
 
 def _run_serial(fn, units, config, on_complete, context=None) -> PoolReport:
+    keys = _unit_keys(units)
     outcomes: dict = {}
+    withdrawn: set = set()
     faults: list[PoolFault] = []
     policy = config.retry_policy()
     started = time.monotonic()
@@ -850,8 +901,8 @@ def _run_serial(fn, units, config, on_complete, context=None) -> PoolReport:
                 # the first unit where retry/quarantine own them.
                 pass
     for key, payload in units:
-        if key in outcomes:
-            raise ValueError(f"duplicate unit key {key!r}")
+        if key in withdrawn:
+            continue
         unit_faults: list[PoolFault] = []
         unit_started = time.monotonic()
         attempt = 0
@@ -898,13 +949,16 @@ def _run_serial(fn, units, config, on_complete, context=None) -> PoolReport:
             )
             break
         outcomes[key] = outcome
-        if on_complete is not None:
-            on_complete(outcome)
+        withdrawn.update(
+            k for k in _withdrawals(on_complete, outcome)
+            if k in keys and k not in outcomes
+        )
     return PoolReport(
         outcomes=outcomes,
         faults=tuple(faults),
         workers=0,
         seconds=time.monotonic() - started,
+        withdrawn=tuple(key for key, _ in units if key in withdrawn),
     )
 
 
@@ -933,7 +987,14 @@ def run_units(
             campaign checkpoints use to record finished units as workers
             finish, so an interrupt loses at most in-flight units.  Runs
             in completion order, which is scheduling-dependent; anything
-            merged into results must use ``outcomes`` instead.
+            merged into results must use ``outcomes`` instead.  It may
+            return an iterable of unit keys to **withdraw**: their
+            pending attempts (first runs and retries alike) are dropped
+            and never dispatched, and they are listed in
+            :attr:`PoolReport.withdrawn`.  A withdrawn unit that is
+            already running is not killed: if its attempt succeeds it
+            resolves normally, if it fails it is not retried and stays
+            withdrawn.  Unknown or already resolved keys are ignored.
         context: optional shared object pickled **once per worker
             process** (vs once per unit) and passed as ``fn``'s second
             argument.  The E14 lever: heavyweight immutable inputs (the
@@ -944,8 +1005,9 @@ def run_units(
             best-effort once per worker before it accepts units.
 
     Returns:
-        A :class:`PoolReport` whose ``outcomes`` preserve unit submission
-        order (dict insertion order) regardless of completion order.
+        A :class:`PoolReport` whose ``outcomes`` hold one entry per unit
+        that was not withdrawn, in unit submission order (dict insertion
+        order) regardless of completion order.
 
     Raises:
         KeyboardInterrupt: propagated after terminating all workers;

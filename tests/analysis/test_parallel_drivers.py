@@ -7,6 +7,9 @@ selves under ``workers=N``, record campaign progress as workers finish,
 and surface the flags end-to-end through the CLI.
 """
 
+from functools import lru_cache
+from itertools import product
+
 import pytest
 
 from repro.analysis.impossibility import refute_candidate
@@ -19,9 +22,12 @@ from repro.cli import EXIT_INCONCLUSIVE, EXIT_OK, main
 from repro.core.exploration import reachable_states, reachable_states_parallel
 from repro.core.state import GlobalState
 from repro.core.valence import ExplorationLimitExceeded
+from repro.core import checker as checker_module
 from repro.protocols.candidates import QuorumDecide
+from repro.protocols.registry import PROTOCOLS
 from repro.resilience.budget import Budget
 from repro.resilience.checkpoint import CampaignCheckpoint
+from repro.resilience.journal import CampaignJournal, load_journal
 from repro.resilience.pool import PoolConfig
 
 
@@ -90,7 +96,130 @@ class TestDriverParity:
             )
 
 
+@lru_cache(maxsize=None)
+def _sequential_refutations(name):
+    return tuple(refute_candidate(PROTOCOLS[name](3), 3))
+
+
+def _refutation_fields(rows):
+    return [
+        (
+            row.model_name,
+            row.verdict,
+            row.report.inputs,
+            row.schedule(),
+            row.report.states_explored,
+        )
+        for row in rows
+    ]
+
+
+def _decided_prefix(report):
+    """How many assignments the sequential sweep read (one per shard at
+    the default shard size): up to and including the refuting one."""
+    return list(product((0, 1), repeat=3)).index(report.inputs) + 1
+
+
+class TestRegistryParity:
+    """A parallel campaign stops each sweep early, yet reports exactly
+    what the sequential campaign reports, under either schedule."""
+
+    @pytest.mark.parametrize("steal", [True, False])
+    @pytest.mark.parametrize("name", sorted(PROTOCOLS))
+    def test_parallel_refutations_equal_sequential(self, name, steal):
+        sequential = _sequential_refutations(name)
+        parallel = refute_candidate(
+            PROTOCOLS[name](3),
+            3,
+            workers=2,
+            pool=PoolConfig(workers=2, steal=steal),
+        )
+        assert all(row.refuted for row in sequential)
+        assert _refutation_fields(parallel) == _refutation_fields(sequential)
+
+    def test_waitforall_runs_a_bounded_prefix(self):
+        """Every WaitForAll sweep refutes at its first assignment, so with
+        two workers each of the 5 sweeps runs that shard plus at most one
+        more that was already running: at most 10 of the 40 shards."""
+        workers = 2
+        reports = []
+        rows = refute_candidate(
+            PROTOCOLS["waitforall"](3),
+            3,
+            workers=workers,
+            pool=PoolConfig(workers=workers, report_sink=reports.append),
+        )
+        (pool_report,) = reports
+        ran = list(pool_report.outcomes)
+        assert len(ran) + len(pool_report.withdrawn) == 40
+        assert len(ran) <= 10
+        for row in rows:
+            prefix = _decided_prefix(row.report)
+            assert prefix == 1
+            spans = sorted(lo for key, lo in ran if f":{row.model_name}:" in key)
+            assert spans[:prefix] == list(range(prefix))
+            assert len(spans) <= prefix + workers - 1
+
+
 class TestCampaignIntegration:
+    def test_journal_records_each_sweep_once_when_decided(
+        self, tmp_path, monkeypatch
+    ):
+        """A sweep is journaled in the very callback whose shard decides
+        it, not after its last shard: the shards that complete after its
+        record are only those that were already running."""
+        workers = 2
+        events = []
+        run_units = checker_module.run_units
+
+        def traced_run_units(fn, units, config, on_complete=None, context=None):
+            def traced(outcome):
+                events.append(("shard",) + outcome.key)
+                return on_complete(outcome)
+
+            return run_units(fn, units, config, traced, context)
+
+        monkeypatch.setattr(checker_module, "run_units", traced_run_units)
+        path = tmp_path / "campaign.journal"
+        journal = CampaignJournal.create(path, checkpoint_interval=1)
+        record = journal.record
+
+        def traced_record(key, report):
+            events.append(("record", key))
+            record(key, report)
+
+        journal.record = traced_record
+        try:
+            rows = refute_candidate(
+                PROTOCOLS["waitforall"](3), 3, workers=workers, campaign=journal
+            )
+        finally:
+            journal.close()
+        records = [event[1] for event in events if event[0] == "record"]
+        assert sorted(records) == sorted(
+            f"refute:{row.model_name}:{row.protocol_name}:n3" for row in rows
+        )
+        for row in rows:
+            key = f"refute:{row.model_name}:{row.protocol_name}:n3"
+            at = events.index(("record", key))
+            shards = [e[2] for e in events if e[0] == "shard" and e[1] == key]
+            before = [
+                e[2] for e in events[:at] if e[0] == "shard" and e[1] == key
+            ]
+            prefix = _decided_prefix(row.report)
+            assert events[at - 1][:2] == ("shard", key)
+            assert set(range(prefix)) <= set(before)
+            assert len(shards) - len(before) <= workers - 1
+            assert len(shards) < 8  # not every shard ran
+        state, _ = load_journal(path)
+        assert set(state.completed) == set(records)
+        for row in rows:
+            key = f"refute:{row.model_name}:{row.protocol_name}:n3"
+            recorded = state.completed[key]
+            assert recorded.verdict is row.verdict
+            assert recorded.inputs == row.report.inputs
+            assert recorded.states_explored == row.report.states_explored
+
     def test_parallel_campaign_records_completed_units(self):
         campaign = CampaignCheckpoint()
         rows = defeat_fast_candidates(3, 1, campaign=campaign, workers=2)

@@ -15,9 +15,11 @@ import signal
 
 import pytest
 
+from repro.analysis.sync_lower_bound import make_st_system
 from repro.core.checker import ConsensusChecker, Verdict
 from repro.layerings.st_synchronous import StSynchronousLayering
 from repro.models.sync import SynchronousModel
+from repro.protocols.eig import EIG
 from repro.protocols.floodset import FloodSet
 from repro.resilience.pool import FAULT_CRASH, PoolConfig
 
@@ -253,3 +255,46 @@ class TestShardingKnobs:
             ConsensusChecker(st_floodset_fast).check_all(
                 st_floodset_fast.model, workers=2, shard_states=0
             )
+
+
+class TestOrderedWithdrawal:
+    """A parallel sweep is merged as soon as its verdict is decided and
+    its unstarted shards are withdrawn; the report does not change."""
+
+    @staticmethod
+    def _sweep(system, **pool):
+        reports = []
+        report = ConsensusChecker(system).check_all(
+            system.model,
+            workers=2,
+            pool=PoolConfig(workers=2, report_sink=reports.append, **pool),
+        )
+        (pool_report,) = reports
+        return report, pool_report
+
+    def test_refuting_sweep_withdraws_unread_shards(self):
+        # EIG with 2 rounds in S^t (n=4, t=2) is one round below the
+        # t+1 bound: it first disagrees on assignment 8 of 16.
+        system = make_st_system(EIG(2), 4, 2)
+        sequential = ConsensusChecker(system).check_all(system.model)
+        assert sequential.verdict is Verdict.AGREEMENT
+        decided = 8
+        for steal in (True, False):
+            parallel, pool_report = self._sweep(system, steal=steal)
+            _assert_reports_equal(parallel, sequential)
+            ran = sorted(pool_report.outcomes)
+            assert ran[:decided] == list(range(decided))
+            assert pool_report.withdrawn
+            assert min(pool_report.withdrawn) >= decided
+            assert sorted(ran + list(pool_report.withdrawn)) == list(range(16))
+
+    def test_satisfied_grid_withdraws_nothing(self):
+        # The E14 grid: EIG(3) in S^t (n=4, t=2) satisfies consensus, so
+        # no shard is decided early and every one of them runs.
+        system = make_st_system(EIG(3), 4, 2)
+        sequential = ConsensusChecker(system).check_all(system.model)
+        parallel, pool_report = self._sweep(system)
+        assert sequential.satisfied
+        _assert_reports_equal(parallel, sequential)
+        assert pool_report.withdrawn == ()
+        assert sorted(pool_report.outcomes) == list(range(16))

@@ -57,6 +57,18 @@ def _crash_or_square(payload):
     return payload * 2
 
 
+def _mark(payload):
+    """Append one line to this unit's marker file, optionally linger or
+    fail: the marker proves whether (and how often) the unit ran."""
+    marker_dir, key, linger, fail = payload
+    with open(os.path.join(marker_dir, key), "a") as fh:
+        fh.write("ran\n")
+    time.sleep(linger)
+    if fail:
+        raise RuntimeError(f"{key} fails")
+    return key
+
+
 class TestHappyPath:
     def test_all_units_complete_keyed(self):
         units = [(f"u{i}", i) for i in range(8)]
@@ -425,3 +437,101 @@ class TestWorkStealing:
         assert pool_config_for(4).steal is True
         assert pool_config_for(4, steal=False).steal is False
         assert pool_config_for(4, steal=True).steal is True
+
+
+class TestWithdrawal:
+    """``on_complete`` may return unit keys to withdraw: pending units
+    are dropped undispatched, running ones finish normally."""
+
+    @staticmethod
+    def _units(tmp_path, count, linger=None):
+        linger = linger or {}
+        return [
+            (f"u{i}", (str(tmp_path), f"u{i}", linger.get(f"u{i}", 0.0), False))
+            for i in range(count)
+        ]
+
+    @staticmethod
+    def _ran(tmp_path):
+        return sorted(path.name for path in tmp_path.iterdir())
+
+    @pytest.mark.parametrize("workers", [2, 1])
+    def test_withdrawn_units_never_run(self, tmp_path, workers):
+        # With two workers u0 and u1 start together; whichever finishes
+        # first withdraws u3-u5 before the next dispatch, so only u2 is
+        # dispatched after it.
+        calls = []
+
+        def on_complete(outcome):
+            calls.append(outcome.key)
+            return ["u3", "u4", "u5"] if len(calls) == 1 else None
+
+        report = run_units(
+            _mark,
+            self._units(tmp_path, 6),
+            PoolConfig(workers=workers),
+            on_complete=on_complete,
+        )
+        assert self._ran(tmp_path) == ["u0", "u1", "u2"]
+        assert list(report.outcomes) == ["u0", "u1", "u2"]
+        assert report.withdrawn == ("u3", "u4", "u5")
+        assert sorted(calls) == ["u0", "u1", "u2"]
+        assert "6 units" in report.describe()
+        assert "3 withdrawn" in report.describe()
+
+    def test_pending_retry_is_withdrawn(self, tmp_path):
+        """``bad`` fails at once and waits out a long backoff; ``slow``
+        then finishes and withdraws it, so the retry never runs.  (The
+        serial engine retries inline, so it never holds a pending retry
+        when ``on_complete`` fires.)"""
+        units = [
+            ("bad", (str(tmp_path), "bad", 0.0, True)),
+            ("slow", (str(tmp_path), "slow", 1.0, False)),
+        ]
+        report = run_units(
+            _mark,
+            units,
+            PoolConfig(workers=2, max_retries=1, retry_backoff=30.0),
+            on_complete=lambda o: ["bad"] if o.key == "slow" else None,
+        )
+        assert (tmp_path / "bad").read_text() == "ran\n"  # one attempt
+        assert report.withdrawn == ("bad",)
+        assert list(report.outcomes) == ["slow"]
+        assert [(f.key, f.attempt) for f in report.faults] == [("bad", 1)]
+        assert report.seconds < 30.0
+
+    @pytest.mark.parametrize("workers", [2, 1])
+    def test_running_unit_completes(self, tmp_path, workers):
+        # The first completion withdraws every unit.  The units running
+        # at that moment (u0 and the lingering u1 with two workers, u0
+        # alone serially) still finish and are reported.
+        calls = []
+
+        def on_complete(outcome):
+            calls.append(outcome.key)
+            return [f"u{i}" for i in range(4)] if len(calls) == 1 else None
+
+        report = run_units(
+            _mark,
+            self._units(tmp_path, 4, linger={"u1": 0.5}),
+            PoolConfig(workers=workers),
+            on_complete=on_complete,
+        )
+        running = [f"u{i}" for i in range(workers)]
+        assert self._ran(tmp_path) == running
+        assert list(report.outcomes) == running
+        assert all(report.value(key) == key for key in running)
+        assert report.withdrawn == tuple(f"u{i}" for i in range(workers, 4))
+        assert report.faults == ()
+
+    @pytest.mark.parametrize("workers", [2, 1])
+    def test_unknown_or_finished_keys_are_noops(self, tmp_path, workers):
+        report = run_units(
+            _mark,
+            self._units(tmp_path, 4),
+            PoolConfig(workers=workers),
+            on_complete=lambda o: ["nope", o.key, "u0"],
+        )
+        assert self._ran(tmp_path) == ["u0", "u1", "u2", "u3"]
+        assert list(report.outcomes) == ["u0", "u1", "u2", "u3"]
+        assert report.withdrawn == ()
