@@ -172,6 +172,27 @@ class ConsensusReport:
         return RunWitness(self.execution, self.cycle)
 
 
+class _StateFacts(dict):
+    """``state -> (failed_at, decisions)``, each read from the system once.
+
+    One table per exploration: the terminal test, the safety predicates,
+    the write-once check and every per-process lasso pass look a state up
+    here instead of asking the system again.  A resumed exploration starts
+    with an empty table and refills it as states come up.
+    """
+
+    def __init__(self, system) -> None:
+        super().__init__()
+        self._system = system
+
+    def __missing__(
+        self, state: GlobalState
+    ) -> tuple[frozenset[int], dict[int, Hashable]]:
+        facts = (self._system.failed_at(state), self._system.decisions(state))
+        self[state] = facts
+        return facts
+
+
 class ConsensusChecker:
     """Exhaustively check the three consensus requirements.
 
@@ -544,6 +565,7 @@ class ConsensusChecker:
     ) -> ConsensusReport:
         system = self._system
         input_values = frozenset(inputs)
+        facts = _StateFacts(system)
 
         if checkpoint is not None:
             checkpoint.validate_for(system, inputs)
@@ -558,7 +580,7 @@ class ConsensusChecker:
             edges = {}
             meter.charge_state(initial_state)
 
-            problem = self._state_problem(initial_state, input_values)
+            problem = self._state_problem(initial_state, input_values, facts)
             if problem is not None:
                 return self._safety_report(
                     problem[0], initial_state, parent, inputs, problem[1], 1
@@ -572,7 +594,7 @@ class ConsensusChecker:
                 )
             state = queue.popleft()
             try:
-                if self._all_nonfailed_decided(state):
+                if self._all_nonfailed_decided(state, facts):
                     terminal.add(state)
                     continue
                 succs = system.successors(state)
@@ -583,7 +605,7 @@ class ConsensusChecker:
                     if fresh:
                         parent[child] = (state, action)
                         meter.charge_state(child)
-                    write_once = self._write_once_problem(state, child)
+                    write_once = self._write_once_problem(state, child, facts)
                     if write_once is not None:
                         # Witness the edge it was SEEN on: the BFS parent
                         # of an already-discovered child may reach it by a
@@ -598,7 +620,7 @@ class ConsensusChecker:
                             len(parent),
                             via=(action, child),
                         )
-                    problem = self._state_problem(child, input_values)
+                    problem = self._state_problem(child, input_values, facts)
                     if problem is not None:
                         return self._safety_report(
                             problem[0],
@@ -628,7 +650,7 @@ class ConsensusChecker:
 
         try:
             lasso = self._find_undecided_lasso(
-                initial_state, edges, terminal, meter
+                initial_state, edges, terminal, facts, meter
             )
         except KeyboardInterrupt:
             if self._strict:
@@ -713,23 +735,17 @@ class ConsensusChecker:
             checkpoint=cp,
         )
 
-    def _nonfailed_decisions(self, state: GlobalState) -> dict[int, Hashable]:
-        failed = self._system.failed_at(state)
-        return {
-            i: v
-            for i, v in self._system.decisions(state).items()
-            if i not in failed
-        }
-
-    def _all_nonfailed_decided(self, state: GlobalState) -> bool:
-        failed = self._system.failed_at(state)
-        decided = self._system.decisions(state)
+    @staticmethod
+    def _all_nonfailed_decided(state: GlobalState, facts: _StateFacts) -> bool:
+        failed, decided = facts[state]
         return all(i in decided for i in range(state.n) if i not in failed)
 
+    @staticmethod
     def _state_problem(
-        self, state: GlobalState, input_values: frozenset
+        state: GlobalState, input_values: frozenset, facts: _StateFacts
     ) -> Optional[tuple[Verdict, str]]:
-        decisions = self._nonfailed_decisions(state)
+        failed, decided = facts[state]
+        decisions = {i: v for i, v in decided.items() if i not in failed}
         distinct = set(decisions.values())
         if len(distinct) > 1:
             return (
@@ -744,11 +760,12 @@ class ConsensusChecker:
                 )
         return None
 
+    @staticmethod
     def _write_once_problem(
-        self, state: GlobalState, child: GlobalState
+        state: GlobalState, child: GlobalState, facts: _StateFacts
     ) -> Optional[str]:
-        before = self._system.decisions(state)
-        after = self._system.decisions(child)
+        before = facts[state][1]
+        after = facts[child][1]
         for i, v in before.items():
             if after.get(i) != v:
                 return (
@@ -790,6 +807,7 @@ class ConsensusChecker:
         initial_state: GlobalState,
         edges: dict[GlobalState, list[tuple[Hashable, GlobalState]]],
         terminal: set[GlobalState],
+        facts: _StateFacts,
         meter: Optional[BudgetMeter] = None,
     ):
         """A fair infinite run starving a nonfaulty process, as a lasso.
@@ -817,16 +835,18 @@ class ConsensusChecker:
                 return "tripped"
             restricted: dict[GlobalState, list[tuple[Hashable, GlobalState]]] = {}
             for state, succs in edges.items():
-                if i in system.decisions(state) or i in system.failed_at(state):
+                failed, decided = facts[state]
+                if i in decided or i in failed:
                     continue
-                kept = [
-                    (action, child)
-                    for action, child in succs
-                    if child not in terminal
-                    and i in system.nonfaulty_under(action)
-                    and i not in system.failed_at(child)
-                    and i not in system.decisions(child)
-                ]
+                kept = []
+                for action, child in succs:
+                    if child in terminal or i not in system.nonfaulty_under(
+                        action
+                    ):
+                        continue
+                    failed, decided = facts[child]
+                    if i not in failed and i not in decided:
+                        kept.append((action, child))
                 if kept:
                     restricted[state] = kept
             cycle = _find_cycle(restricted)

@@ -21,7 +21,9 @@ primitives run the whole expansion on scratch locals and build a single
 :class:`GlobalState` at the endpoint (hashed lazily, on first use).
 :func:`verify_layering_embedding` steps through :meth:`Model.apply` one
 primitive at a time instead, so it also checks the batch fold against the
-single-step fold.
+single-step fold.  :meth:`Layering.successors` hands every layer action's
+expansion to :meth:`Model.apply_each` in one call, so the round models
+compute one synchronous round per state for the whole layer.
 
 Layerings implement the :class:`SuccessorSystem` interface consumed by the
 analyzers in :mod:`repro.core` (valence, connectivity, bivalence): they are
@@ -97,11 +99,17 @@ class Layering(ABC):
     def successors(
         self, state: GlobalState
     ) -> list[tuple[Hashable, GlobalState]]:
-        """All ``(layer_action, next_state)`` pairs from *state*."""
-        return [
-            (action, self.apply(state, action))
-            for action in self.layer_actions(state)
-        ]
+        """All ``(layer_action, next_state)`` pairs from *state*.
+
+        Every layer action's expansion goes to the model in one
+        :meth:`Model.apply_each` call, so a model can share work across
+        the layer (the round models compute one round per state).
+        """
+        actions = self.layer_actions(state)
+        children = self._model.apply_each(
+            state, [self.expand(state, action) for action in actions]
+        )
+        return list(zip(actions, children))
 
     def failed_at(self, state: GlobalState) -> frozenset[int]:
         """Delegates to the underlying model's failure bookkeeping."""

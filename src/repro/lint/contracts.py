@@ -18,7 +18,8 @@ conditions every analysis in this library assumes:
   :class:`~repro.layerings.base.Layering` each sampled layer action's
   expansion must be a legal model execution
   (:func:`~repro.layerings.base.verify_layering_embedding`) — the
-  monotone-embedding clause of the layering definition.
+  monotone-embedding clause of the layering definition — whose endpoint
+  is the child ``successors`` returned for that action.
 * **RP203 — Faulty monotonicity**: the ``failed_at`` set never shrinks
   along an edge.  ``Faulty`` membership is a property of every run
   through a state (Section 2); a resurrected process would break the
@@ -245,11 +246,23 @@ class _Probe:
             return
         for action, child in succs:
             try:
-                verify_layering_embedding(self.system, state, action)
+                endpoint = verify_layering_embedding(
+                    self.system, state, action
+                )[-1]
             except AssertionError as exc:
                 self.record(
                     RP202,
                     f"layer action does not embed into the model: {exc}",
+                    ContractWitness(state, action, child),
+                )
+                return
+            # successors() takes the whole layer in one apply_each batch;
+            # its children must be the one-primitive-at-a-time endpoints.
+            if child != endpoint:
+                self.record(
+                    RP202,
+                    "successors() disagrees with the per-primitive fold "
+                    f"(which reaches {endpoint!r})",
                     ContractWitness(state, action, child),
                 )
                 return

@@ -76,6 +76,7 @@ TRANSITION_METHODS = frozenset(
         "actions",
         "apply",
         "apply_many",
+        "apply_each",
         "layer_actions",
         "expand",
         "initial_state",

@@ -21,7 +21,7 @@ from repro.models.async_mp import (
     recv_action,
     stage_action,
 )
-from repro.models.base import Model, deliver_round
+from repro.models.base import Model
 from repro.models.mobile import ENV_MF, MobileModel, omit_action, prefix_action
 from repro.models.shared_memory import (
     BOT,
@@ -52,7 +52,6 @@ __all__ = [
     "SharedMemoryModel",
     "SnapshotMemoryModel",
     "SynchronousModel",
-    "deliver_round",
     "fail_action",
     "flush_action",
     "mp_env",

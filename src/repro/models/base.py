@@ -29,10 +29,12 @@ All models here follow two conventions that the analyses rely on:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from itertools import product
+from typing import Optional
 
 from repro.core.state import GlobalState
+from repro.protocols.base import MessagePassingProtocol
 
 
 class Model(ABC):
@@ -75,6 +77,19 @@ class Model(ABC):
         for action in actions:
             state = self.apply(state, action)
         return state
+
+    def apply_each(
+        self, state: GlobalState, expansions: Iterable[Sequence[Hashable]]
+    ) -> list[GlobalState]:
+        """The endpoint of each expansion, every one folded from *state*.
+
+        This is one call per state for all of a layer's actions (see
+        :meth:`repro.layerings.base.Layering.successors`).  The default
+        folds each expansion through :meth:`apply_many`.  The round models
+        override it to compute one synchronous round per state, shared by
+        every action (:func:`synchronous_round`).
+        """
+        return [self.apply_many(state, expansion) for expansion in expansions]
 
     @abstractmethod
     def failed_at(self, state: GlobalState) -> frozenset[int]:
@@ -130,29 +145,97 @@ class Model(ABC):
         return frozenset(range(self.n))
 
 
-def deliver_round(
-    n: int,
-    outgoing: dict[int, dict[int, Hashable]],
-    dropped: "callable[[int, int], bool]",
-) -> dict[int, dict[int, Hashable]]:
-    """Synchronous-round delivery with drops.
+#: A primitive's round: the successor's environment, and for each
+#: destination the senders whose message to it the primitive loses.
+RoundOutcome = tuple[Hashable, Sequence[frozenset[int]]]
 
-    Args:
-        n: number of processes.
-        outgoing: ``outgoing[sender][dest] = payload`` for this round.
-        dropped: predicate ``(sender, dest) -> bool``; True means the
-            environment loses that message.
 
-    Returns:
-        ``received[dest][sender] = payload`` for every delivered message.
+def synchronous_round(
+    model: Model,
+    protocol: MessagePassingProtocol,
+    state: GlobalState,
+    expansions: Iterable[Sequence[Hashable]],
+    round_for: Callable[[Hashable], RoundOutcome],
+) -> list[GlobalState]:
+    """:meth:`Model.apply_each` for a model whose primitive is one round.
+
+    In a synchronous round every process sends, then every process
+    receives.  A sender's messages depend only on its own local state, and
+    a receiver's next local state only on which senders it hears from, so
+    one round serves every primitive enabled at *state*:
+
+    * each sender's ``outgoing`` runs once;
+    * each receiver's ``transition`` runs once per distinct set of senders
+      it hears from;
+    * each distinct primitive is applied once, and the expansions naming
+      it share its endpoint object.
+
+    ``round_for(primitive)`` checks that the primitive is legal at *state*
+    (raising ``ValueError`` if not) and returns its :data:`RoundOutcome`.
+    It runs once per distinct primitive, before any protocol call.  An
+    expansion that is not exactly one primitive is folded by
+    :meth:`Model.apply_many`.
+
+    The memo tables are locals of this call: they live for one state's
+    round and hold nothing between calls.
+
+    Raises:
+        ValueError: a process sends to itself or to an unknown
+            destination, or ``round_for`` refuses a primitive.
     """
-    received: dict[int, dict[int, Hashable]] = {i: {} for i in range(n)}
-    for sender, messages in outgoing.items():
-        for dest, payload in messages.items():
-            if dest == sender:
-                raise ValueError(f"process {sender} attempted a self-message")
-            if not 0 <= dest < n:
-                raise ValueError(f"message to unknown destination {dest}")
-            if not dropped(sender, dest):
-                received[dest][sender] = payload
-    return received
+    slots: dict[Hashable, int] = {}
+    rounds: list[RoundOutcome] = []
+    picks: list[tuple[Optional[int], Sequence[Hashable]]] = []
+    for expansion in expansions:
+        if len(expansion) != 1:
+            picks.append((None, expansion))
+            continue
+        primitive = expansion[0]
+        slot = slots.get(primitive)
+        if slot is None:
+            slot = slots[primitive] = len(rounds)
+            rounds.append(round_for(primitive))
+        picks.append((slot, expansion))
+
+    endpoints: list[GlobalState] = []
+    if rounds:
+        n, locals_ = state.n, state.locals
+        outgoing = [
+            protocol.outgoing(sender, n, locals_[sender])
+            for sender in range(n)
+        ]
+        hearing: list[set[int]] = [set() for _ in range(n)]
+        for sender, messages in enumerate(outgoing):
+            for dest in messages:
+                if dest == sender:
+                    raise ValueError(
+                        f"process {sender} attempted a self-message"
+                    )
+                if not 0 <= dest < n:
+                    raise ValueError(f"message to unknown destination {dest}")
+                hearing[dest].add(sender)
+        senders_to = [frozenset(senders) for senders in hearing]
+        # heard[dest]: delivered senders -> dest's next local state.
+        heard: list[dict[frozenset[int], Hashable]] = [{} for _ in range(n)]
+        for env, lost in rounds:
+            new_locals = []
+            for dest in range(n):
+                delivered = senders_to[dest] - lost[dest]
+                memo = heard[dest]
+                if delivered in memo:
+                    new_locals.append(memo[delivered])
+                    continue
+                received = {
+                    sender: outgoing[sender][dest]
+                    for sender in sorted(delivered)
+                }
+                new_local = protocol.transition(
+                    dest, n, locals_[dest], received
+                )
+                memo[delivered] = new_local
+                new_locals.append(new_local)
+            endpoints.append(GlobalState(env, tuple(new_locals)))
+    return [
+        model.apply_many(state, expansion) if slot is None else endpoints[slot]
+        for slot, expansion in picks
+    ]

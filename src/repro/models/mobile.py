@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Sequence
 
 from repro.core.state import GlobalState
-from repro.models.base import Model, deliver_round
+from repro.models.base import Model, RoundOutcome, synchronous_round
 from repro.protocols.base import MessagePassingProtocol
 
 ENV_MF: str = "mf"
@@ -86,23 +86,32 @@ class MobileModel(Model):
         return all_actions
 
     def apply(self, state: GlobalState, action: tuple) -> GlobalState:
-        kind, j, group = action
-        if kind != "omit":
-            raise ValueError(f"unknown M^mf action {action!r}")
-        outgoing = {
-            i: dict(self._protocol.outgoing(i, self.n, state.local(i)))
-            for i in range(self.n)
-        }
-        received = deliver_round(
-            self.n,
-            outgoing,
-            dropped=lambda sender, dest: sender == j and dest in group,
+        return self.apply_each(state, ((action,),))[0]
+
+    def apply_each(
+        self, state: GlobalState, expansions: Iterable[Sequence[tuple]]
+    ) -> list[GlobalState]:
+        """One synchronous round from *state* for every expansion.
+
+        Each distinct ``(j, G)`` action is checked and applied once; see
+        :func:`repro.models.base.synchronous_round`.
+        """
+        n = self.n
+        none_lost: frozenset[int] = frozenset()
+
+        def round_for(action: tuple) -> RoundOutcome:
+            kind, j, group = action
+            if kind != "omit":
+                raise ValueError(f"unknown M^mf action {action!r}")
+            afflicted = frozenset((j,))
+            lost = tuple(
+                afflicted if dest in group else none_lost for dest in range(n)
+            )
+            return ENV_MF, lost
+
+        return synchronous_round(
+            self, self._protocol, state, expansions, round_for
         )
-        new_locals = tuple(
-            self._protocol.transition(i, self.n, state.local(i), received[i])
-            for i in range(self.n)
-        )
-        return GlobalState(ENV_MF, new_locals)
 
     def failed_at(self, state: GlobalState) -> frozenset[int]:
         """``M^mf`` displays no finite failure."""

@@ -25,11 +25,11 @@ within ``t``.  The empty set is the failure-free round.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 from itertools import combinations
 
 from repro.core.state import GlobalState
-from repro.models.base import Model, deliver_round
+from repro.models.base import Model, RoundOutcome, synchronous_round
 from repro.protocols.base import MessagePassingProtocol
 
 
@@ -76,6 +76,7 @@ class SynchronousModel(Model):
         self._protocol = protocol
         self._t = t
         self._clean = clean_crashes_only
+        self._blocked = tuple(self._blocked_sets(j) for j in range(n))
 
     @property
     def protocol(self) -> MessagePassingProtocol:
@@ -134,35 +135,44 @@ class SynchronousModel(Model):
             choices = [
                 partial + [(j, blocked)]
                 for partial in choices
-                for blocked in self._blocked_sets(j)
+                for blocked in self._blocked[j]
             ]
         return [frozenset(choice) for choice in choices]
 
     def apply(self, state: GlobalState, action: frozenset) -> GlobalState:
+        return self.apply_each(state, ((action,),))[0]
+
+    def apply_each(
+        self, state: GlobalState, expansions: Iterable[Sequence[frozenset]]
+    ) -> list[GlobalState]:
+        """One synchronous round from *state* for every expansion.
+
+        Each distinct new-failures action is checked and applied once;
+        see :func:`repro.models.base.synchronous_round`.
+        """
         failed = self._failed(state)
-        new_failures = dict(action)
-        if any(j in failed for j in new_failures):
-            raise ValueError("action re-fails an already failed process")
-        if len(failed) + len(new_failures) > self._t:
-            raise ValueError(f"action exceeds the resilience bound t={self._t}")
-        outgoing = {
-            i: dict(self._protocol.outgoing(i, self.n, state.local(i)))
-            for i in range(self.n)
-        }
 
-        def dropped(sender: int, dest: int) -> bool:
-            if sender in failed:
-                return True  # silenced forever after the first faulty round
-            blocked = new_failures.get(sender)
-            return blocked is not None and dest in blocked
+        def round_for(action: frozenset) -> RoundOutcome:
+            new_failures = dict(action)
+            if any(j in failed for j in new_failures):
+                raise ValueError("action re-fails an already failed process")
+            if len(failed) + len(new_failures) > self._t:
+                raise ValueError(
+                    f"action exceeds the resilience bound t={self._t}"
+                )
+            # A failed process is silenced forever after its first faulty
+            # round; a newly failing one loses its blocked destinations.
+            lost = tuple(
+                failed.union(
+                    j for j, blocked in new_failures.items() if dest in blocked
+                )
+                for dest in range(self.n)
+            )
+            return sync_env(failed | frozenset(new_failures)), lost
 
-        received = deliver_round(self.n, outgoing, dropped)
-        new_locals = tuple(
-            self._protocol.transition(i, self.n, state.local(i), received[i])
-            for i in range(self.n)
+        return synchronous_round(
+            self, self._protocol, state, expansions, round_for
         )
-        new_failed = failed | frozenset(new_failures)
-        return GlobalState(sync_env(new_failed), new_locals)
 
     def failed_at(self, state: GlobalState) -> frozenset[int]:
         """The recorded failed set — observable in this model (Section 6)."""

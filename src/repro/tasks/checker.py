@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.core.cache import CacheSpec, resolve_cache
-from repro.core.checker import ConsensusChecker, Verdict
+from repro.core.checker import ConsensusChecker, Verdict, _StateFacts
 from repro.core.run import Execution
 from repro.core.state import GlobalState
 from repro.core.valence import ExplorationLimitExceeded
@@ -130,6 +130,7 @@ class TaskChecker:
         system = self._system
         problem = self._problem
         helper = ConsensusChecker(system, self._budget)
+        facts = _StateFacts(system)
         meter = self._budget.meter()
         parent: dict[GlobalState, Optional[tuple]] = {initial_state: None}
         queue: deque[GlobalState] = deque([initial_state])
@@ -152,7 +153,7 @@ class TaskChecker:
                     f"{len(parent)} states from {input_facet!r}"
                 )
             state = queue.popleft()
-            if helper._all_nonfailed_decided(state):
+            if helper._all_nonfailed_decided(state, facts):
                 terminal.add(state)
                 continue
             succs = system.successors(state)
@@ -164,7 +165,7 @@ class TaskChecker:
                     parent[child] = (state, action)
                     meter.charge_state(child)
                     queue.append(child)
-                write_once = helper._write_once_problem(state, child)
+                write_once = helper._write_once_problem(state, child, facts)
                 if write_once is not None:
                     return self._report(
                         Verdict.WRITE_ONCE, input_facet, child, parent,
@@ -177,7 +178,9 @@ class TaskChecker:
                         detail, len(parent),
                     )
 
-        lasso = helper._find_undecided_lasso(initial_state, edges, terminal)
+        lasso = helper._find_undecided_lasso(
+            initial_state, edges, terminal, facts
+        )
         if lasso is not None:
             prefix, cycle = lasso
             return TaskReport(

@@ -8,6 +8,13 @@ primitive at a time.  So over a bounded BFS of every layering over those
 three models and every registry protocol, the two folds must reach
 equal, equally hashed endpoints.  Illegal primitives must raise the
 same ``ValueError`` on both paths, including in the middle of a batch.
+
+``Layering.successors`` hands every layer action's expansion to
+``Model.apply_each`` at once, which the synchronous and mobile models
+answer with one shared round per state.  So over a bounded BFS of
+``S^t`` and ``S_1``, each child must equal, with an equal hash, the
+endpoint of its own action folded alone, and an illegal primitive must
+raise the same ``ValueError`` inside a batch as alone.
 """
 
 from collections import deque
@@ -17,19 +24,25 @@ import pytest
 from repro.analysis.impossibility import standard_layerings
 from repro.core.state import GlobalState
 from repro.layerings.base import verify_layering_embedding
+from repro.layerings.s1_mobile import S1MobileLayering
+from repro.layerings.st_synchronous import StSynchronousLayering
 from repro.models.async_mp import (
     AsyncMessagePassingModel,
     flush_action,
     recv_action,
     stage_action,
 )
+from repro.models.mobile import MobileModel, omit_action, prefix_action
 from repro.models.shared_memory import SharedMemoryModel, step_action
 from repro.models.snapshot import (
     SnapshotMemoryModel,
     scan_action,
     update_action,
 )
+from repro.models.sync import NO_FAILURE, SynchronousModel, fail_action
 from repro.protocols.candidates import QuorumDecide
+from repro.protocols.eig import EIG
+from repro.protocols.floodset import FloodSet
 from repro.protocols.registry import PROTOCOLS
 
 #: States expanded per (protocol, layering, n); every layer action of
@@ -162,3 +175,110 @@ class TestIllegalPrimitives:
         first = model.actions(s0)[0]
         with pytest.raises(ValueError, match="not a"):
             model.apply_many(foreign, (first,))
+
+
+def _round_cases():
+    for protocol_cls in (FloodSet, EIG):
+        for n, t in ((3, 1), (3, 2), (4, 2)):
+            for clean in (False, True):
+                yield pytest.param(
+                    lambda p=protocol_cls, n=n, t=t, c=clean:
+                        StSynchronousLayering(
+                            SynchronousModel(p(t + 1), n, t, c)
+                        ),
+                    id=f"st-{protocol_cls.__name__}-n{n}-t{t}"
+                       f"{'-clean' if clean else ''}",
+                )
+    for proto_name in sorted(PROTOCOLS):
+        for n in (2, 3):
+            yield pytest.param(
+                lambda name=proto_name, n=n:
+                    S1MobileLayering(MobileModel(PROTOCOLS[name](n), n)),
+                id=f"s1-{proto_name}-n{n}",
+            )
+
+
+@pytest.mark.parametrize("make_layering", list(_round_cases()))
+def test_successors_equal_per_action_fold(make_layering):
+    layering = make_layering()
+    model = layering.model
+    edges = 0
+    for state in _bounded_bfs(layering, MAX_STATES):
+        succs = layering.successors(state)
+        actions = layering.layer_actions(state)
+        assert [action for action, _ in succs] == actions
+        for action, child in succs:
+            alone = model.apply_many(state, layering.expand(state, action))
+            assert child == alone
+            assert hash(child) == hash(alone)
+            edges += 1
+    assert edges > 0
+
+
+def _batch_and_single_raise(model, state, primitives):
+    """The ValueError message from ``apply`` on the last primitive, which
+    must equal the one from ``apply_each`` over all of them, the legal
+    ones first."""
+    with pytest.raises(ValueError) as batch:
+        model.apply_each(state, [(p,) for p in primitives])
+    with pytest.raises(ValueError) as single:
+        model.apply(state, primitives[-1])
+    assert str(batch.value) == str(single.value)
+    return str(single.value)
+
+
+class SelfSender(FloodSet):
+    """FloodSet whose process 1 also sends to itself."""
+
+    def outgoing(self, i, n, local):
+        messages = dict(super().outgoing(i, n, local))
+        if i == 1:
+            messages[1] = messages[0]
+        return messages
+
+
+class TestIllegalRoundPrimitives:
+    def test_sync_refail(self):
+        model = SynchronousModel(FloodSet(3), 4, 2)
+        crashed = model.apply(
+            model.initial_state((0, 1, 1, 0)),
+            fail_action((0, frozenset({1, 2, 3}))),
+        )
+        message = _batch_and_single_raise(
+            model, crashed,
+            (NO_FAILURE, fail_action((1, frozenset({0}))),
+             fail_action((0, frozenset({1})))),
+        )
+        assert message == "action re-fails an already failed process"
+
+    def test_sync_past_t(self):
+        model = SynchronousModel(FloodSet(2), 3, 1)
+        s0 = model.initial_state((0, 1, 1))
+        message = _batch_and_single_raise(
+            model, s0,
+            (NO_FAILURE, fail_action((0, frozenset({1})))) + (
+                fail_action((0, frozenset({1})), (1, frozenset({2}))),
+            ),
+        )
+        assert message == "action exceeds the resilience bound t=1"
+
+    def test_mobile_unknown_kind(self):
+        model = MobileModel(FloodSet(2), 3)
+        s0 = model.initial_state((0, 1, 1))
+        message = _batch_and_single_raise(
+            model, s0,
+            (prefix_action(0, 0), omit_action(1, {0}),
+             ("drop", 1, frozenset({0}))),
+        )
+        assert "unknown M^mf action" in message
+
+    @pytest.mark.parametrize("make_model", [
+        lambda: SynchronousModel(SelfSender(2), 3, 1),
+        lambda: MobileModel(SelfSender(2), 3),
+    ], ids=["sync", "mobile"])
+    def test_self_message(self, make_model):
+        model = make_model()
+        s0 = model.initial_state((0, 1, 1))
+        primitives = model.actions(s0)[:3]
+        message = _batch_and_single_raise(model, s0, primitives)
+        assert message == "process 1 attempted a self-message"

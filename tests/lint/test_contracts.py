@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.checker import ConsensusChecker, Verdict
 from repro.core.state import GlobalState
+from repro.layerings.st_synchronous import StSynchronousLayering, st_action
 from repro.lint import (
     ContractWitness,
     IllFormedSystemError,
@@ -18,6 +20,8 @@ from repro.lint import (
     preflight_system,
 )
 from repro.lint.contracts import preflight_once
+from repro.models.sync import NO_FAILURE, SynchronousModel
+from repro.protocols.eig import EIG
 from tests.conftest import ToySystem
 
 
@@ -84,7 +88,42 @@ class TestRP201Determinism:
         assert "1 then 2 edges" in finding.message
 
 
+class _DropsInBatch(SynchronousModel):
+    """Loses process 0's message to process 1 in the failure-free round,
+    but only when a whole layer is batched: ``apply`` is still right."""
+
+    def apply_each(self, state, expansions):
+        expansions = list(expansions)
+        children = super().apply_each(state, expansions)
+        if len(expansions) == 1 or self.failed_at(state):
+            return children
+        protocol, n = self.protocol, self.n
+        received = {
+            s: protocol.outgoing(s, n, state.local(s))[1] for s in range(2, n)
+        }
+        dropped = protocol.transition(1, n, state.local(1), received)
+        return [
+            child.replace_local(1, dropped)
+            if expansion == (NO_FAILURE,) else child
+            for expansion, child in zip(expansions, children)
+        ]
+
+
 class TestRP202Closure:
+    def test_batch_disagreeing_with_per_primitive_fold_is_caught(self):
+        model = _DropsInBatch(EIG(2), 3, 1)
+        layering = StSynchronousLayering(model)
+        report = preflight_system(layering, model.initial_states())
+        finding = _only(report, "RP202")
+        assert "disagrees with the per-primitive fold" in finding.message
+        root = model.initial_state((0, 0, 0))
+        assert finding.witness.state == root
+        assert finding.witness.action == st_action(0, 0)
+        assert finding.witness.child != model.apply(root, NO_FAILURE)
+        refused = ConsensusChecker(layering).check_all(model)
+        assert refused.verdict is Verdict.ILL_FORMED
+        assert [f.code for f in refused.preflight.findings] == ["RP202"]
+
     def test_undecided_dead_end_is_caught(self):
         system = ToySystem(edges={"x": [("go", "dead")], "dead": []})
         report = preflight_system(

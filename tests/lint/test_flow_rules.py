@@ -255,6 +255,32 @@ class TestRP403ReceiverMutation:
         )
         assert not findings
 
+    def test_apply_each_memo_on_receiver_vs_in_locals(self, tmp_path):
+        # a round memo local to one apply_each call is fine; the same
+        # memo kept on the model across calls is receiver mutation
+        findings = deep(
+            tmp_path,
+            {
+                "model.py": """
+                class Round(Model):
+                    def apply_each(self, state, expansions):
+                        memo = {}
+                        for expansion in expansions:
+                            memo[expansion] = state
+                        return list(memo.values())
+
+                class Cached(Model):
+                    def apply_each(self, state, expansions):
+                        self.memo[state] = list(expansions)
+                        return self.memo[state]
+                """
+            },
+        )
+        found = by_code(findings, "RP403")
+        assert [f.witness.chain[0].qualname for f in found] == [
+            "model.Cached.apply_each"
+        ]
+
     def test_init_chain_is_fine(self, tmp_path):
         findings = deep(
             tmp_path,

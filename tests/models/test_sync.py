@@ -1,8 +1,13 @@
 """Unit tests for the t-resilient synchronous model (Section 6)."""
 
+from itertools import combinations, product
+
 import pytest
 
+from repro.core.checker import ConsensusChecker, Verdict
+from repro.layerings.st_synchronous import StSynchronousLayering
 from repro.models.sync import NO_FAILURE, SynchronousModel, fail_action
+from repro.protocols.eig import EIG
 from repro.protocols.floodset import FloodSet
 
 
@@ -58,6 +63,34 @@ class TestActions:
         actions = model_t2.actions(state)
         doubles = [a for a in actions if len(a) == 2]
         assert doubles  # simultaneous failures exist in the full model
+
+    def test_actions_pinned_in_order(self, model_t2):
+        # The failure-free round, then every assignment of a nonempty
+        # blocked set to each group of newly failing processes: groups by
+        # size then lexicographically, blocked-set choices in the product
+        # order of increasing bitmask over the other processes.
+        state = model_t2.initial_state((0, 1, 1, 0))
+
+        def blocked(j):
+            others = [i for i in range(4) if i != j]
+            return [
+                frozenset(o for b, o in enumerate(others) if mask >> b & 1)
+                for mask in range(1, 8)
+            ]
+
+        expected = [NO_FAILURE] + [
+            frozenset(zip(group, choice))
+            for size in (1, 2)
+            for group in combinations(range(4), size)
+            for choice in product(*(blocked(j) for j in group))
+        ]
+        actions = model_t2.actions(state)
+        assert len(actions) == 323
+        assert actions == expected
+        assert actions[1] == fail_action((0, {1}))
+        assert actions[28] == fail_action((3, {0, 1, 2}))
+        assert actions[29] == fail_action((0, {1}), (1, {0}))
+        assert actions[-1] == fail_action((2, {0, 1, 3}), (3, {0, 1, 2}))
 
 
 class TestApply:
@@ -121,3 +154,38 @@ class TestNonfaultyUnder:
 
     def test_no_failure_keeps_all(self, model):
         assert model.nonfaulty_under(NO_FAILURE) == frozenset({0, 1, 2})
+
+
+class TestRoundSharing:
+    """One synchronous round per state, whatever the layer's width."""
+
+    def test_t_plus_1_sweep_call_counts(self):
+        # The t+1 tightness sweep: EIG(3) in S^t at n=4, t=2.  Per-action
+        # rounds made 61,952 transition and outgoing calls and 72,624
+        # decisions reads; one round per state and one decisions read per
+        # state bring these to ~16.6k, ~10.3k and ~9.1k.
+        calls = {"transition": 0, "outgoing": 0, "decisions": 0}
+
+        class CountingEIG(EIG):
+            def transition(self, i, n, local, received):
+                calls["transition"] += 1
+                return super().transition(i, n, local, received)
+
+            def outgoing(self, i, n, local):
+                calls["outgoing"] += 1
+                return super().outgoing(i, n, local)
+
+        class CountingModel(SynchronousModel):
+            def decisions(self, state):
+                calls["decisions"] += 1
+                return super().decisions(state)
+
+        model = CountingModel(CountingEIG(3), 4, 2)
+        report = ConsensusChecker(StSynchronousLayering(model)).check_all(
+            model
+        )
+        assert report.verdict is Verdict.SATISFIED
+        assert report.states_explored == 8128
+        assert calls["transition"] <= 17_000
+        assert calls["outgoing"] <= 10_500
+        assert calls["decisions"] <= 9_500
