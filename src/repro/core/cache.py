@@ -246,14 +246,18 @@ class CachedSystem:
     def intern(self, state: GlobalState) -> GlobalState:
         """The canonical object for *state* (registering it if new)."""
         counters = self._counters
-        canonical = self._interned.setdefault(state, state)
-        if canonical is not state:
-            counters.intern_hits += 1
-        else:
+        canonical = self._interned.get(state)
+        if canonical is None:
+            # Only a real insertion counts: re-interning a canonical
+            # object (a shared endpoint, say) adds no state.
+            self._interned[state] = state
             counters.interned += 1
             if counters.sampled < MEMORY_SAMPLES:
                 counters.sampled += 1
                 counters.sample_bytes += _state_bytes(state)
+            return state
+        if canonical is not state:
+            counters.intern_hits += 1
         return canonical
 
     # -- the memoized SuccessorSystem face ----------------------------------

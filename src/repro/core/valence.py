@@ -131,6 +131,11 @@ class ValenceResult:
         return bool(self.values & other.values)
 
 
+#: The explored subgraph: each expanded state's own values and its
+#: distinct children.
+_Subgraph = dict[GlobalState, tuple[frozenset, tuple[GlobalState, ...]]]
+
+
 class ValenceAnalyzer:
     """Memoized exact valence over a :class:`SuccessorSystem`.
 
@@ -187,12 +192,7 @@ class ValenceAnalyzer:
     # -- state-local helpers ------------------------------------------------
     def own_values(self, state: GlobalState) -> frozenset:
         """Values decided by processes non-failed at *state*."""
-        failed = self._system.failed_at(state)
-        return frozenset(
-            v
-            for i, v in self._system.decisions(state).items()
-            if i not in failed
-        )
+        return self._read(state)[0]
 
     def is_terminal(self, state: GlobalState) -> bool:
         """All non-failed processes have decided — exploration stops here.
@@ -201,9 +201,18 @@ class ValenceAnalyzer:
         a terminal state no new value can be decided by a process that is
         non-failed anywhere on the extension.
         """
+        return self._read(state)[1]
+
+    def _read(self, state: GlobalState) -> tuple[frozenset, bool]:
+        """``(own_values, is_terminal)`` from one read of the state's
+        failed set and decisions."""
         failed = self._system.failed_at(state)
         decided = self._system.decisions(state)
-        return all(i in decided for i in range(state.n) if i not in failed)
+        own = frozenset(v for i, v in decided.items() if i not in failed)
+        terminal = all(
+            i in decided for i in range(state.n) if i not in failed
+        )
+        return own, terminal
 
     # -- queries --------------------------------------------------------------
     def valence(self, state: GlobalState) -> ValenceResult:
@@ -246,25 +255,27 @@ class ValenceAnalyzer:
 
     def _explore(
         self, root: GlobalState
-    ) -> tuple[
-        dict[GlobalState, tuple[GlobalState, ...]],
-        Optional[str],
-        set[GlobalState],
-    ]:
+    ) -> tuple[_Subgraph, Optional[str], dict[GlobalState, GlobalState]]:
         """Build the reachable subgraph, stopping at terminal/memoized
         states.  Returns ``(succ, tripped_limit, seen)`` — ``tripped``
-        is None when the subgraph was explored completely."""
+        is None when the subgraph was explored completely.  Each state's
+        decisions are read once, here.
+
+        ``seen`` maps each state met to the first object met for it, and
+        ``succ`` lists children as those objects, so the Tarjan fold's
+        lookups match by identity instead of comparing states."""
         meter = self._meter
-        succ: dict[GlobalState, tuple[GlobalState, ...]] = {}
+        succ: _Subgraph = {}
         stack = [root]
-        seen = {root}
+        seen = {root: root}
         meter.charge_state(root)
         while stack:
             state = stack.pop()
             if state in self._memo:
                 continue
-            if self.is_terminal(state):
-                self._memo[state] = ValenceResult(self.own_values(state), False)
+            own, terminal = self._read(state)
+            if terminal:
+                self._memo[state] = ValenceResult(own, False)
                 continue
             children = []
             child_seen = set()
@@ -276,6 +287,7 @@ class ValenceAnalyzer:
                     # high-degree expansion overshoot the edge budget by
                     # an entire layer.
                     return succ, tripped, seen
+                child = seen.get(child, child)
                 if child not in child_seen:
                     child_seen.add(child)
                     children.append(child)
@@ -284,22 +296,18 @@ class ValenceAnalyzer:
                     "successor functions are total: a non-terminal state "
                     "must have successors"
                 )
-            succ[state] = tuple(children)
+            succ[state] = (own, tuple(children))
             tripped = meter.poll() if (len(succ) & 0xFF) == 0 else None
             for child in children:
                 if child not in seen:
-                    seen.add(child)
+                    seen[child] = child
                     tripped = meter.charge_state(child) or tripped
                     stack.append(child)
             if tripped is not None:
                 return succ, tripped, seen
         return succ, None, seen
 
-    def _tarjan_fold(
-        self,
-        root: GlobalState,
-        succ: dict[GlobalState, tuple[GlobalState, ...]],
-    ) -> None:
+    def _tarjan_fold(self, root: GlobalState, succ: _Subgraph) -> None:
         """Iterative Tarjan; fold values/divergence over the condensation.
 
         Tarjan emits each SCC only after every SCC reachable from it, so
@@ -323,7 +331,7 @@ class ValenceAnalyzer:
             counter += 1
             scc_stack.append(state)
             on_stack.add(state)
-            work.append((state, iter(succ.get(state, ()))))
+            work.append((state, iter(succ[state][1])))
 
         work: list[tuple[GlobalState, "object"]] = []
         push(root)
@@ -356,9 +364,7 @@ class ValenceAnalyzer:
                 self._fold_component(component, succ)
 
     def _fold_component(
-        self,
-        component: list[GlobalState],
-        succ: dict[GlobalState, tuple[GlobalState, ...]],
+        self, component: list[GlobalState], succ: _Subgraph
     ) -> None:
         members = set(component)
         values: set = set()
@@ -366,8 +372,9 @@ class ValenceAnalyzer:
         # self-loop.  Either way an infinite extension can stay undecided.
         diverges = len(component) > 1
         for state in component:
-            values |= self.own_values(state)
-            for child in succ.get(state, ()):
+            own, children = succ[state]
+            values |= own
+            for child in children:
                 if child in members:
                     if child == state:
                         diverges = True

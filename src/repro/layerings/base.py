@@ -22,8 +22,10 @@ primitives run the whole expansion on scratch locals and build a single
 :func:`verify_layering_embedding` steps through :meth:`Model.apply` one
 primitive at a time instead, so it also checks the batch fold against the
 single-step fold.  :meth:`Layering.successors` hands every layer action's
-expansion to :meth:`Model.apply_each` in one call, so the round models
-compute one synchronous round per state for the whole layer.
+expansion to :meth:`Model.apply_each` in one call, so work is shared
+across the layer: the round models compute one synchronous round per
+state, and the asynchronous models fold the expansions along their
+shared prefixes, stepping each distinct prefix once.
 
 Layerings implement the :class:`SuccessorSystem` interface consumed by the
 analyzers in :mod:`repro.core` (valence, connectivity, bivalence): they are
@@ -103,7 +105,8 @@ class Layering(ABC):
 
         Every layer action's expansion goes to the model in one
         :meth:`Model.apply_each` call, so a model can share work across
-        the layer (the round models compute one round per state).
+        the layer (one round per state in the round models, one step per
+        distinct prefix in the asynchronous ones).
         """
         actions = self.layer_actions(state)
         children = self._model.apply_each(

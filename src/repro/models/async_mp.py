@@ -46,7 +46,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Sequence
 
 from repro.core.state import GlobalState
-from repro.models.base import Model
+from repro.models.base import UNSEEN, Model, prefix_fold
 from repro.protocols.base import MessageBatch, MessagePassingProtocol
 
 NO_OUTBOX = None
@@ -143,53 +143,99 @@ class AsyncMessagePassingModel(Model):
     def apply_many(
         self, state: GlobalState, actions: Iterable[tuple]
     ) -> GlobalState:
-        """Fold stage/recv/flush primitives on scratch locals and bag."""
+        return self.apply_each(state, [actions])[0]
+
+    def apply_each(
+        self, state: GlobalState, expansions: Iterable[Iterable[tuple]]
+    ) -> list[GlobalState]:
+        """Fold stage/recv/flush primitives on scratch locals and bag.
+
+        All expansions are folded along their shared prefixes
+        (:func:`repro.models.base.prefix_fold`).  Within this call each
+        process's ``outgoing`` runs once per local state it stages from,
+        and its ``transition`` once per local state and delivery.
+        """
         n, protocol = self.n, self._protocol
-        locals_ = list(state.locals)
-        bag = self.bag(state)
-        for action in actions:
-            kind, i = action
-            if kind not in ("stage", "recv", "flush"):
-                raise ValueError(f"unknown async-MP action {action!r}")
-            _, proto_local, outbox = locals_[i]
-            if kind == "stage":
-                if outbox is not NO_OUTBOX:
-                    raise ValueError(f"process {i} already has staged messages")
-                outgoing = protocol.outgoing(i, n, proto_local)
-                if i in outgoing:
-                    raise ValueError(f"process {i} attempted a self-message")
-                locals_[i] = ("amp", proto_local, tuple(sorted(outgoing.items())))
-            elif kind == "recv":
-                # Senders in ascending order, as in the canonical bag.
-                received = {}
-                for sender in range(n):
-                    payloads = bag.pop((sender, i), None)
-                    if payloads is not None:
-                        received[sender] = MessageBatch(payloads)
-                new_proto = protocol.transition(i, n, proto_local, received)
-                locals_[i] = ("amp", new_proto, outbox)
-            else:
-                if outbox is NO_OUTBOX:
-                    raise ValueError(
-                        f"process {i} has no staged messages to flush"
-                    )
-                for dest, payload in outbox:
-                    channel = (i, dest)
-                    queue = bag.get(channel, ())
-                    # Idempotent channel compression: consecutive identical
-                    # undelivered payloads collapse into one.  Without
-                    # this, a protocol that keeps gossiping a stabilized
-                    # value at a never-scheduled process grows the channel
-                    # without bound and no exhaustive analysis terminates.
-                    # The quotient is faithful for the monotone-emission
-                    # protocols this library ships (a sender's successive
-                    # payloads change only when its state does), and it
-                    # only ever merges *adjacent equal* messages, so FIFO
-                    # order and message distinctness are preserved.
-                    if not (queue and queue[-1] == payload):
-                        bag[channel] = queue + (payload,)
-                locals_[i] = ("amp", proto_local, NO_OUTBOX)
-        return GlobalState(mp_env(tuple(sorted(bag.items()))), tuple(locals_))
+        # (i, proto_local) -> staged outbox; (i, proto_local, delivered)
+        # -> next proto_local.  Locals of this call, like the scratch.
+        staged: dict[tuple, tuple] = {}
+        received: dict[tuple, Hashable] = {}
+
+        def run(
+            locals_in: Sequence, bag_in: dict, actions: Sequence[tuple]
+        ) -> tuple[list, dict]:
+            locals_, bag = list(locals_in), dict(bag_in)
+            for action in actions:
+                kind, i = action
+                if kind == "stage":
+                    _, proto_local, outbox = locals_[i]
+                    if outbox is not NO_OUTBOX:
+                        raise ValueError(
+                            f"process {i} already has staged messages"
+                        )
+                    key = (i, proto_local)
+                    messages = staged.get(key)
+                    if messages is None:
+                        outgoing = protocol.outgoing(i, n, proto_local)
+                        if i in outgoing:
+                            raise ValueError(
+                                f"process {i} attempted a self-message"
+                            )
+                        messages = staged[key] = tuple(
+                            sorted(outgoing.items())
+                        )
+                    locals_[i] = ("amp", proto_local, messages)
+                elif kind == "recv":
+                    _, proto_local, outbox = locals_[i]
+                    # Senders in ascending order, as in the canonical bag.
+                    delivered = []
+                    for sender in range(n):
+                        payloads = bag.pop((sender, i), None)
+                        if payloads is not None:
+                            delivered.append((sender, payloads))
+                    key = (i, proto_local, tuple(delivered))
+                    new_proto = received.get(key, UNSEEN)
+                    if new_proto is UNSEEN:
+                        new_proto = received[key] = protocol.transition(
+                            i, n, proto_local,
+                            {
+                                sender: MessageBatch(payloads)
+                                for sender, payloads in delivered
+                            },
+                        )
+                    locals_[i] = ("amp", new_proto, outbox)
+                elif kind == "flush":
+                    _, proto_local, outbox = locals_[i]
+                    if outbox is NO_OUTBOX:
+                        raise ValueError(
+                            f"process {i} has no staged messages to flush"
+                        )
+                    for dest, payload in outbox:
+                        channel = (i, dest)
+                        queue = bag.get(channel, ())
+                        # Idempotent channel compression: consecutive
+                        # identical undelivered payloads collapse into
+                        # one.  Without this, a protocol that keeps
+                        # gossiping a stabilized value at a never-scheduled
+                        # process grows the channel without bound and no
+                        # exhaustive analysis terminates.  The quotient is
+                        # faithful for the monotone-emission protocols
+                        # this library ships (a sender's successive
+                        # payloads change only when its state does), and
+                        # it only ever merges *adjacent equal* messages,
+                        # so FIFO order and message distinctness are
+                        # preserved.
+                        if not (queue and queue[-1] == payload):
+                            bag[channel] = queue + (payload,)
+                    locals_[i] = ("amp", proto_local, NO_OUTBOX)
+                else:
+                    raise ValueError(f"unknown async-MP action {action!r}")
+            return locals_, bag
+
+        return prefix_fold(
+            state, expansions, self.bag(state), run,
+            lambda bag: mp_env(tuple(sorted(bag.items()))),
+        )
 
     def local_phase(self, state: GlobalState, i: int) -> GlobalState:
         """One complete sequential local phase of *i* (Section 5.1)."""

@@ -31,7 +31,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from itertools import product
-from typing import Optional
+from typing import Any, Optional
 
 from repro.core.state import GlobalState
 from repro.protocols.base import MessagePassingProtocol
@@ -69,9 +69,10 @@ class Model(ABC):
 
         This is the layer fold of :meth:`repro.layerings.base.Layering.apply`.
         The default folds :meth:`apply`; models whose layers are many
-        primitives override it to work on scratch locals and build one
-        :class:`GlobalState` at the end.  Either way the result equals the
-        one-at-a-time fold, which
+        primitives override it as ``apply_each(state, [actions])[0]``,
+        which works on scratch locals and builds one :class:`GlobalState`
+        at the end (:func:`prefix_fold`).  Either way the result equals
+        the one-at-a-time fold, which
         :func:`~repro.layerings.base.verify_layering_embedding` checks.
         """
         for action in actions:
@@ -85,9 +86,11 @@ class Model(ABC):
 
         This is one call per state for all of a layer's actions (see
         :meth:`repro.layerings.base.Layering.successors`).  The default
-        folds each expansion through :meth:`apply_many`.  The round models
-        override it to compute one synchronous round per state, shared by
-        every action (:func:`synchronous_round`).
+        folds each expansion through :meth:`apply_many`.  Every model in
+        this library overrides it to share work across the layer: the
+        round models compute one synchronous round per state
+        (:func:`synchronous_round`), and the asynchronous models fold all
+        expansions along their shared prefixes (:func:`prefix_fold`).
         """
         return [self.apply_many(state, expansion) for expansion in expansions]
 
@@ -239,3 +242,84 @@ def synchronous_round(
         model.apply_many(state, expansion) if slot is None else endpoints[slot]
         for slot, expansion in picks
     ]
+
+
+#: The miss marker of the per-call protocol memos of :func:`prefix_fold`
+#: models (a memoized write value may be None).
+UNSEEN = object()
+
+#: The key under which a :func:`prefix_fold` tree node lists the
+#: expansions that end there (no primitive equals it).
+_ENDS = object()
+
+
+def prefix_fold(
+    state: GlobalState,
+    expansions: Iterable[Iterable[Hashable]],
+    env: Any,
+    run: Callable[[Sequence, Any, list], tuple[list, Any]],
+    seal: Callable[[Any], Hashable],
+) -> list[GlobalState]:
+    """:meth:`Model.apply_each` for a model whose layers are many primitives.
+
+    The asynchronous layerings build each layer from the same few local
+    phases in different orders, so a state's expansions share long
+    prefixes.  They are folded along a prefix tree keyed by primitive:
+
+    * each distinct prefix is stepped once;
+    * scratch locals and environment are copied only where expansions
+      diverge, or where one ends inside another;
+    * the expansions that end at the same prefix, duplicates and the
+      empty expansion included, share one endpoint object.
+
+    *env* is the environment of *state* in the model's scratch form (a
+    message bag as a ``dict``, a register array as a sequence).
+    ``run(locals_, env, primitives)`` folds a run of primitives from a
+    scratch state, one primitive at a time, checking each as the
+    one-primitive path does and raising ``ValueError`` if it is illegal
+    there.  It copies its arguments rather than change them and returns
+    the new scratch ``(locals_, env)``, so every child of a tree node
+    starts from the node's scratch.  ``seal(env)`` turns a scratch
+    environment into the endpoint's environment state.
+
+    The tree is walked depth first, children in the order their
+    expansions first name them.  So an expansion that is legal alone
+    never fails here, and one that is illegal alone raises the same
+    error here, unless an expansion walked before it raises first.
+    """
+    # A tree node maps each next primitive to its child node, and _ENDS
+    # to the indices of the expansions that end at the node.
+    root: dict = {}
+    count = 0
+    for expansion in expansions:
+        node = root
+        for primitive in expansion:
+            child = node.get(primitive)
+            if child is None:
+                child = node[primitive] = {}
+            node = child
+        node.setdefault(_ENDS, []).append(count)
+        count += 1
+
+    endpoints: list = [None] * count
+    # Each pending edge is run from its parent node's scratch, then along
+    # the chain of nodes below it that neither branch nor end.
+    pending: list = [(None, root, state.locals, env)]
+    while pending:
+        primitive, node, locals_, env = pending.pop()
+        if node is not root:
+            primitives = [primitive]
+            while len(node) == 1 and _ENDS not in node:
+                ((primitive, node),) = node.items()
+                primitives.append(primitive)
+            locals_, env = run(locals_, env, primitives)
+        ends = node.pop(_ENDS, None)
+        if ends is not None:
+            endpoint = GlobalState(seal(env), tuple(locals_))
+            for index in ends:
+                endpoints[index] = endpoint
+        pending.extend(
+            (primitive, child, locals_, env)
+            for primitive, child in reversed(node.items())
+        )
+    return endpoints

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Sequence
 
 from repro.core.state import GlobalState
-from repro.models.base import Model
+from repro.models.base import UNSEEN, Model, prefix_fold
 from repro.protocols.base import SharedMemoryProtocol
 
 BOT: str = "⊥"
@@ -108,29 +108,62 @@ class SharedMemoryModel(Model):
     def apply_many(
         self, state: GlobalState, actions: Iterable[tuple]
     ) -> GlobalState:
-        """Fold ``step`` primitives on scratch locals and registers."""
+        return self.apply_each(state, [actions])[0]
+
+    def apply_each(
+        self, state: GlobalState, expansions: Iterable[Iterable[tuple]]
+    ) -> list[GlobalState]:
+        """Fold ``step`` primitives on scratch locals and registers.
+
+        All expansions are folded along their shared prefixes
+        (:func:`repro.models.base.prefix_fold`).  Within this call each
+        process's ``write_value`` runs once per local state, and its
+        ``after_reads`` once per local state and collect.
+        """
         n, protocol = self.n, self._protocol
-        locals_ = list(state.locals)
-        registers = list(self.registers(state))
-        for action in actions:
-            kind, i = action
-            if kind != "step":
-                raise ValueError(f"unknown M^rw action {action!r}")
-            _, proto_local, stage, reads = locals_[i]
-            if stage == 0:
-                value = protocol.write_value(i, n, proto_local)
-                if value is not None:
-                    registers[i] = value
-                locals_[i] = _wrapper(proto_local, 1, ())
-                continue
-            # A read of register ``stage - 1``.
-            new_reads = reads + (registers[stage - 1],)
-            if stage == n:
-                new_proto = protocol.after_reads(i, n, proto_local, new_reads)
+        # (i, proto_local) -> written value; (i, proto_local, reads) ->
+        # next proto_local.  Locals of this call, like the scratch.
+        written: dict[tuple, Hashable] = {}
+        collected: dict[tuple, Hashable] = {}
+
+        def run(
+            locals_in: Sequence, registers_in: Sequence,
+            actions: Sequence[tuple],
+        ) -> tuple[list, list]:
+            locals_, registers = list(locals_in), list(registers_in)
+            for action in actions:
+                kind, i = action
+                if kind != "step":
+                    raise ValueError(f"unknown M^rw action {action!r}")
+                _, proto_local, stage, reads = locals_[i]
+                if stage == 0:
+                    key = (i, proto_local)
+                    value = written.get(key, UNSEEN)
+                    if value is UNSEEN:
+                        value = written[key] = protocol.write_value(
+                            i, n, proto_local
+                        )
+                    if value is not None:
+                        registers[i] = value
+                    locals_[i] = _wrapper(proto_local, 1, ())
+                    continue
+                # A read of register ``stage - 1``.
+                new_reads = reads + (registers[stage - 1],)
+                if stage < n:
+                    locals_[i] = _wrapper(proto_local, stage + 1, new_reads)
+                    continue
+                key = (i, proto_local, new_reads)
+                new_proto = collected.get(key, UNSEEN)
+                if new_proto is UNSEEN:
+                    new_proto = collected[key] = protocol.after_reads(
+                        i, n, proto_local, new_reads
+                    )
                 locals_[i] = _wrapper(new_proto, 0, ())
-            else:
-                locals_[i] = _wrapper(proto_local, stage + 1, new_reads)
-        return GlobalState(rw_env(registers), tuple(locals_))
+            return locals_, registers
+
+        return prefix_fold(
+            state, expansions, self.registers(state), run, rw_env
+        )
 
     def failed_at(self, state: GlobalState) -> frozenset[int]:
         """``M^rw`` displays no finite failure."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Sequence
 
 from repro.core.state import GlobalState
-from repro.models.base import Model
+from repro.models.base import UNSEEN, Model, prefix_fold
 from repro.protocols.base import SharedMemoryProtocol
 
 BOT: str = "⊥"
@@ -104,28 +104,62 @@ class SnapshotMemoryModel(Model):
     def apply_many(
         self, state: GlobalState, actions: Iterable[tuple]
     ) -> GlobalState:
-        """Fold update/scan primitives on scratch locals and cells."""
+        return self.apply_each(state, [actions])[0]
+
+    def apply_each(
+        self, state: GlobalState, expansions: Iterable[Iterable[tuple]]
+    ) -> list[GlobalState]:
+        """Fold update/scan primitives on scratch locals and cells.
+
+        All expansions are folded along their shared prefixes
+        (:func:`repro.models.base.prefix_fold`).  Within this call each
+        process's ``write_value`` runs once per local state, and its
+        ``after_reads`` once per local state and scan.
+        """
         n, protocol = self.n, self._protocol
-        locals_ = list(state.locals)
-        cells = list(self.cells(state))
-        for action in actions:
-            kind, i = action
-            _, proto_local, pending = locals_[i]
-            if kind != pending:
-                raise ValueError(
-                    f"process {i} must {pending} next, cannot {kind}"
-                )
-            if kind == "update":
-                value = protocol.write_value(i, n, proto_local)
-                if value is not None:
-                    cells[i] = value
-                locals_[i] = ("sn", proto_local, "scan")
-            elif kind == "scan":
-                new_proto = protocol.after_reads(i, n, proto_local, tuple(cells))
-                locals_[i] = ("sn", new_proto, "update")
-            else:
-                raise ValueError(f"unknown snapshot-model action {action!r}")
-        return GlobalState(snapshot_env(cells), tuple(locals_))
+        # (i, proto_local) -> written value; (i, proto_local, cells) ->
+        # next proto_local.  Locals of this call, like the scratch.
+        written: dict[tuple, Hashable] = {}
+        scanned: dict[tuple, Hashable] = {}
+
+        def run(
+            locals_in: Sequence, cells_in: Sequence, actions: Sequence[tuple]
+        ) -> tuple[list, list]:
+            locals_, cells = list(locals_in), list(cells_in)
+            for action in actions:
+                kind, i = action
+                _, proto_local, pending = locals_[i]
+                if kind != pending:
+                    raise ValueError(
+                        f"process {i} must {pending} next, cannot {kind}"
+                    )
+                if kind == "update":
+                    key = (i, proto_local)
+                    value = written.get(key, UNSEEN)
+                    if value is UNSEEN:
+                        value = written[key] = protocol.write_value(
+                            i, n, proto_local
+                        )
+                    if value is not None:
+                        cells[i] = value
+                    locals_[i] = ("sn", proto_local, "scan")
+                elif kind == "scan":
+                    key = (i, proto_local, tuple(cells))
+                    new_proto = scanned.get(key, UNSEEN)
+                    if new_proto is UNSEEN:
+                        new_proto = scanned[key] = protocol.after_reads(
+                            i, n, proto_local, key[2]
+                        )
+                    locals_[i] = ("sn", new_proto, "update")
+                else:
+                    raise ValueError(
+                        f"unknown snapshot-model action {action!r}"
+                    )
+            return locals_, cells
+
+        return prefix_fold(
+            state, expansions, self.cells(state), run, snapshot_env
+        )
 
     def failed_at(self, state: GlobalState) -> frozenset[int]:
         """Snapshot memory displays no finite failure."""

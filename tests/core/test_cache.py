@@ -1,17 +1,23 @@
 """Unit tests for the memoizing, state-interning successor-system cache."""
 
+import gc
 import pickle
 
 import pytest
 
 from repro.core.cache import (
+    _RETIRED,
     CachedSystem,
     CacheStats,
     aggregate_stats,
     merge_cache_stats,
     resolve_cache,
 )
+from repro.core.checker import ConsensusChecker, Verdict
 from repro.core.state import GlobalState
+from repro.layerings.st_synchronous import StSynchronousLayering
+from repro.models.sync import SynchronousModel
+from repro.protocols.floodset import FloodSet
 from tests.conftest import ToySystem
 
 
@@ -261,6 +267,24 @@ class TestStats:
         after = aggregate_stats()
         assert after.hits - before.hits >= 1
         assert after.misses - before.misses >= 2
+
+    def test_retired_snapshot_counts_distinct_states(self):
+        # A cache re-interns the canonical objects it handed out (every
+        # repeat visit of a state, every endpoint shared by duplicate
+        # layer actions); only a real insertion adds a state.  The
+        # counter once read 356 here against 84 distinct states.
+        model = SynchronousModel(FloodSet(2), 3, 1)
+        cached = CachedSystem(StSynchronousLayering(model))
+        checker = ConsensusChecker(cached)
+        assert checker.check_all(model).verdict is Verdict.SATISFIED
+        live = cached.stats()
+        assert live.interned == 84
+        retired = len(_RETIRED)
+        del checker, cached
+        gc.collect()
+        assert len(_RETIRED) == retired + 1
+        assert _RETIRED[-1].interned == live.interned
+        assert _RETIRED[-1].bytes_estimate == live.bytes_estimate
 
     def test_explore_snapshots_cache_stats(self, toy):
         from repro.core.exploration import explore

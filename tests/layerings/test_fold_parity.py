@@ -10,11 +10,13 @@ equal, equally hashed endpoints.  Illegal primitives must raise the
 same ``ValueError`` on both paths, including in the middle of a batch.
 
 ``Layering.successors`` hands every layer action's expansion to
-``Model.apply_each`` at once, which the synchronous and mobile models
-answer with one shared round per state.  So over a bounded BFS of
-``S^t`` and ``S_1``, each child must equal, with an equal hash, the
-endpoint of its own action folded alone, and an illegal primitive must
-raise the same ``ValueError`` inside a batch as alone.
+``Model.apply_each`` at once.  The synchronous and mobile models answer
+with one shared round per state; the other three fold every expansion
+along a prefix tree, stepping each shared prefix once.  So over a
+bounded BFS of every layering, each child must equal, with an equal
+hash, the endpoint of its own action folded alone, and an illegal
+primitive must raise the same ``ValueError`` inside a batch as alone,
+including after a prefix it shares with a legal expansion.
 """
 
 from collections import deque
@@ -49,8 +51,8 @@ from repro.protocols.registry import PROTOCOLS
 #: each is checked.
 MAX_STATES = 200
 
-#: The models that override ``apply_many`` with a batch fold; the others
-#: keep the default fold of ``apply``, which is the path
+#: The models whose ``apply_many`` is a batch fold on scratch locals; the
+#: others keep the default fold of ``apply``, which is the path
 #: ``verify_layering_embedding`` already takes.
 BATCH_MODELS = (
     AsyncMessagePassingModel, SharedMemoryModel, SnapshotMemoryModel,
@@ -177,7 +179,15 @@ class TestIllegalPrimitives:
             model.apply_many(foreign, (first,))
 
 
-def _round_cases():
+def _successor_cases():
+    for proto_name in sorted(PROTOCOLS):
+        for n in (2, 3):
+            for name in _layerings(PROTOCOLS[proto_name](n), n):
+                yield pytest.param(
+                    lambda proto_name=proto_name, name=name, n=n:
+                        _layerings(PROTOCOLS[proto_name](n), n)[name],
+                    id=f"{proto_name}-{name}-n{n}",
+                )
     for protocol_cls in (FloodSet, EIG):
         for n, t in ((3, 1), (3, 2), (4, 2)):
             for clean in (False, True):
@@ -198,7 +208,7 @@ def _round_cases():
             )
 
 
-@pytest.mark.parametrize("make_layering", list(_round_cases()))
+@pytest.mark.parametrize("make_layering", list(_successor_cases()))
 def test_successors_equal_per_action_fold(make_layering):
     layering = make_layering()
     model = layering.model
@@ -213,6 +223,132 @@ def test_successors_equal_per_action_fold(make_layering):
             assert hash(child) == hash(alone)
             edges += 1
     assert edges > 0
+
+
+def _shared_prefix_raises(model, state, legal, illegal):
+    """The ValueError message of *illegal* alone, which must equal the one
+    ``apply_each`` raises when *illegal* shares a prefix with the legal
+    expansion, whichever of the two comes first."""
+    model.apply_many(state, legal)
+    message = _both_paths_raise(model, state, illegal)
+    for expansions in ([legal, illegal], [illegal, legal]):
+        with pytest.raises(ValueError) as batch:
+            model.apply_each(state, expansions)
+        assert str(batch.value) == message
+    return message
+
+
+class SelfSendingQuorum(QuorumDecide):
+    """QuorumDecide whose process 1 also sends to itself."""
+
+    def outgoing(self, i, n, local):
+        messages = dict(super().outgoing(i, n, local))
+        if i == 1:
+            messages[1] = messages[0]
+        return messages
+
+
+class TestPrefixFold:
+    """``apply_each`` of the async-MP, shared-memory and snapshot models."""
+
+    def test_async_stage_twice_after_shared_prefix(self):
+        model = AsyncMessagePassingModel(QuorumDecide(2), 3)
+        s0 = model.initial_state((0, 1, 1))
+        phase = (stage_action(0), recv_action(0))
+        message = _shared_prefix_raises(
+            model, s0, phase + (flush_action(0),), phase + (stage_action(0),)
+        )
+        assert message == "process 0 already has staged messages"
+
+    def test_async_flush_with_empty_outbox_after_shared_prefix(self):
+        model = AsyncMessagePassingModel(QuorumDecide(2), 3)
+        s0 = model.initial_state((0, 1, 1))
+        phase = (stage_action(1), recv_action(1), flush_action(1))
+        message = _shared_prefix_raises(
+            model, s0, phase + (stage_action(2),), phase + (flush_action(1),)
+        )
+        assert message == "process 1 has no staged messages to flush"
+
+    def test_async_self_message_after_shared_prefix(self):
+        model = AsyncMessagePassingModel(SelfSendingQuorum(2), 3)
+        s0 = model.initial_state((0, 1, 1))
+        phase = (stage_action(0), recv_action(0), flush_action(0))
+        message = _shared_prefix_raises(
+            model, s0, phase, phase + (stage_action(1),)
+        )
+        assert message == "process 1 attempted a self-message"
+
+    def test_async_unknown_kind_after_shared_prefix(self):
+        model = AsyncMessagePassingModel(QuorumDecide(2), 3)
+        s0 = model.initial_state((0, 1, 1))
+        message = _shared_prefix_raises(
+            model, s0, (stage_action(0), recv_action(0)),
+            (stage_action(0), ("send", 0)),
+        )
+        assert "unknown async-MP action" in message
+
+    def test_snapshot_wrong_op_after_shared_prefix(self):
+        model = SnapshotMemoryModel(QuorumDecide(2), 3)
+        s0 = model.initial_state((0, 1, 1))
+        message = _shared_prefix_raises(
+            model, s0, (update_action(2), scan_action(2)),
+            (update_action(2), update_action(2)),
+        )
+        assert message == "process 2 must scan next, cannot update"
+
+    def test_shared_memory_unknown_kind_after_shared_prefix(self):
+        model = SharedMemoryModel(QuorumDecide(2), 3)
+        s0 = model.initial_state((0, 1, 1))
+        message = _shared_prefix_raises(
+            model, s0, (step_action(0), step_action(0)),
+            (step_action(0), ("read", 0)),
+        )
+        assert "unknown M^rw action" in message
+
+    @pytest.mark.parametrize("model_cls", BATCH_MODELS)
+    def test_duplicate_expansions_share_one_endpoint(self, model_cls):
+        model = model_cls(QuorumDecide(2), 3)
+        s0 = model.initial_state((0, 1, 1))
+        expansion = tuple(model.actions(s0)[:2])
+        first, other, second = model.apply_each(
+            s0, [expansion, expansion[:1], list(expansion)]
+        )
+        assert first is second
+        assert first == model.apply_many(s0, expansion)
+        assert other == model.apply_many(s0, expansion[:1])
+        assert hash(first) == hash(model.apply_many(s0, expansion))
+
+    @pytest.mark.parametrize("model_cls", BATCH_MODELS)
+    def test_empty_expansion_ends_at_the_state(self, model_cls):
+        model = model_cls(QuorumDecide(2), 3)
+        s0 = model.initial_state((0, 1, 1))
+        step = model.actions(s0)[0]
+        empty, stepped, again = model.apply_each(s0, [(), (step,), ()])
+        assert empty == s0 and hash(empty) == hash(s0)
+        assert empty is again
+        assert stepped == model.apply(s0, step)
+        assert model.apply_each(s0, []) == []
+
+    @pytest.mark.parametrize("model_cls", BATCH_MODELS)
+    def test_expansion_ending_inside_another(self, model_cls):
+        # Every prefix of one phase, longest first: each endpoint is an
+        # interior node of the longer expansions' path.
+        model = model_cls(QuorumDecide(2), 3)
+        state = model.initial_state((0, 1, 1))
+        path = []
+        for _ in range(6):
+            action = model.actions(state)[-1]
+            path.append(action)
+            state = model.apply(state, action)
+        s0 = model.initial_state((0, 1, 1))
+        prefixes = [tuple(path[:k]) for k in range(len(path), -1, -1)]
+        endpoints = model.apply_each(s0, prefixes)
+        for prefix, endpoint in zip(prefixes, endpoints):
+            stepped = s0
+            for action in prefix:
+                stepped = model.apply(stepped, action)
+            assert endpoint == stepped
+            assert hash(endpoint) == hash(stepped)
 
 
 def _batch_and_single_raise(model, state, primitives):
