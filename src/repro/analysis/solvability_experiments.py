@@ -31,7 +31,7 @@ from repro.protocols.tasks import (
 )
 from repro.resilience.budget import Budget, DEFAULT_MAX_STATES
 from repro.resilience.chaos import crashpoint
-from repro.resilience.pool import PoolConfig, run_units
+from repro.resilience.pool import PoolConfig, run_units, with_workers
 from repro.tasks.catalog import CATALOG, EXPECTED_SOLVABLE
 from repro.tasks.covering import Covering, OutcomeAnalyzer
 from repro.tasks.diameter import check_lemma_7_6, theorem_7_7_series
@@ -160,8 +160,6 @@ def solvability_matrix(
     than aborting the matrix.  ``cache`` (default on) memoizes system
     queries per task unit; entries are identical either way.
     """
-    import dataclasses
-
     budget = Budget.of(max_states)
     names = list(tasks or sorted(CATALOG))
     context = _MatrixContext(
@@ -173,11 +171,8 @@ def solvability_matrix(
     )
     units = [(name, name) for name in names]
     if workers is not None and workers > 1 and len(units) > 1:
-        config = pool or PoolConfig()
-        if config.workers != workers:
-            config = dataclasses.replace(config, workers=workers)
         outcomes = run_units(
-            _matrix_unit, units, config, context=context
+            _matrix_unit, units, with_workers(pool, workers), context=context
         ).outcomes
         entries: dict[str, MatrixEntry] = {}
         for name in names:

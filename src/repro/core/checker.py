@@ -56,8 +56,9 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Hashable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import product
 from typing import Optional, Union
 
 from repro.core.run import Execution, RunWitness
@@ -79,6 +80,7 @@ from repro.resilience.pool import (
     PoolConfig,
     UnitOutcome,
     run_units,
+    with_workers,
 )
 
 
@@ -343,7 +345,8 @@ class ConsensusChecker:
         sequential path — and the per-assignment reports are merged **in
         assignment order**, so the returned report (verdict, witness,
         statistics, checkpoint) is identical to the sequential run's,
-        whatever the stealing schedule.  The merge runs as soon as the
+        whatever the stealing schedule.  The sweep runs as a campaign of
+        one: the pooled path of :func:`run_campaign`.  The merge runs as soon as the
         sweep is decided — its completed shards reach, in assignment
         order, the first non-SATISFIED report — and the shards after
         that point which have not started are withdrawn, so a refuting
@@ -357,203 +360,63 @@ class ConsensusChecker:
         under time pressure a parallel run covers more assignments
         before tripping.
         """
-        from itertools import product
-
-        domain = tuple(value_domain)
-        assignments = list(product(domain, repeat=model.n))
-        start = 0
-        total = 0
-        inner: Optional[ExplorationCheckpoint] = None
-        if checkpoint is not None:
-            checkpoint.validate_for(self._system, model.n, domain)
-            start = checkpoint.assignment_index
-            total = checkpoint.states_total
-            inner = checkpoint.inner
-        if workers is not None and workers > 1 and len(assignments) - start > 1:
+        plan = _SweepPlan(self, model, value_domain, checkpoint, shard_states)
+        assignments = plan.assignments
+        if workers is not None and workers > 1 and len(assignments) - plan.start > 1:
             # The preflight probe calls the user's successor function, so
             # in a parallel sweep it must run inside the fault-isolated
             # workers (each gates once per process, memoized) — probing
             # in the driver would let a crashing successor kill the
             # whole sweep, the exact failure mode the pool exists to
             # contain.
-            return self._check_all_parallel(
-                model, domain, assignments, start, total, inner,
-                workers, pool, shard_states,
-            )
+            _run_sweeps({None: plan}, with_workers(pool, workers), warm=True)
+            return plan.report
         refused = self._preflight_gate(
             (model.initial_state(a) for a in assignments), None
         )
         if refused is not None:
             return refused
-        for index in range(start, len(assignments)):
-            assignment = assignments[index]
-            report = self._check_one(
-                model.initial_state(assignment),
-                assignment,
-                self._budget.meter(),
-                inner,
-            )
-            inner = None
-            outcome = self._merge_assignment(
-                report, index, assignment, assignments, domain, model, total
-            )
-            if outcome is not None:
-                return outcome
-            total += report.states_explored
-        return self._satisfied_sweep(domain, model, total)
+        for lo, hi, inner in plan.spans:
+            plan.offer(lo, self._check_span(model, assignments, lo, hi, inner))
+            if plan.report is not None:
+                break
+        return plan.report
 
-    def _check_all_parallel(
+    def _check_span(
         self,
         model,
-        domain: tuple,
         assignments: list,
-        start: int,
-        total: int,
+        lo: int,
+        hi: int,
         inner: Optional[ExplorationCheckpoint],
-        workers: int,
-        pool: Optional[PoolConfig],
-        shard_states: Optional[int],
-    ) -> ConsensusReport:
-        """The worker-pool arm of :meth:`check_all` (deterministic merge)."""
-        import dataclasses
+    ) -> list[ConsensusReport]:
+        """Check assignments ``lo .. hi-1`` of a sweep, the first resuming
+        from *inner*; their reports in assignment order, truncated at the
+        first non-SATISFIED one (the sweep stops there).
 
-        spans = _shard_spans(start, len(assignments), shard_states)
-        units = [
-            (lo, (lo, hi, inner if lo == start else None))
-            for lo, hi in spans
-        ]
-        context = _SweepContext(
-            system=self._system,
-            model=model,
-            budget=self._budget,
-            strict=self._strict,
-            preflight=self._preflight,
-            domain=domain,
-        )
-        config = pool or PoolConfig()
-        if config.workers != workers:
-            config = dataclasses.replace(config, workers=workers)
-        prefix = _DecidedPrefix(self, model, domain, assignments, total, spans)
-        run_units(
-            _check_shard_unit,
-            units,
-            config,
-            on_complete=lambda outcome: prefix.offer(outcome.key, outcome),
-            context=context,
-        )
-        return prefix.report
-
-    def _merge_shard_spans(
-        self,
-        model,
-        domain: tuple,
-        assignments: list,
-        total: int,
-        spans: list,
-        outcome_for,
-    ) -> ConsensusReport:
-        """Fold per-shard report lists into the sweep verdict.
-
-        Spans are walked in assignment order regardless of which worker
-        ran them or in what order they finished — the merge is a pure
-        function of the per-assignment reports, so the result is
-        byte-identical to the sequential sweep under any stealing
-        schedule.  ``outcome_for(lo)`` returns the pool
-        :class:`~repro.resilience.pool.UnitOutcome` of the span starting
-        at ``lo``.
+        Each assignment gates on the contract preflight (memoized, so only
+        a process's first gate probes) and charges its own fresh budget
+        meter.  In a pooled sweep this runs inside the fault-isolated
+        worker, never in the driver: the probe calls the user's successor
+        function, so a crashing system must crash a *worker* (retried,
+        then quarantined) rather than the whole sweep.
         """
-        for lo, hi in spans:
-            unit = outcome_for(lo)
-            if unit.quarantined:
-                sweep = CheckAllCheckpoint(
-                    fingerprint=system_fingerprint(self._system),
-                    n=model.n,
-                    value_domain=domain,
-                    assignment_index=lo,
-                    states_total=total,
-                    inner=None,
+        reports: list[ConsensusReport] = []
+        for index in range(lo, hi):
+            assignment = assignments[index]
+            initial = model.initial_state(assignment)
+            report = self._preflight_gate([initial], assignment)
+            if report is None:
+                report = self._check_one(
+                    initial,
+                    assignment,
+                    self._budget.meter(),
+                    inner if index == lo else None,
                 )
-                where = (
-                    f"assignment {lo + 1} of {len(assignments)} "
-                    f"({assignments[lo]!r})"
-                    if hi - lo == 1
-                    else f"assignments {lo + 1}-{hi} of {len(assignments)}"
-                )
-                return ConsensusReport(
-                    verdict=Verdict.UNKNOWN,
-                    inputs=assignments[lo],
-                    execution=None,
-                    cycle=None,
-                    detail=(
-                        f"{where} quarantined: {unit.cause()} "
-                        "(resume from the checkpoint to re-run it)"
-                    ),
-                    states_explored=total,
-                    budget_stats=None,
-                    checkpoint=sweep,
-                )
-            for offset, report in enumerate(unit.value):
-                index = lo + offset
-                outcome = self._merge_assignment(
-                    report, index, assignments[index], assignments, domain,
-                    model, total,
-                )
-                if outcome is not None:
-                    return outcome
-                total += report.states_explored
-        return self._satisfied_sweep(domain, model, total)
-
-    def _merge_assignment(
-        self,
-        report: ConsensusReport,
-        index: int,
-        assignment: tuple,
-        assignments: list,
-        domain: tuple,
-        model,
-        total: int,
-    ) -> Optional[ConsensusReport]:
-        """Fold one assignment's report into the sweep: the final report
-        when the sweep stops here (violation or UNKNOWN), else None."""
-        if report.inconclusive:
-            sweep = CheckAllCheckpoint(
-                fingerprint=system_fingerprint(self._system),
-                n=model.n,
-                value_domain=domain,
-                assignment_index=index,
-                states_total=total,
-                inner=report.checkpoint,
-            )
-            return ConsensusReport(
-                verdict=Verdict.UNKNOWN,
-                inputs=assignment,
-                execution=None,
-                cycle=None,
-                detail=(
-                    f"budget exhausted on assignment {index + 1} of "
-                    f"{len(assignments)} ({assignment!r}): "
-                    f"{report.detail}"
-                ),
-                states_explored=total + report.states_explored,
-                budget_stats=report.budget_stats,
-                checkpoint=sweep,
-            )
-        if not report.satisfied:
-            return report
-        return None
-
-    def _satisfied_sweep(self, domain: tuple, model, total: int) -> ConsensusReport:
-        return ConsensusReport(
-            verdict=Verdict.SATISFIED,
-            inputs=None,
-            execution=None,
-            cycle=None,
-            detail=(
-                f"all {len(domain) ** model.n} input assignments "
-                "decide, agree and are valid"
-            ),
-            states_explored=total,
-        )
+            reports.append(report)
+            if not report.satisfied:
+                break
+        return reports
 
     # -- internals ----------------------------------------------------------
     def _check_one(
@@ -879,198 +742,252 @@ class ConsensusChecker:
         return None
 
 
-class _DecidedPrefix:
-    """Merge one sharded sweep the moment its verdict is fixed.
+class _SweepPlan:
+    """One ``check_all`` sweep: its assignments, where it resumes, its
+    shard spans, and the merge of their reports.
 
-    Shard outcomes arrive in completion order.  Walking the spans in
-    assignment order, the sweep is *decided* at the first quarantined
-    shard or non-SATISFIED report (the sequential sweep stops there), or
-    once every span is done.  At that point :meth:`_merge_shard_spans`
-    folds the decided prefix — exactly the spans it would have read from
-    a complete sweep, so the report is the same — and the unfinished
-    spans after the prefix can be withdrawn from the pool: their results
-    could never change the verdict.
+    Built once per sweep from its resume checkpoint.  ``spans`` are
+    ``(lo, hi, inner)``: assignments ``lo .. hi-1``, ``shard_states`` of
+    them each (default 1), with the resumed assignment's exploration
+    checkpoint on the first span only.  Span reports may be offered in
+    any order.  Walking the spans in assignment order, the sweep is
+    *decided* at the first quarantined span or non-SATISFIED report (the
+    sequential sweep stops there), or once every span is in; the merge is
+    a left fold over the per-assignment reports of that prefix, so the
+    report is the same under any schedule, and the spans after the
+    prefix could never change it.
     """
 
-    def __init__(self, checker, model, domain, assignments, total, spans):
-        self._checker = checker
-        self._model = model
-        self._domain = domain
-        self._assignments = assignments
-        self._total = total
-        self._spans = spans
-        self._outcomes: dict = {}
+    def __init__(self, checker, model, domain, checkpoint, shard_states):
+        if shard_states is not None and shard_states < 1:
+            raise ValueError("shard_states must be >= 1")
+        self.checker = checker
+        self.model = model
+        self.domain = tuple(domain)
+        self.assignments = list(product(self.domain, repeat=model.n))
+        self.start, self.total, inner = 0, 0, None
+        if checkpoint is not None:
+            checkpoint.validate_for(checker._system, model.n, self.domain)
+            self.start = checkpoint.assignment_index
+            self.total = checkpoint.states_total
+            inner = checkpoint.inner
+        size = shard_states or 1
+        stop = len(self.assignments)
+        self.spans = [
+            (lo, min(lo + size, stop), inner if lo == self.start else None)
+            for lo in range(self.start, stop, size)
+        ]
+        self._offered: dict = {}
         self._cursor = 0
-        self.report: Optional[ConsensusReport] = None
+        self.report: Optional[ConsensusReport] = (
+            None if self.spans else self._satisfied()
+        )
 
-    def offer(self, lo: int, outcome: UnitOutcome) -> Optional[list]:
-        """Fold the outcome of the span starting at *lo*.
+    def offer(
+        self, lo: int, reports: Optional[list], cause: str = ""
+    ) -> Optional[list]:
+        """Fold the reports of the span starting at *lo* (None, with the
+        pool's *cause*, when the span was quarantined).
 
-        Returns None while the sweep is undecided (and for outcomes that
-        arrive after it was decided, which are ignored); on the outcome
-        that decides it, sets :attr:`report` and returns the start
-        indices of the unfinished spans after the prefix.
+        Returns None while the sweep is undecided, and for spans offered
+        after it was decided; on the span that decides it, sets
+        :attr:`report` and returns the starts of the spans not offered.
         """
         if self.report is not None:
             return None
-        self._outcomes[lo] = outcome
-        spans = self._spans
-        while self._cursor < len(spans):
-            unit = self._outcomes.get(spans[self._cursor][0])
-            if unit is None:
+        self._offered[lo] = (reports, cause)
+        while self.report is None:
+            if self._cursor == len(self.spans):
+                self.report = self._satisfied()
+                break
+            lo, hi, _ = self.spans[self._cursor]
+            if lo not in self._offered:
                 return None
             self._cursor += 1
-            if unit.quarantined or not unit.value[-1].satisfied:
-                break
-        self.report = self._checker._merge_shard_spans(
-            self._model,
-            self._domain,
-            self._assignments,
-            self._total,
-            spans[: self._cursor],
-            self._outcomes.__getitem__,
-        )
+            reports, cause = self._offered[lo]
+            if reports is None:
+                self.report = self._quarantined(lo, hi, cause)
+            else:
+                self.report = self._fold(lo, reports)
         return [
-            start for start, _ in spans[self._cursor:]
-            if start not in self._outcomes
+            lo for lo, _, _ in self.spans[self._cursor:]
+            if lo not in self._offered
         ]
 
+    def _fold(self, lo: int, reports: list) -> Optional[ConsensusReport]:
+        """The sweep's report if it stops in this span, else None."""
+        for index, report in enumerate(reports, lo):
+            if report.inconclusive:
+                assignment = self.assignments[index]
+                return ConsensusReport(
+                    verdict=Verdict.UNKNOWN,
+                    inputs=assignment,
+                    execution=None,
+                    cycle=None,
+                    detail=(
+                        f"budget exhausted on assignment {index + 1} of "
+                        f"{len(self.assignments)} ({assignment!r}): "
+                        f"{report.detail}"
+                    ),
+                    states_explored=self.total + report.states_explored,
+                    budget_stats=report.budget_stats,
+                    checkpoint=self._checkpoint(index, report.checkpoint),
+                )
+            if not report.satisfied:
+                return report
+            self.total += report.states_explored
+        return None
 
-# -- parallel work units ------------------------------------------------------
+    def _quarantined(self, lo: int, hi: int, cause: str) -> ConsensusReport:
+        """UNKNOWN at the cursor of a span whose worker kept crashing."""
+        count = len(self.assignments)
+        where = (
+            f"assignment {lo + 1} of {count} ({self.assignments[lo]!r})"
+            if hi - lo == 1
+            else f"assignments {lo + 1}-{hi} of {count}"
+        )
+        return ConsensusReport(
+            verdict=Verdict.UNKNOWN,
+            inputs=self.assignments[lo],
+            execution=None,
+            cycle=None,
+            detail=(
+                f"{where} quarantined: {cause} "
+                "(resume from the checkpoint to re-run it)"
+            ),
+            states_explored=self.total,
+            budget_stats=None,
+            checkpoint=self._checkpoint(lo, None),
+        )
+
+    def _checkpoint(self, index: int, inner) -> CheckAllCheckpoint:
+        return CheckAllCheckpoint(
+            fingerprint=system_fingerprint(self.checker._system),
+            n=self.model.n,
+            value_domain=self.domain,
+            assignment_index=index,
+            states_total=self.total,
+            inner=inner,
+        )
+
+    def _satisfied(self) -> ConsensusReport:
+        return ConsensusReport(
+            verdict=Verdict.SATISFIED,
+            inputs=None,
+            execution=None,
+            cycle=None,
+            detail=(
+                f"all {len(self.assignments)} input assignments "
+                "decide, agree and are valid"
+            ),
+            states_explored=self.total,
+        )
+
+
+# -- the pooled sweep path ---------------------------------------------------
 #
-# The pool pickles payloads into worker processes and calls a module-level
-# function on them; these are the two unit shapes the library ships —
-# one assignment of one sweep (check_all's internal sharding) and one
-# whole check_all over one layered system (the campaign drivers' unit).
-
-def _shard_spans(
-    start: int, stop: int, shard_states: Optional[int]
-) -> list[tuple[int, int]]:
-    """Split the assignment cursor range into ``[lo, hi)`` shard spans.
-
-    ``shard_states`` is the number of root assignments per shard
-    (default 1 — maximal stealing granularity; payloads are O(span), so
-    fine shards cost nothing on the wire).
-    """
-    if shard_states is not None and shard_states < 1:
-        raise ValueError("shard_states must be >= 1")
-    size = shard_states or 1
-    return [(lo, min(lo + size, stop)) for lo in range(start, stop, size)]
-
+# A parallel ``check_all`` and a parallel campaign run the same way: each
+# sweep's plan is split into shards (index spans), and the shards of all
+# sweeps share one fault-isolated pool.  ``check_all(workers=N)`` is a
+# campaign of one sweep.
 
 class _SweepContext:
-    """Shared worker-side inputs of one parallel ``check_all`` sweep.
+    """Worker-side inputs of one pooled run: per sweep key, the sweep's
+    checker, model and assignment list.
 
     Shipped to each worker **once** via ``run_units(..., context=...)``,
-    never per shard: the checker built from it — and with it the resolved
-    successor cache and the per-process preflight memo — is reused by
-    every shard the worker runs.  That sharing is the heart of the E14
-    fix: the historical per-unit payload pickled its own system copy, so
-    the preflight probe's per-object memo could never hit and every unit
-    re-probed the system.  Sharing one checker across shards is sound
-    because cache transparency (PR 3) guarantees verdicts, witnesses and
-    checkpoints are byte-identical cached or uncached, warm or cold.
+    never per shard, so every shard of a sweep that lands on a worker
+    shares one checker — one warm successor cache and one preflight memo
+    (a ``CachedSystem`` pickles only its configuration, so caches never
+    cross processes).  Sharing one checker across shards is sound because
+    cache transparency guarantees verdicts, witnesses and checkpoints are
+    byte-identical cached or uncached, warm or cold.
     """
 
-    def __init__(
-        self, system, model, budget, strict, preflight, domain, cache=None
-    ):
-        self.system = system
-        self.model = model
-        self.budget = budget
-        self.strict = strict
-        self.preflight = preflight
-        self.domain = domain
-        self.cache = cache
-        self._checker: Optional[ConsensusChecker] = None
-        self._assignments: Optional[list] = None
-
-    def checker(self) -> ConsensusChecker:
-        """The process-local checker, built once per worker."""
-        if self._checker is None:
-            self._checker = ConsensusChecker(
-                self.system,
-                self.budget,
-                strict=self.strict,
-                cache=self.cache,
-                preflight=self.preflight,
-            )
-        return self._checker
-
-    def assignments(self) -> list:
-        """The full assignment list, in deterministic product order."""
-        if self._assignments is None:
-            from itertools import product
-
-            self._assignments = list(
-                product(self.domain, repeat=self.model.n)
-            )
-        return self._assignments
+    def __init__(self, sweeps: dict, warm: bool):
+        self.sweeps = sweeps  # {key: (checker, model, assignments)}
+        self.warm = warm
 
     def warmup(self) -> None:
-        """Run the memoized preflight probe during pool cold-start.
+        """With *warm*, run each sweep's memoized preflight probe during
+        pool cold-start.
 
         Best-effort by contract (the pool swallows warmup errors); an
         ill-formed system is never memoized as clean, so the first real
         shard re-probes and reports ILL_FORMED through the normal merge.
         """
-        checker = self.checker()
-        initial = self.model.initial_state(self.assignments()[0])
-        checker._preflight_gate([initial], None)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_checker"] = None      # caches never cross processes
-        state["_assignments"] = None
-        return state
+        if self.warm:
+            for checker, model, assignments in self.sweeps.values():
+                checker._preflight_gate(
+                    [model.initial_state(assignments[0])], None
+                )
 
 
-def _check_shard_unit(payload, context: _SweepContext) -> list:
-    """Pool unit: BFS one shard (a span of input assignments).
+def _sweep_shard(payload, context: _SweepContext) -> list:
+    """Pool unit: one shard ``(key, lo, hi, inner)`` of one sweep."""
+    key, lo, hi, inner = payload
+    checker, model, assignments = context.sweeps[key]
+    return checker._check_span(model, assignments, lo, hi, inner)
 
-    The contract preflight gates here, inside the fault-isolated worker,
-    never in the driver: the probe calls the user's successor function,
-    so a crashing system must crash a *worker* (retried, then
-    quarantined) rather than the whole sweep.  An ill-formed system is
-    returned as an ``ILL_FORMED`` report, which stops the driver's merge
-    exactly like any other non-SATISFIED verdict.
 
-    Returns the shard's per-assignment reports in assignment order,
-    truncated at the first non-SATISFIED verdict — the sweep stops there
-    during the merge, so later assignments of the shard would never be
-    read (each assignment still charges its own fresh budget meter,
-    exactly like the sequential path).
+def _run_sweeps(
+    plans: dict, config: PoolConfig, on_decided=None, warm: bool = False
+) -> None:
+    """Run the shards of the ``{key: _SweepPlan}`` sweeps on one pool.
+
+    Shards are dispatched breadth-first — every sweep's first shard before
+    any sweep's second — so idle workers open new sweeps rather than
+    reading deeper into one that its first violation may already have
+    decided.  A sweep is merged the moment its verdict is decided: its
+    plan's report is set, ``on_decided(key, report)`` is called (at once
+    for a sweep resumed past its last assignment), and its unstarted
+    shards are withdrawn from the pool.  Pool unit keys are
+    ``(key, lo)``; *warm* probes every sweep during worker warm-up.
     """
-    lo, hi, inner = payload
-    checker = context.checker()
-    assignments = context.assignments()
-    reports: list[ConsensusReport] = []
-    for index in range(lo, hi):
-        assignment = assignments[index]
-        initial = context.model.initial_state(assignment)
-        report = checker._preflight_gate([initial], assignment)
-        if report is None:
-            report = checker._check_one(
-                initial,
-                assignment,
-                checker._budget.meter(),
-                inner if index == lo else None,
-            )
-        reports.append(report)
-        if not report.satisfied:
-            break
-    return reports
+    ranked = []
+    for key, plan in plans.items():
+        if plan.report is not None and on_decided is not None:
+            on_decided(key, plan.report)
+        for index, span in enumerate(plan.spans):
+            ranked.append((index, ((key, span[0]), (key, *span))))
+    if not ranked:
+        return
+    ranked.sort(key=lambda entry: entry[0])  # stable: sweep order breaks ties
+
+    def decide(outcome: UnitOutcome) -> Optional[list]:
+        key, lo = outcome.key
+        plan = plans[key]
+        unread = plan.offer(
+            lo, outcome.value, outcome.cause() if outcome.quarantined else ""
+        )
+        if unread is None:
+            return None
+        if on_decided is not None:
+            on_decided(key, plan.report)
+        return [(key, start) for start in unread]
+
+    context = _SweepContext(
+        {key: (p.checker, p.model, p.assignments) for key, p in plans.items()},
+        warm,
+    )
+    run_units(
+        _sweep_shard,
+        [unit for _, unit in ranked],
+        config,
+        on_complete=decide,
+        context=context,
+    )
 
 
 @dataclass(frozen=True)
 class SweepUnit:
     """One campaign unit: a full ``check_all`` over one layered system.
 
-    Picklable payload for :func:`run_sweep_unit`; *system* and *model*
-    are usually ``layering`` and ``layering.model`` but may coincide
-    (the full synchronous model checks itself).  *resume* carries the
-    in-flight :class:`~repro.resilience.CheckAllCheckpoint` when a
-    campaign is resumed.  *cache* is the checker's ``cache=`` spec; a
+    *system* and *model* are usually ``layering`` and ``layering.model``
+    but may coincide (the full synchronous model checks itself).
+    *resume* carries the in-flight
+    :class:`~repro.resilience.CheckAllCheckpoint` when a campaign is
+    resumed.  *cache* is the checker's ``cache=`` spec; a
     ``CachedSystem`` passed here (or as *system*) ships only its
     configuration across the process boundary, so each pool worker warms
     one private cache per unit — preserving the deterministic merge.
@@ -1083,56 +1000,12 @@ class SweepUnit:
     cache: object = None
     preflight: bool = True
 
-
-def run_sweep_unit(unit: SweepUnit) -> ConsensusReport:
-    """Pool unit function for campaign drivers: one exhaustive sweep."""
-    return ConsensusChecker(
-        unit.system, unit.budget, cache=unit.cache,
-        preflight=unit.preflight,
-    ).check_all(unit.model, checkpoint=unit.resume)
-
-
-class _CampaignContext:
-    """Shared worker-side specs of a parallel campaign.
-
-    One per campaign run, shipped to each worker once; holds every
-    pending unit's :class:`SweepUnit` spec (resume checkpoints stripped —
-    the shard spans encode resume cursors) and lazily builds one
-    :class:`_SweepContext` per unit key per process, so all shards of a
-    unit that land on the same worker share one checker, one warm cache
-    and one preflight memo.
-    """
-
-    def __init__(self, specs: dict):
-        self.specs = specs  # {key: SweepUnit}
-        self._sweeps: dict = {}
-
-    def sweep(self, key) -> "_SweepContext":
-        context = self._sweeps.get(key)
-        if context is None:
-            unit = self.specs[key]
-            context = _SweepContext(
-                system=unit.system,
-                model=unit.model,
-                budget=unit.budget,
-                strict=False,
-                preflight=unit.preflight,
-                domain=(0, 1),
-                cache=unit.cache,
-            )
-            self._sweeps[key] = context
-        return context
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_sweeps"] = {}  # caches never cross processes
-        return state
-
-
-def _campaign_shard_unit(payload, context: _CampaignContext) -> list:
-    """Pool unit: one shard (assignment span) of one campaign sweep."""
-    key, span = payload
-    return _check_shard_unit(span, context.sweep(key))
+    def checker(self) -> ConsensusChecker:
+        """The checker this unit's sweep runs on."""
+        return ConsensusChecker(
+            self.system, self.budget, cache=self.cache,
+            preflight=self.preflight,
+        )
 
 
 def run_campaign(
@@ -1153,18 +1026,15 @@ def run_campaign(
     into shards of ``shard_states`` input assignments (default 1) and
     the shards — not the whole sweeps — are scheduled across the
     fault-isolated pool (:mod:`repro.resilience.pool`), so a campaign of
-    even a *single* heavyweight sweep parallelizes.  Heavy inputs ship
-    once per worker as shared context; shard payloads are index spans.
-    Reports are merged back **in submission order, in assignment order
-    within each sweep** with the same early-stop rule, so both paths
-    return identical results for identical inputs; a shard the pool
-    quarantined merges its sweep as UNKNOWN at the shard's cursor
-    (resumable) without failing its neighbours.  Shards are dispatched
-    breadth-first — every sweep's first shard before any sweep's second
-    — and a sweep is merged the moment its verdict is decided (its
-    completed shards reach, in assignment order, a violation, an
-    inconclusive report or a quarantine, or cover the whole sweep); its
-    unstarted shards are then withdrawn from the pool.
+    even a *single* heavyweight sweep parallelizes.  This is the same
+    pooled path a parallel ``check_all`` takes: shards dispatch
+    breadth-first across sweeps, and a sweep is merged the moment its
+    verdict is decided, its unstarted shards withdrawn.  Reports are
+    merged **in submission order, in assignment order within each
+    sweep** with the same early-stop rule, so both paths return
+    identical results for identical inputs; a shard the pool quarantined
+    merges its sweep as UNKNOWN at the shard's cursor (resumable)
+    without failing its neighbours.
 
     A :class:`~repro.resilience.CampaignCheckpoint` is honoured and
     maintained either way: completed units are reused instantly,
@@ -1178,11 +1048,8 @@ def run_campaign(
     Returns ``(key, report)`` pairs in submission order, truncated at
     the first inconclusive report.
     """
-    import dataclasses
-    from itertools import product
-
     cached: dict = {}
-    pending: list[tuple] = []
+    pending: dict = {}
     for key, unit in units:
         done = campaign.report_for(key) if campaign is not None else None
         if done is not None:
@@ -1190,133 +1057,54 @@ def run_campaign(
             continue
         resume = campaign.resume_point(key) if campaign is not None else None
         if resume is not None:
-            unit = dataclasses.replace(unit, resume=resume)
-        pending.append((key, unit))
+            unit = replace(unit, resume=resume)
+        pending[key] = unit
 
-    reports: Optional[dict] = None
+    def finish(key, report: ConsensusReport) -> None:
+        crashpoint("campaign.unit.finish")
+        if campaign is not None:
+            if report.inconclusive:
+                campaign.suspend(key, report.checkpoint)
+            else:
+                campaign.record(key, report)
+        if on_unit is not None:
+            on_unit(key, report)
+
+    def decided(key, report: ConsensusReport) -> None:
+        # The campaign suspends only its first inconclusive sweep (below).
+        if not report.inconclusive:
+            finish(key, report)
+
+    pooled: dict = {}
     if workers is not None and workers > 1 and pending:
-        domain = (0, 1)  # run_sweep_unit's check_all default
-        prefixes: dict = {}
-        ranked: list[tuple] = []
-        merged: dict = {}
-        for sweep, (key, unit) in enumerate(pending):
-            checker = ConsensusChecker(
-                unit.system, unit.budget, cache=unit.cache,
-                preflight=unit.preflight,
+        plans = {
+            key: _SweepPlan(
+                unit.checker(), unit.model, (0, 1), unit.resume, shard_states
             )
-            assignments = list(product(domain, repeat=unit.model.n))
-            start, total, inner = 0, 0, None
-            if unit.resume is not None:
-                unit.resume.validate_for(
-                    checker._system, unit.model.n, domain
-                )
-                start = unit.resume.assignment_index
-                total = unit.resume.states_total
-                inner = unit.resume.inner
-            spans = _shard_spans(start, len(assignments), shard_states)
-            prefixes[key] = _DecidedPrefix(
-                checker, unit.model, domain, assignments, total, spans
-            )
-            for index, (lo, hi) in enumerate(spans):
-                ranked.append(
-                    (
-                        (index, sweep),
-                        (key, lo),
-                        (key, (lo, hi, inner if lo == start else None)),
-                    )
-                )
-            if not spans:
-                # Resumed past the last assignment: nothing left to run.
-                merged[key] = checker._satisfied_sweep(
-                    domain, unit.model, total
-                )
-                crashpoint("campaign.unit.finish")
-                if campaign is not None:
-                    campaign.record(key, merged[key])
-                if on_unit is not None:
-                    on_unit(key, merged[key])
-        if ranked:
-            # Breadth-first across sweeps: every sweep's first shard is
-            # dispatched before any sweep's second, so idle workers open
-            # new sweeps rather than reading deeper into one that its
-            # first violation may already have decided.
-            ranked.sort(key=lambda entry: entry[0])
-            config = pool or PoolConfig()
-            if config.workers != workers:
-                config = dataclasses.replace(config, workers=workers)
-            specs = {
-                key: dataclasses.replace(unit, resume=None)
-                for key, unit in pending
-            }
+            for key, unit in pending.items()
+        }
+        _run_sweeps(plans, with_workers(pool, workers), decided)
+        pooled = {key: plan.report for key, plan in plans.items()}
 
-            def record_decided(outcome: UnitOutcome) -> Optional[list]:
-                key, lo = outcome.key
-                prefix = prefixes[key]
-                unread = prefix.offer(lo, outcome)
-                if unread is None:
-                    return None
-                report = merged[key] = prefix.report
-                if not report.inconclusive:
-                    crashpoint("campaign.unit.finish")
-                    if campaign is not None:
-                        campaign.record(key, report)
-                    if on_unit is not None:
-                        on_unit(key, report)
-                return [(key, start) for start in unread]
-
-            run_units(
-                _campaign_shard_unit,
-                [(unit_key, payload) for _, unit_key, payload in ranked],
-                config,
-                on_complete=record_decided,
-                context=_CampaignContext(specs),
-            )
-        reports = merged
-
-    pending_map = dict(pending)
     out: list[tuple] = []
     for key, _ in units:
         if key in cached:
             report = cached[key]
-        elif reports is not None:
-            report = reports[key]
+        elif key in pooled:
+            report = pooled[key]
             if report.inconclusive and campaign is not None:
-                if report.checkpoint is not None:
-                    campaign.suspend(key, report.checkpoint)
+                campaign.suspend(key, report.checkpoint)
         else:
+            unit = pending[key]
             crashpoint("campaign.unit.start")
-            report = run_sweep_unit(pending_map[key])
-            crashpoint("campaign.unit.finish")
-            if campaign is not None:
-                if report.inconclusive:
-                    campaign.suspend(key, report.checkpoint)
-                else:
-                    campaign.record(key, report)
-            if on_unit is not None:
-                on_unit(key, report)
+            report = unit.checker().check_all(
+                unit.model, checkpoint=unit.resume
+            )
+            finish(key, report)
         out.append((key, report))
         if report.inconclusive:
-            return out
+            break
     return out
-
-
-def quarantined_report(outcome: UnitOutcome) -> ConsensusReport:
-    """An ``UNKNOWN`` report for a campaign unit the pool quarantined.
-
-    Quarantine must not abort the sweep, and it must not masquerade as a
-    verdict either: the unit is reported inconclusive with the fault
-    history as the cause.  The report carries no checkpoint — the unit
-    made no resumable progress — so resuming a campaign simply re-runs
-    it from scratch.
-    """
-    return ConsensusReport(
-        verdict=Verdict.UNKNOWN,
-        inputs=None,
-        execution=None,
-        cycle=None,
-        detail=f"unit {outcome.key!r} quarantined: {outcome.cause()}",
-        states_explored=0,
-    )
 
 
 def _path_to(state: GlobalState, parent: dict) -> Execution:

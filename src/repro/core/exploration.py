@@ -34,6 +34,7 @@ from repro.resilience.pool import (
     PoolConfig,
     exception_category,
     run_units,
+    with_workers,
 )
 from repro.resilience.wire import pack_depths, pack_states
 
@@ -200,8 +201,6 @@ def reachable_states_parallel(
     as packed intern-table configs, and results return the same way
     (see :mod:`repro.resilience.wire`).
     """
-    import dataclasses
-
     root_list = list(dict.fromkeys(roots))
     if workers <= 1 or len(root_list) < 2:
         return reachable_states(
@@ -228,10 +227,9 @@ def reachable_states_parallel(
         system, max_depth, strict, cache, preflight,
         probe=pack_states(root_list[: min(4, len(root_list))]),
     )
-    config = pool or PoolConfig()
-    if config.workers != workers:
-        config = dataclasses.replace(config, workers=workers)
-    report = run_units(_reachable_shard, units, config, context=context)
+    report = run_units(
+        _reachable_shard, units, with_workers(pool, workers), context=context
+    )
     merged: dict[GlobalState, int] = {}
     for index in range(len(shards)):
         outcome = report.outcomes[index]

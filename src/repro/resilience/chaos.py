@@ -66,7 +66,10 @@ through the full kill/resume cycle per reachable crashpoint:
 
 Selection is bounded by ``max_hits_per_point`` with a **seeded**
 deterministic sample (first, last, and seeded picks in between), so two
-sweeps over the same build test the same schedule.
+sweeps over the same build test the same schedule.  Kill runs are traced
+too: when one exits without reaching its chosen hit (a pooled run's
+dispatch count depends on timing), it is re-armed at the last hit that
+run did reach, so every kill lands on a position its own run has.
 """
 
 from __future__ import annotations
@@ -370,6 +373,15 @@ def _select_hits(count: int, max_hits: int, point: str, seed: int) -> list:
     return sorted(picks)
 
 
+def _read_trace(path: str) -> Counter:
+    """Hits per crashpoint name in a trace file (empty when absent)."""
+    hits: Counter = Counter()
+    if os.path.exists(path):
+        with open(path) as fh:
+            hits.update(line.strip() for line in fh if line.strip())
+    return hits
+
+
 def chaos_sweep(
     argv: list,
     workdir: Optional[str] = None,
@@ -432,13 +444,7 @@ def chaos_sweep(
             timeout,
             python,
         )
-        reachable: Counter = Counter()
-        if os.path.exists(trace_path):
-            with open(trace_path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        reachable[line] += 1
+        reachable = _read_trace(trace_path)
         sweep.reachable = dict(sorted(reachable.items()))
 
         for point in sorted(reachable):
@@ -475,25 +481,39 @@ def _kill_and_resume(
 ) -> ChaosResult:
     tag = f"{point}.{hit}.{mode}".replace("/", "_")
     ckpt = os.path.join(workdir, f"chaos-{tag}.ckpt")
-    spec = f"{point}:{hit}:{mode}"
-    try:
-        wounded = _run_cli(
-            argv + ["--checkpoint", ckpt],
-            {ENV_SPECS: spec, ENV_TRACE: "", ENV_SCOPE: ""},
-            timeout,
-            python,
-        )
-    except subprocess.TimeoutExpired:
-        return ChaosResult(
-            point, hit, mode, killed=False, resumed=False, identical=False,
-            detail=f"kill run exceeded the {timeout:g}s timeout",
-        )
-    if mode == MODE_KILL:
-        killed = wounded.returncode == -signal.SIGKILL
-    elif mode == MODE_EXIT:
-        killed = wounded.returncode == EXIT_STATUS
-    else:  # raise: any abnormal, non-signal failure counts as the injection
-        killed = wounded.returncode not in (0,)
+    trace = os.path.join(workdir, f"chaos-{tag}.trace")
+    while True:  # each pass re-arms at a strictly earlier hit
+        spec = f"{point}:{hit}:{mode}"
+        for stale in (ckpt, trace):
+            if os.path.exists(stale):
+                os.remove(stale)
+        try:
+            wounded = _run_cli(
+                argv + ["--checkpoint", ckpt],
+                {ENV_SPECS: spec, ENV_TRACE: trace, ENV_SCOPE: ""},
+                timeout,
+                python,
+            )
+        except subprocess.TimeoutExpired:
+            return ChaosResult(
+                point, hit, mode, killed=False, resumed=False,
+                identical=False,
+                detail=f"kill run exceeded the {timeout:g}s timeout",
+            )
+        if mode == MODE_KILL:
+            killed = wounded.returncode == -signal.SIGKILL
+        elif mode == MODE_EXIT:
+            killed = wounded.returncode == EXIT_STATUS
+        else:  # raise: any abnormal, non-signal failure is the injection
+            killed = wounded.returncode not in (0,)
+        reached = _read_trace(trace)[point]
+        if killed or not 0 < reached < hit:
+            break
+        # This run hit the point fewer times than the census run did (a
+        # pooled run withdraws a decided sweep's unstarted shards, so how
+        # many it dispatches depends on timing): re-arm at the last hit
+        # this run reached.
+        hit = reached
     if not killed:
         return ChaosResult(
             point, hit, mode, killed=False, resumed=False, identical=False,

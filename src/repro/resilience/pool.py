@@ -1028,6 +1028,11 @@ def run_units(
     return report
 
 
+def with_workers(pool: Optional[PoolConfig], workers: int) -> PoolConfig:
+    """*pool* (default :class:`PoolConfig`) running *workers* processes."""
+    return replace(pool or PoolConfig(), workers=workers)
+
+
 def pool_config_for(
     workers: Optional[int],
     unit_timeout: Optional[float] = None,

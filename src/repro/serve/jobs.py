@@ -246,7 +246,7 @@ def run_job(payload: dict) -> dict:
                 "work": spec.work,
             },
         }
-    from repro.core.checker import SweepUnit, run_sweep_unit
+    from repro.core.checker import ConsensusChecker
 
     limits = payload.get("budget") or {}
     budget = Budget(
@@ -254,9 +254,7 @@ def run_job(payload: dict) -> dict:
         max_seconds=limits.get("max_seconds"),
     )
     layering = spec._layering()
-    report = run_sweep_unit(
-        SweepUnit(system=layering, model=layering.model, budget=budget)
-    )
+    report = ConsensusChecker(layering, budget).check_all(layering.model)
     if report.inconclusive:
         limit = (
             report.budget_stats.limit

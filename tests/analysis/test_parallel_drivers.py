@@ -16,6 +16,7 @@ from repro.analysis.impossibility import refute_candidate
 from repro.analysis.solvability_experiments import solvability_matrix
 from repro.analysis.sync_lower_bound import (
     defeat_fast_candidates,
+    make_st_system,
     verify_tight_protocols,
 )
 from repro.cli import EXIT_INCONCLUSIVE, EXIT_OK, main
@@ -23,7 +24,9 @@ from repro.core.exploration import reachable_states, reachable_states_parallel
 from repro.core.state import GlobalState
 from repro.core.valence import ExplorationLimitExceeded
 from repro.core import checker as checker_module
+from repro.core.checker import SweepUnit, run_campaign
 from repro.protocols.candidates import QuorumDecide
+from repro.protocols.floodset import FloodSet
 from repro.protocols.registry import PROTOCOLS
 from repro.resilience.budget import Budget
 from repro.resilience.checkpoint import CampaignCheckpoint
@@ -219,6 +222,50 @@ class TestCampaignIntegration:
             assert recorded.verdict is row.verdict
             assert recorded.inputs == row.report.inputs
             assert recorded.states_explored == row.report.states_explored
+
+    @pytest.mark.parametrize(
+        "first, second", [(None, 2), (2, None)], ids=["seq-then-2", "2-then-seq"]
+    )
+    def test_resume_under_other_worker_count_equals_uninterrupted(
+        self, tmp_path, first, second
+    ):
+        """A campaign suspended mid-sweep resumes under a different worker
+        count to exactly the uninterrupted run's report."""
+        layering = make_st_system(FloodSet(2), 3, 1)
+        key = "tight:st:floodset-2:n3:t1"
+
+        def campaign_run(budget, journal, workers):
+            unit = SweepUnit(layering, layering.model, budget)
+            return run_campaign([(key, unit)], campaign=journal, workers=workers)
+
+        ((_, baseline),) = run_campaign(
+            [(key, SweepUnit(layering, layering.model, Budget()))]
+        )
+        path = tmp_path / "campaign.journal"
+        journal = CampaignJournal.create(path)
+        try:
+            ((_, stopped),) = campaign_run(Budget(max_states=10), journal, first)
+        finally:
+            journal.close()
+        # Assignment 0 explores 9 states and assignment 1 needs 11, so
+        # the budget trips inside assignment 1: mid-sweep, mid-BFS.
+        assert stopped.inconclusive
+        suspended = load_journal(path)[0].inner
+        assert suspended.assignment_index == 1
+        assert suspended.inner is not None
+        journal = CampaignJournal.resume(path)
+        try:
+            ((_, resumed),) = campaign_run(Budget(), journal, second)
+        finally:
+            journal.close()
+        assert baseline.satisfied
+        assert resumed.verdict is baseline.verdict
+        assert resumed.inputs == baseline.inputs
+        assert resumed.detail == baseline.detail
+        assert resumed.states_explored == baseline.states_explored
+        assert load_journal(path)[0].completed[key].states_explored == (
+            baseline.states_explored
+        )
 
     def test_parallel_campaign_records_completed_units(self):
         campaign = CampaignCheckpoint()

@@ -259,7 +259,8 @@ class TestShardingKnobs:
 
 class TestOrderedWithdrawal:
     """A parallel sweep is merged as soon as its verdict is decided and
-    its unstarted shards are withdrawn; the report does not change."""
+    its unstarted shards are withdrawn; the report does not change.  Pool
+    unit keys are ``(sweep, lo)``; a ``check_all`` is a one-sweep run."""
 
     @staticmethod
     def _sweep(system, **pool):
@@ -282,11 +283,12 @@ class TestOrderedWithdrawal:
         for steal in (True, False):
             parallel, pool_report = self._sweep(system, steal=steal)
             _assert_reports_equal(parallel, sequential)
-            ran = sorted(pool_report.outcomes)
+            ran = sorted(lo for _, lo in pool_report.outcomes)
+            withdrawn = [lo for _, lo in pool_report.withdrawn]
             assert ran[:decided] == list(range(decided))
-            assert pool_report.withdrawn
-            assert min(pool_report.withdrawn) >= decided
-            assert sorted(ran + list(pool_report.withdrawn)) == list(range(16))
+            assert withdrawn
+            assert min(withdrawn) >= decided
+            assert sorted(ran + withdrawn) == list(range(16))
 
     def test_satisfied_grid_withdraws_nothing(self):
         # The E14 grid: EIG(3) in S^t (n=4, t=2) satisfies consensus, so
@@ -297,4 +299,4 @@ class TestOrderedWithdrawal:
         assert sequential.satisfied
         _assert_reports_equal(parallel, sequential)
         assert pool_report.withdrawn == ()
-        assert sorted(pool_report.outcomes) == list(range(16))
+        assert sorted(lo for _, lo in pool_report.outcomes) == list(range(16))

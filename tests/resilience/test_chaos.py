@@ -8,6 +8,7 @@ injection mechanics those sweeps rely on.
 import multiprocessing
 import os
 import signal
+import subprocess
 import time
 
 import pytest
@@ -16,6 +17,7 @@ import repro.resilience.chaos as chaos
 from repro.resilience.chaos import (
     ENV_SCOPE,
     ENV_SPECS,
+    ENV_TRACE,
     ChaosInjected,
     CrashSpec,
     _select_hits,
@@ -153,3 +155,53 @@ class TestHitSelection:
             tuple(_select_hits(1000, 5, "p", seed=s)) for s in range(8)
         }
         assert len(varied) > 1
+
+
+class TestRearm:
+    """A kill run that never reaches its chosen hit (a pooled run may
+    dispatch fewer shards than the census run did) is re-armed at the
+    last hit that run reached."""
+
+    @staticmethod
+    def _fake_cli(reached, calls):
+        def run(argv, env, timeout, python):
+            calls.append(env[ENV_SPECS])
+            armed = parse_specs(env[ENV_SPECS])
+            if not armed:  # the resume run
+                return subprocess.CompletedProcess(argv, 0, b"verdicts", b"")
+            (spec,) = armed
+            with open(env[ENV_TRACE], "w") as fh:
+                fh.write(f"{spec.point}\n" * min(reached, spec.hit))
+            code = -signal.SIGKILL if spec.hit <= reached else 0
+            return subprocess.CompletedProcess(argv, code, b"", b"")
+
+        return run
+
+    def _kill(self, tmp_path, monkeypatch, reached, hit):
+        calls = []
+        monkeypatch.setattr(chaos, "_run_cli", self._fake_cli(reached, calls))
+        sweep = chaos.ChaosSweep(
+            baseline_stdout=b"verdicts", baseline_returncode=0
+        )
+        result = chaos._kill_and_resume(
+            ["lower-bound"], str(tmp_path), "pool.dispatch", hit, "kill",
+            sweep, 10.0, "python", 2,
+        )
+        return result, calls
+
+    def test_short_run_rearms_at_its_last_hit(self, tmp_path, monkeypatch):
+        result, calls = self._kill(tmp_path, monkeypatch, reached=3, hit=5)
+        assert result.ok
+        assert (result.hit, result.killed) == (3, True)
+        assert calls == ["pool.dispatch:5:kill", "pool.dispatch:3:kill", ""]
+
+    def test_reached_hit_is_not_rearmed(self, tmp_path, monkeypatch):
+        result, calls = self._kill(tmp_path, monkeypatch, reached=5, hit=5)
+        assert result.ok
+        assert calls == ["pool.dispatch:5:kill", ""]
+
+    def test_unreached_point_still_fails(self, tmp_path, monkeypatch):
+        result, calls = self._kill(tmp_path, monkeypatch, reached=0, hit=1)
+        assert not result.killed
+        assert "got exit 0" in result.detail
+        assert calls == ["pool.dispatch:1:kill"]
