@@ -146,9 +146,9 @@ def refute_candidate(
     Each unit gets its own cache — parallel workers never share one —
     and verdicts are byte-identical either way.
 
-    ``preflight`` (default on) runs the contract preflight
-    (:mod:`repro.lint.contracts`) per layered system; an ill-formed
-    candidate is diagnosed as ``ILL_FORMED`` instead of exploring.
+    ``preflight`` (default on) runs the contract checks
+    (:mod:`repro.lint.contracts`) inside each layered system's search;
+    an ill-formed candidate is diagnosed as ``ILL_FORMED``.
     """
     budget = Budget.of(max_states)
     layerings = standard_layerings(protocol, n)

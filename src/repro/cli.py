@@ -70,10 +70,11 @@ Static analysis (:mod:`repro.lint`):
   models (``RP2xx`` rules, each violation with a concrete witness edge).
   ``--select``/``--ignore`` filter rule codes, ``--list-rules`` prints
   the registry.  Exit codes: 0 clean, 1 findings, 2 internal error.
-* Every experiment subcommand contract-probes its systems before
-  exploring (an ill-formed system is diagnosed instead of producing
-  garbage verdicts); ``--no-preflight`` reproduces the historical
-  behaviour exactly.
+* Every experiment subcommand checks its systems' contracts (an
+  ill-formed system is diagnosed instead of producing garbage
+  verdicts): the consensus checker inside its own search, the other
+  engines by a bounded probe before exploring; ``--no-preflight`` runs
+  the bare engines.
 
 Diagnostics go through the shared :mod:`repro.log` logger: ``-q`` keeps
 only warnings, ``-v`` adds per-attempt worker-pool detail.  Results
@@ -906,9 +907,9 @@ def _add_budget_flags(parser, suppress: bool = False) -> None:
         "--preflight",
         action=argparse.BooleanOptionalAction,
         default=default(True),
-        help="contract-probe each system before exploring, diagnosing "
+        help="check each system's contracts while exploring, diagnosing "
         "ill-formed protocols instead of reporting garbage verdicts "
-        "(--no-preflight reproduces pre-lint behaviour exactly)",
+        "(--no-preflight runs the bare engines)",
     )
     parser.add_argument(
         "-v",

@@ -26,17 +26,17 @@ bound into a layered system, :class:`ConsensusChecker` explores every
   interrupted, before the state space was covered.  The report carries
   :class:`~repro.resilience.BudgetStats` and a resumable
   :class:`~repro.resilience.ExplorationCheckpoint`;
-* ``ILL_FORMED`` — the default-on contract preflight
-  (:mod:`repro.lint.contracts`) found the *system itself* violating a
-  model-side hygiene condition (nondeterministic successors, shrinking
-  ``failed_at``, revoked decisions, empty layers, unhashable states)
-  before exploration started.  Like ``UNKNOWN`` it is neither a
+* ``ILL_FORMED`` — the default-on contract checks
+  (:mod:`repro.lint.contracts`, run inside the search) found the *system
+  itself* violating a model-side hygiene condition (nondeterministic
+  successors, shrinking ``failed_at``, revoked decisions, empty layers,
+  unhashable states) on an edge the search computed, or a refuting
+  witness failed to replay.  Like ``UNKNOWN`` it is neither a
   satisfaction nor a refutation — the consensus verdict is meaningless
   for such a system — but unlike ``UNKNOWN`` it is a definitive
   diagnosis, carried as a :class:`~repro.lint.PreflightReport` with a
   concrete witness edge per finding.  Pass ``preflight=False`` (CLI:
-  ``--no-preflight``) to skip the stage and reproduce historical
-  behaviour exactly.
+  ``--no-preflight``) to run the bare search.
 
 Degradation is **sound**: violations are detected the moment their state
 is generated, so any violation found before a budget trips is returned as
@@ -47,9 +47,11 @@ a definitive refutation — a budget can only ever turn would-be
 
 Every violation carries a replayable witness: the exact sequence of layer
 actions from an initial state.  Replaying it through the layering
-reproduces the violation — tests do exactly that, and the fault-injection
-harness (:mod:`repro.resilience.mutation`) uses the same replay to
-validate the checker itself.
+(:func:`replay_witness`) reproduces the violation — with the contract
+checks on, the checker replays every refuting witness through the
+uncached system before reporting it, and the fault-injection harness
+(:mod:`repro.resilience.mutation`) uses the same replay to validate the
+checker itself.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from itertools import product
 from typing import Optional, Union
 
 from repro.core.run import Execution, RunWitness
-from repro.core.state import GlobalState
+from repro.core.state import GlobalState, StateFacts, revoked_decision
 from repro.core.valence import ExplorationLimitExceeded
 from repro.resilience.budget import (
     Budget,
@@ -125,8 +127,10 @@ class ConsensusReport:
             ``check_all`` (or save it with
             :func:`repro.resilience.save_checkpoint`) to continue.
         preflight: the :class:`~repro.lint.PreflightReport` behind an
-            ``ILL_FORMED`` verdict (findings with witness edges); None
-            on every other verdict.
+            ``ILL_FORMED`` verdict (findings with witness edges, and the
+            states and edges checked before the finding); None on every
+            other verdict.  An ``ILL_FORMED`` report counts no explored
+            states: its search is evidence of nothing.
     """
 
     verdict: Verdict
@@ -145,7 +149,7 @@ class ConsensusReport:
 
     @property
     def ill_formed(self) -> bool:
-        """True when the contract preflight refused the system."""
+        """True when the contract checks refused the system."""
         return self.verdict is Verdict.ILL_FORMED
 
     @property
@@ -174,27 +178,6 @@ class ConsensusReport:
         return RunWitness(self.execution, self.cycle)
 
 
-class _StateFacts(dict):
-    """``state -> (failed_at, decisions)``, each read from the system once.
-
-    One table per exploration: the terminal test, the safety predicates,
-    the write-once check and every per-process lasso pass look a state up
-    here instead of asking the system again.  A resumed exploration starts
-    with an empty table and refills it as states come up.
-    """
-
-    def __init__(self, system) -> None:
-        super().__init__()
-        self._system = system
-
-    def __missing__(
-        self, state: GlobalState
-    ) -> tuple[frozenset[int], dict[int, Hashable]]:
-        facts = (self._system.failed_at(state), self._system.decisions(state))
-        self[state] = facts
-        return facts
-
-
 class ConsensusChecker:
     """Exhaustively check the three consensus requirements.
 
@@ -215,15 +198,20 @@ class ConsensusChecker:
             engines.  Verdicts, witnesses and checkpoints are identical
             either way; in a parallel ``check_all`` each worker warms its
             own cache (caches never cross processes).
-        preflight: run the bounded contract preflight
-            (:func:`repro.lint.contracts.preflight_system`) on the first
-            ``check``/``check_all``, returning an ``ILL_FORMED`` report
-            (or raising :class:`~repro.lint.IllFormedSystemError` when
-            *strict*) instead of exploring an ill-formed system.  Default
-            on; ``preflight=False`` reproduces pre-preflight behaviour
-            exactly.  The probe runs against the *uncached* system and is
-            memoized per system object, so its cost is one bounded BFS
-            per process and it never perturbs cache statistics.
+        preflight: run the RP2xx contract checks
+            (:class:`repro.lint.contracts.ContractGuard`) inside the
+            search, returning an ``ILL_FORMED`` report (or raising
+            :class:`~repro.lint.IllFormedSystemError` when *strict*)
+            instead of a verdict on an ill-formed system.  Closure,
+            ``Faulty`` monotonicity, write-once and hashability are
+            checked on every edge the search computes, before any
+            verdict that rests on it; the determinism double-call and
+            the per-primitive embedding run on the first states the
+            search expands in a sweep's first assignment, against the
+            *uncached* system.  Every refuting witness is replayed
+            through the uncached system before it is reported; one that
+            does not replay is ILL_FORMED (RP201).  Default on;
+            ``preflight=False`` runs the bare search.
     """
 
     def __init__(
@@ -240,47 +228,6 @@ class ConsensusChecker:
         self._budget = Budget.of(max_states)
         self._strict = strict
         self._preflight = preflight
-
-    def _preflight_gate(
-        self, roots, inputs: Optional[tuple]
-    ) -> Optional[ConsensusReport]:
-        """Run the contract preflight once; the ILL_FORMED report if it
-        failed, else None.  Raises when the checker is strict."""
-        if not self._preflight:
-            return None
-        from repro.lint.contracts import preflight_once
-
-        root_list = list(roots)
-        try:
-            report = preflight_once(self._system, root_list)
-        except KeyboardInterrupt:
-            # Ctrl-C during the probe degrades exactly like Ctrl-C during
-            # the BFS it guards: UNKNOWN with a zero-progress checkpoint.
-            if self._strict:
-                raise
-            meter = self._budget.meter()
-            return self._unknown_report(
-                inputs,
-                {root: None for root in root_list},
-                deque(root_list),
-                set(),
-                {},
-                meter,
-                meter.mark_interrupted(),
-            )
-        if report is None or report.ok:
-            return None
-        if self._strict:
-            report.raise_if_ill_formed()
-        return ConsensusReport(
-            verdict=Verdict.ILL_FORMED,
-            inputs=inputs,
-            execution=None,
-            cycle=None,
-            detail=report.describe(),
-            states_explored=0,
-            preflight=report,
-        )
 
     @property
     def budget(self) -> Budget:
@@ -310,9 +257,6 @@ class ConsensusChecker:
         window (except the wall-clock deadline, which is anchored on the
         ``Budget`` itself).
         """
-        refused = self._preflight_gate([initial_state], tuple(inputs))
-        if refused is not None:
-            return refused
         return self._check_one(
             initial_state, tuple(inputs), self._budget.meter(), checkpoint
         )
@@ -363,21 +307,13 @@ class ConsensusChecker:
         plan = _SweepPlan(self, model, value_domain, checkpoint, shard_states)
         assignments = plan.assignments
         if workers is not None and workers > 1 and len(assignments) - plan.start > 1:
-            # The preflight probe calls the user's successor function, so
-            # in a parallel sweep it must run inside the fault-isolated
-            # workers (each gates once per process, memoized) — probing
-            # in the driver would let a crashing successor kill the
-            # whole sweep, the exact failure mode the pool exists to
-            # contain.
-            _run_sweeps({None: plan}, with_workers(pool, workers), warm=True)
+            _run_sweeps({None: plan}, with_workers(pool, workers))
             return plan.report
-        refused = self._preflight_gate(
-            (model.initial_state(a) for a in assignments), None
-        )
-        if refused is not None:
-            return refused
         for lo, hi, inner in plan.spans:
-            plan.offer(lo, self._check_span(model, assignments, lo, hi, inner))
+            plan.offer(
+                lo,
+                self._check_span(model, assignments, lo, hi, inner, plan.start),
+            )
             if plan.report is not None:
                 break
         return plan.report
@@ -389,30 +325,26 @@ class ConsensusChecker:
         lo: int,
         hi: int,
         inner: Optional[ExplorationCheckpoint],
+        start: int,
     ) -> list[ConsensusReport]:
         """Check assignments ``lo .. hi-1`` of a sweep, the first resuming
         from *inner*; their reports in assignment order, truncated at the
         first non-SATISFIED one (the sweep stops there).
 
-        Each assignment gates on the contract preflight (memoized, so only
-        a process's first gate probes) and charges its own fresh budget
-        meter.  In a pooled sweep this runs inside the fault-isolated
-        worker, never in the driver: the probe calls the user's successor
-        function, so a crashing system must crash a *worker* (retried,
-        then quarantined) rather than the whole sweep.
+        Each assignment charges its own fresh budget meter; the sweep's
+        first assignment *start* also runs the sampled contract checks,
+        so sequential and pooled sweeps sample the same states.
         """
         reports: list[ConsensusReport] = []
         for index in range(lo, hi):
             assignment = assignments[index]
-            initial = model.initial_state(assignment)
-            report = self._preflight_gate([initial], assignment)
-            if report is None:
-                report = self._check_one(
-                    initial,
-                    assignment,
-                    self._budget.meter(),
-                    inner if index == lo else None,
-                )
+            report = self._check_one(
+                model.initial_state(assignment),
+                assignment,
+                self._budget.meter(),
+                inner if index == lo else None,
+                sampled=index == start,
+            )
             reports.append(report)
             if not report.satisfied:
                 break
@@ -425,10 +357,68 @@ class ConsensusChecker:
         inputs: tuple,
         meter: BudgetMeter,
         checkpoint: Optional[ExplorationCheckpoint],
+        sampled: bool = True,
     ) -> ConsensusReport:
+        """One assignment's search, with the contract checks fused into
+        it when the stage is on (*sampled*: also the sampled checks)."""
+        facts = StateFacts(self._system)
+        if not self._preflight:
+            return self._search(
+                initial_state, inputs, meter, checkpoint, facts, None
+            )
+        from repro.lint import contracts
+
+        guard = contracts.ContractGuard(self._system, facts)
+        if not sampled:
+            guard.determinism_samples = guard.embedding_samples = 0
+        try:
+            report = self._search(
+                initial_state, inputs, meter, checkpoint, facts, guard
+            )
+        except TypeError as exc:
+            # As in the probe: hashing a state is where an unhashable
+            # component surfaces first, in the search and its cache alike.
+            guard.unhashable(exc)
+            report = None
+        # The post-condition: a refutation the uncached system cannot
+        # replay rests on successors() that changed since the search.
+        gap = report is not None and report.refuted and _witness_gap(
+            guard.system, report
+        )
+        if gap:
+            guard.record(
+                contracts.RP201,
+                "the refuting witness does not replay",
+                contracts.ContractWitness(*gap),
+            )
+        if report is not None and not guard.findings:
+            return report
+        preflight = guard.report()
+        if self._strict:
+            preflight.raise_if_ill_formed()
+        return ConsensusReport(
+            verdict=Verdict.ILL_FORMED,
+            inputs=inputs,
+            execution=None,
+            cycle=None,
+            detail=preflight.describe(),
+            states_explored=0,
+            preflight=preflight,
+        )
+
+    def _search(
+        self,
+        initial_state: GlobalState,
+        inputs: tuple,
+        meter: BudgetMeter,
+        checkpoint: Optional[ExplorationCheckpoint],
+        facts: StateFacts,
+        guard,
+    ) -> Optional[ConsensusReport]:
+        """The BFS and lasso passes; None when *guard* recorded a finding
+        on a state it expanded."""
         system = self._system
         input_values = frozenset(inputs)
-        facts = _StateFacts(system)
 
         if checkpoint is not None:
             checkpoint.validate_for(system, inputs)
@@ -461,6 +451,8 @@ class ConsensusChecker:
                     terminal.add(state)
                     continue
                 succs = system.successors(state)
+                if guard is not None and guard.check(state, succs):
+                    return None
                 edges[state] = succs
                 for action, child in succs:
                     meter.charge_edge()
@@ -468,8 +460,11 @@ class ConsensusChecker:
                     if fresh:
                         parent[child] = (state, action)
                         meter.charge_state(child)
-                    write_once = self._write_once_problem(state, child, facts)
-                    if write_once is not None:
+                    # With the guard on, its RP204 check saw this edge.
+                    write_once = guard is None and revoked_decision(
+                        facts[state][1], facts[child][1]
+                    )
+                    if write_once:
                         # Witness the edge it was SEEN on: the BFS parent
                         # of an already-discovered child may reach it by a
                         # path on which the register never held the old
@@ -599,13 +594,13 @@ class ConsensusChecker:
         )
 
     @staticmethod
-    def _all_nonfailed_decided(state: GlobalState, facts: _StateFacts) -> bool:
+    def _all_nonfailed_decided(state: GlobalState, facts: StateFacts) -> bool:
         failed, decided = facts[state]
         return all(i in decided for i in range(state.n) if i not in failed)
 
     @staticmethod
     def _state_problem(
-        state: GlobalState, input_values: frozenset, facts: _StateFacts
+        state: GlobalState, input_values: frozenset, facts: StateFacts
     ) -> Optional[tuple[Verdict, str]]:
         failed, decided = facts[state]
         decisions = {i: v for i, v in decided.items() if i not in failed}
@@ -620,20 +615,6 @@ class ConsensusChecker:
                 return (
                     Verdict.VALIDITY,
                     f"process {i} decided {v!r}, not an input of this run",
-                )
-        return None
-
-    @staticmethod
-    def _write_once_problem(
-        state: GlobalState, child: GlobalState, facts: _StateFacts
-    ) -> Optional[str]:
-        before = facts[state][1]
-        after = facts[child][1]
-        for i, v in before.items():
-            if after.get(i) != v:
-                return (
-                    f"process {i}'s decision changed from {v!r} to "
-                    f"{after.get(i)!r}"
                 )
         return None
 
@@ -670,7 +651,7 @@ class ConsensusChecker:
         initial_state: GlobalState,
         edges: dict[GlobalState, list[tuple[Hashable, GlobalState]]],
         terminal: set[GlobalState],
-        facts: _StateFacts,
+        facts: StateFacts,
         meter: Optional[BudgetMeter] = None,
     ):
         """A fair infinite run starving a nonfaulty process, as a lasso.
@@ -891,48 +872,24 @@ class _SweepPlan:
 # sweeps share one fault-isolated pool.  ``check_all(workers=N)`` is a
 # campaign of one sweep.
 
-class _SweepContext:
-    """Worker-side inputs of one pooled run: per sweep key, the sweep's
-    checker, model and assignment list.
+def _sweep_shard(payload, context: dict) -> list:
+    """Pool unit: one shard ``(key, lo, hi, inner)`` of one sweep.
 
-    Shipped to each worker **once** via ``run_units(..., context=...)``,
-    never per shard, so every shard of a sweep that lands on a worker
-    shares one checker — one warm successor cache and one preflight memo
-    (a ``CachedSystem`` pickles only its configuration, so caches never
-    cross processes).  Sharing one checker across shards is sound because
-    cache transparency guarantees verdicts, witnesses and checkpoints are
-    byte-identical cached or uncached, warm or cold.
+    *context* maps each sweep key to its checker, model, assignments and
+    first assignment.  It ships to each worker **once** via
+    ``run_units(..., context=...)``, never per shard, so every shard of a
+    sweep that lands on a worker shares one checker and one warm
+    successor cache (a ``CachedSystem`` pickles only its configuration,
+    so caches never cross processes).  Sharing one checker across shards
+    is sound because cache transparency guarantees verdicts, witnesses
+    and checkpoints are byte-identical cached or uncached, warm or cold.
     """
-
-    def __init__(self, sweeps: dict, warm: bool):
-        self.sweeps = sweeps  # {key: (checker, model, assignments)}
-        self.warm = warm
-
-    def warmup(self) -> None:
-        """With *warm*, run each sweep's memoized preflight probe during
-        pool cold-start.
-
-        Best-effort by contract (the pool swallows warmup errors); an
-        ill-formed system is never memoized as clean, so the first real
-        shard re-probes and reports ILL_FORMED through the normal merge.
-        """
-        if self.warm:
-            for checker, model, assignments in self.sweeps.values():
-                checker._preflight_gate(
-                    [model.initial_state(assignments[0])], None
-                )
-
-
-def _sweep_shard(payload, context: _SweepContext) -> list:
-    """Pool unit: one shard ``(key, lo, hi, inner)`` of one sweep."""
     key, lo, hi, inner = payload
-    checker, model, assignments = context.sweeps[key]
-    return checker._check_span(model, assignments, lo, hi, inner)
+    checker, model, assignments, start = context[key]
+    return checker._check_span(model, assignments, lo, hi, inner, start)
 
 
-def _run_sweeps(
-    plans: dict, config: PoolConfig, on_decided=None, warm: bool = False
-) -> None:
+def _run_sweeps(plans: dict, config: PoolConfig, on_decided=None) -> None:
     """Run the shards of the ``{key: _SweepPlan}`` sweeps on one pool.
 
     Shards are dispatched breadth-first — every sweep's first shard before
@@ -941,8 +898,7 @@ def _run_sweeps(
     decided.  A sweep is merged the moment its verdict is decided: its
     plan's report is set, ``on_decided(key, report)`` is called (at once
     for a sweep resumed past its last assignment), and its unstarted
-    shards are withdrawn from the pool.  Pool unit keys are
-    ``(key, lo)``; *warm* probes every sweep during worker warm-up.
+    shards are withdrawn from the pool.  Pool unit keys are ``(key, lo)``.
     """
     ranked = []
     for key, plan in plans.items():
@@ -966,10 +922,10 @@ def _run_sweeps(
             on_decided(key, plan.report)
         return [(key, start) for start in unread]
 
-    context = _SweepContext(
-        {key: (p.checker, p.model, p.assignments) for key, p in plans.items()},
-        warm,
-    )
+    context = {
+        key: (p.checker, p.model, p.assignments, p.start)
+        for key, p in plans.items()
+    }
     run_units(
         _sweep_shard,
         [unit for _, unit in ranked],
@@ -1105,6 +1061,63 @@ def run_campaign(
         if report.inconclusive:
             break
     return out
+
+
+def replay_witness(system, report: ConsensusReport) -> bool:
+    """Replay a violation witness through the system; True if it checks out.
+
+    Safety violations (AGREEMENT / VALIDITY / WRITE_ONCE): every
+    transition of the execution must be a real successor edge, and the
+    final state must exhibit the reported problem.  Decision violations:
+    the lasso's prefix and cycle transitions must be real edges, the
+    cycle must close, and some process must be non-failed, undecided and
+    scheduled-nonfaulty through the whole cycle.
+    """
+    return (
+        report.execution is not None
+        and _witness_gap(system, report) is None
+    )
+
+
+def _witness_gap(system, report: ConsensusReport) -> Optional[tuple]:
+    """Where *report*'s witness fails to replay through *system*: the
+    first transition ``(state, action, child)`` that is not an edge, or
+    ``(state,)`` for the final state when every edge replays but the
+    violation does not show; None when it replays."""
+    for execution in filter(None, (report.execution, report.cycle)):
+        for state, action, nxt in execution.transitions():
+            if (action, nxt) not in system.successors(state):
+                return state, action, nxt
+    final = report.execution.final
+    return None if _exhibits(system, report, final) else (final,)
+
+
+def _exhibits(system, report: ConsensusReport, final: GlobalState) -> bool:
+    failed = system.failed_at(final)
+    decisions = {
+        i: v for i, v in system.decisions(final).items() if i not in failed
+    }
+    if report.verdict is Verdict.AGREEMENT:
+        return len(set(decisions.values())) > 1
+    if report.verdict is Verdict.VALIDITY:
+        inputs = frozenset(report.inputs or ())
+        return any(v not in inputs for v in decisions.values())
+    if report.verdict is Verdict.WRITE_ONCE:
+        return report.execution.length >= 1 and revoked_decision(
+            system.decisions(report.execution.states[-2]),
+            system.decisions(final),
+        ) is not None
+    cycle = report.cycle
+    if report.verdict is not Verdict.DECISION or cycle is None:
+        return False
+    return cycle.initial == cycle.final and any(
+        all(
+            i not in system.decisions(s) and i not in system.failed_at(s)
+            for s in cycle.states
+        )
+        and all(i in system.nonfaulty_under(a) for a in cycle.actions)
+        for i in range(final.n)
+    )
 
 
 def _path_to(state: GlobalState, parent: dict) -> Execution:

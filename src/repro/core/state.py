@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass, field
+from typing import Optional
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,6 +109,39 @@ def _drop_hash_setstate(self: GlobalState, state) -> None:
 # it with its own field-restoring ``__setstate__``; ``setattr`` because
 # type checkers do not see the decorator's method.
 setattr(GlobalState, "__setstate__", _drop_hash_setstate)  # noqa: B010
+
+
+class StateFacts(dict):
+    """``state -> (failed_at, decisions)``, each read from the system once.
+
+    One table per exploration: the terminal test, the safety predicates,
+    the contract checks and every per-process lasso pass look a state up
+    here instead of asking the system again.  A resumed exploration starts
+    with an empty table and refills it as states come up.
+    """
+
+    def __init__(self, system) -> None:
+        super().__init__()
+        self._system = system
+
+    def __missing__(
+        self, state: GlobalState
+    ) -> tuple[frozenset[int], dict[int, Hashable]]:
+        facts = (self._system.failed_at(state), self._system.decisions(state))
+        self[state] = facts
+        return facts
+
+
+def revoked_decision(before: dict, after: dict) -> Optional[str]:
+    """How an edge from decisions *before* to *after* breaks write-once
+    (the first decision it changed or dropped); None when it does not."""
+    for i, v in before.items():
+        if after.get(i) != v:
+            return (
+                f"process {i}'s decision changed from {v!r} to "
+                f"{after.get(i)!r}"
+            )
+    return None
 
 
 def agree_modulo(x: GlobalState, y: GlobalState, j: int) -> bool:

@@ -14,12 +14,13 @@ three engines behind one rule registry:
 * **AST lint** (:mod:`repro.lint.ast_rules`, :mod:`repro.lint.engine`) —
   purely static single-module rules over protocol/layering/model source:
   ``RP1xx`` protocol rules, ``RP3xx`` harness rules.
-* **Contract preflight** (:mod:`repro.lint.contracts`) — cheap bounded
-  probing of a concrete ``(protocol, layering, model)`` triple before
-  expensive exploration: successor determinism, ``failed_at``
-  monotonicity, decision irrevocability and layer closure (``RP2xx``
-  model/layering rules), each violation reported with a concrete witness
-  edge in the style of the checkers' counterexample runs.
+* **Contract checks** (:mod:`repro.lint.contracts`) — successor
+  determinism, ``failed_at`` monotonicity, decision irrevocability and
+  layer closure of a concrete ``(protocol, layering, model)`` triple
+  (``RP2xx`` model/layering rules), checked by the consensus checker
+  inside its search and by a cheap bounded probe elsewhere, each
+  violation reported with a concrete witness edge in the style of the
+  checkers' counterexample runs.
 * **Deepflint** (:mod:`repro.lint.flow` — :mod:`~repro.lint.callgraph`,
   :mod:`~repro.lint.summaries`, :mod:`~repro.lint.flow_rules`,
   :mod:`~repro.lint.output`) — the interprocedural ``--deep`` pass:
@@ -35,7 +36,7 @@ The authoritative rule inventory is the registry itself: ``repro lint
 it in ``tests/lint/test_rule_inventory.py`` — this docstring names the
 families only, so it cannot go stale as codes are added.
 
-The checkers and explorers run the contract preflight by default
+The checkers and explorers run the contract checks by default
 (``preflight=False`` / ``--no-preflight`` opts out) and stay
 deep-free so checker latency is unchanged; ``repro lint`` runs the
 static engine (plus ``--deep`` on request) from the command line, and CI

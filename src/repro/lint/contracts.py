@@ -1,10 +1,13 @@
-"""Contract preflight: bounded dynamic probing of a concrete system.
+"""Contract checks: the model-side hygiene every analysis assumes.
 
 Static lint cannot see through factories, closures or data flow; this
-module is the dynamic backstop.  Before an engine commits to an expensive
-exploration, :func:`preflight_system` probes a bounded breadth-first
-sample of the system's state space and checks the model-side hygiene
-conditions every analysis in this library assumes:
+module is the dynamic backstop.  One :class:`ContractGuard` checks the
+states a search expands.  The consensus checker runs it inside its own
+search, on edges it computes anyway (see
+:class:`~repro.core.checker.ConsensusChecker`); :func:`preflight_system`
+drives it with a bounded breadth-first probe for the engines that still
+check before they explore (the task checker, the explorers, ``repro
+lint --protocol``).  The conditions:
 
 * **RP201 — successor determinism**: two calls to ``successors`` on the
   same state must return identical ``(action, child)`` lists.  Cached
@@ -36,10 +39,10 @@ carrying a :class:`ContractWitness` — the concrete ``(state, action,
 child)`` edge exhibiting the violation, in the style of the checkers'
 counterexample runs.
 
-The probe is **cheap and bounded** (default: 48 states), runs against
-the *uncached* system (a memoized successor function would trivially
-pass the determinism check by construction), and is memoized per system
-object so repeated engine invocations pay once.
+Checks read the *uncached* system where a second call matters (a
+memoized successor function would trivially pass the determinism
+check); :func:`preflight_once` memoizes a clean probe per system object
+so repeated engine invocations pay once.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.state import GlobalState
+from repro.core.state import GlobalState, StateFacts, revoked_decision
 from repro.lint.engine import LintFinding, register_contract_rule
 
 RP201 = register_contract_rule(
@@ -167,15 +170,35 @@ class IllFormedSystemError(Exception):
             self.report = None
 
 
-class _Probe:
-    """One bounded BFS probe, accumulating at most one finding per code."""
+class ContractGuard:
+    """The RP2xx checks, run on the states a search expands.
 
-    def __init__(self, system, codes: Optional[frozenset[str]]) -> None:
-        # Probe the uncached base: a memoizing wrapper returns the same
+    One copy of the contract logic with two drivers: the consensus
+    checker hands it every state its search expands, with the edges the
+    search computed anyway, and :func:`preflight_system` drives it with a
+    bounded BFS of its own.  The per-edge checks (RP202 closure, RP203,
+    RP204) read the *facts* table the driver already holds; RP201's second
+    ``successors`` call and RP202's per-primitive embedding run only on
+    the first *determinism_samples* and *embedding_samples* states.
+    Records at most one finding per rule code.
+    """
+
+    def __init__(
+        self,
+        system,
+        facts=None,
+        codes: Optional[frozenset[str]] = None,
+        determinism_samples: int = DEFAULT_DETERMINISM_SAMPLES,
+        embedding_samples: int = DEFAULT_EMBEDDING_SAMPLES,
+    ) -> None:
+        # Re-call the uncached base: a memoizing wrapper returns the same
         # list object twice by construction, which would vacuously pass
         # the determinism check it exists to perform.
         self.system = getattr(system, "uncached", system)
+        self.facts = StateFacts(self.system) if facts is None else facts
         self.codes = codes
+        self.determinism_samples = determinism_samples
+        self.embedding_samples = embedding_samples
         self.findings: dict[str, LintFinding] = {}
         self.states = 0
         self.edges = 0
@@ -186,20 +209,53 @@ class _Probe:
         )
 
     def record(
-        self, code: str, message: str, witness: ContractWitness
+        self, code: str, message: str, witness: Optional[ContractWitness]
     ) -> None:
+        if witness is not None:
+            message = f"{message} {witness.describe()}"
         self.findings[code] = LintFinding(
-            code=code,
-            message=f"{message} {witness.describe()}",
-            path="<system>",
-            witness=witness,
+            code=code, message=message, path="<system>", witness=witness
         )
 
-    # -- per-state checks ---------------------------------------------------
-    def check_determinism(self, state: GlobalState) -> Optional[list]:
-        first = list(self.system.successors(state))
-        if not self.enabled(RP201):
-            return first
+    def report(self, complete: bool = False) -> PreflightReport:
+        return PreflightReport(
+            findings=tuple(
+                self.findings[code] for code in sorted(self.findings)
+            ),
+            states_probed=self.states,
+            edges_probed=self.edges,
+            complete=complete,
+        )
+
+    def check(self, state: GlobalState, succs: list) -> bool:
+        """Check one expanded state and its edges *succs*; True when this
+        recorded a finding."""
+        found = len(self.findings)
+        self.states += 1
+        self.edges += len(succs)
+        if self.states <= self.determinism_samples and self.enabled(RP201):
+            self._check_determinism(state, succs)
+        self._check_closure(state, succs)
+        self._check_edges(state, succs)
+        return len(self.findings) > found
+
+    def unhashable(self, exc: TypeError) -> None:
+        """Record the RP205 finding behind a ``TypeError`` from hashing.
+
+        Unhashable state components surface at the first visited-set
+        insert or dict lookup; everything downstream (interning, memo
+        tables, BFS parents) would die the same way, later and worse.
+        """
+        if self.enabled(RP205):
+            self.record(
+                RP205,
+                f"state is not hashable ({exc}); local and environment "
+                "states must be hashable values (tuples/frozensets, not "
+                "lists/dicts/sets)",
+                None,
+            )
+
+    def _check_determinism(self, state: GlobalState, first: list) -> None:
         second = list(self.system.successors(state))
         if len(first) != len(second):
             self.record(
@@ -208,7 +264,7 @@ class _Probe:
                 f"{len(second)} edges for the same state",
                 ContractWitness(state),
             )
-            return first
+            return
         for index, (a, b) in enumerate(zip(first, second)):
             if a != b:
                 self.record(
@@ -217,32 +273,32 @@ class _Probe:
                     f"{a!r} vs {b!r}",
                     ContractWitness(state),
                 )
-                break
-        return first
+                return
 
-    def check_closure(
-        self, state: GlobalState, succs: list, embed: bool
-    ) -> None:
+    def _check_closure(self, state: GlobalState, succs: list) -> None:
+        if not self.enabled(RP202):
+            return
         # The engines treat all-nonfailed-decided states as terminal and
         # never expand them, so an empty successor set there is
         # unobservable; everywhere else it truncates runs the paper
         # defines to be infinite.
-        if (
-            not succs
-            and self.enabled(RP202)
-            and not self._all_nonfailed_decided(state)
-        ):
-            self.record(
-                RP202,
-                "empty successor set: a layering maps into "
-                "2^G \\ {∅} and every run must be extensible",
-                ContractWitness(state),
-            )
-        if not embed or not self.enabled(RP202):
+        if not succs:
+            failed, decided = self.facts[state]
+            if any(
+                i not in decided for i in range(state.n) if i not in failed
+            ):
+                self.record(
+                    RP202,
+                    "empty successor set: a layering maps into "
+                    "2^G \\ {∅} and every run must be extensible",
+                    ContractWitness(state),
+                )
             return
         from repro.layerings.base import Layering, verify_layering_embedding
 
-        if not isinstance(self.system, Layering):
+        if self.states > self.embedding_samples or not isinstance(
+            self.system, Layering
+        ):
             return
         for action, child in succs:
             try:
@@ -267,45 +323,32 @@ class _Probe:
                 )
                 return
 
-    def _all_nonfailed_decided(self, state: GlobalState) -> bool:
-        failed = self.system.failed_at(state)
-        decided = self.system.decisions(state)
-        return all(
-            i in decided for i in range(state.n) if i not in failed
-        )
-
-    def check_edges(self, state: GlobalState, succs: list) -> None:
+    def _check_edges(self, state: GlobalState, succs: list) -> None:
         check_failed = self.enabled(RP203)
         check_decisions = self.enabled(RP204)
         if not (check_failed or check_decisions):
             return
-        failed_before = self.system.failed_at(state)
-        decisions_before = self.system.decisions(state)
+        failed_before, decisions_before = self.facts[state]
         for action, child in succs:
-            if check_failed and not (
-                failed_before <= self.system.failed_at(child)
-            ):
-                revived = sorted(
-                    failed_before - self.system.failed_at(child)
-                )
+            failed_after, decisions_after = self.facts[child]
+            if check_failed and not failed_before <= failed_after:
+                revived = sorted(failed_before - failed_after)
                 self.record(
                     RP203,
                     f"failed_at shrank (process(es) {revived} revived)",
                     ContractWitness(state, action, child),
                 )
                 check_failed = False
-            if check_decisions:
-                after = self.system.decisions(child)
-                for i, v in decisions_before.items():
-                    if after.get(i) != v:
-                        self.record(
-                            RP204,
-                            f"process {i}'s decision changed from {v!r} "
-                            f"to {after.get(i)!r}",
-                            ContractWitness(state, action, child),
-                        )
-                        check_decisions = False
-                        break
+            revoked = (
+                check_decisions
+                and decisions_before
+                and revoked_decision(decisions_before, decisions_after)
+            )
+            if revoked:
+                self.record(
+                    RP204, revoked, ContractWitness(state, action, child)
+                )
+                check_decisions = False
 
 
 def preflight_system(
@@ -318,72 +361,46 @@ def preflight_system(
 ) -> PreflightReport:
     """Probe a successor system's contracts from the given roots.
 
-    BFS at most *max_states* states; run the determinism double-call on
-    the first *determinism_samples* of them and the layering-embedding
-    re-check on the first *embedding_samples*; check closure, ``Faulty``
-    monotonicity and decision write-once on every probed state/edge.
+    A bounded BFS of at most *max_states* states, each handed to a
+    :class:`ContractGuard`: the determinism double-call on the first
+    *determinism_samples* of them and the layering-embedding re-check on
+    the first *embedding_samples*; closure, ``Faulty`` monotonicity and
+    decision write-once on every probed state/edge.
 
     Returns a :class:`PreflightReport` with at most one finding (and one
     concrete witness) per rule code.  ``codes`` restricts which contract
     rules run (None = all); the report's ``complete`` flag records
     whether the bounded probe actually exhausted the reachable space.
     """
-    probe = _Probe(system, codes)
-    root_list = list(roots)
+    guard = ContractGuard(
+        system,
+        codes=codes,
+        determinism_samples=determinism_samples,
+        embedding_samples=embedding_samples,
+    )
     queue: deque[GlobalState] = deque()
     visited: set[GlobalState] = set()
     truncated = False
     try:
-        for root in root_list:
+        for root in roots:
             if root not in visited:
                 visited.add(root)
                 queue.append(root)
         while queue:
-            if probe.states >= max_states:
+            if guard.states >= max_states:
                 truncated = True
                 break
             state = queue.popleft()
-            probe.states += 1
-            if probe.states <= determinism_samples:
-                succs = probe.check_determinism(state)
-            else:
-                succs = list(probe.system.successors(state))
-            probe.edges += len(succs)
-            probe.check_closure(
-                state, succs, embed=probe.states <= embedding_samples
-            )
-            probe.check_edges(state, succs)
+            succs = list(guard.system.successors(state))
+            guard.check(state, succs)
             for _, child in succs:
                 if child not in visited:
                     visited.add(child)
                     queue.append(child)
     except TypeError as exc:
-        # Unhashable state components surface here (visited-set insert
-        # or dict lookup); everything downstream — interning, memo
-        # tables, BFS parents — would die the same way, later and worse.
-        if probe.codes is None or RP205 in probe.codes:
-            probe.findings.setdefault(
-                RP205,
-                LintFinding(
-                    code=RP205,
-                    message=(
-                        f"state is not hashable ({exc}); local and "
-                        "environment states must be hashable values "
-                        "(tuples/frozensets, not lists/dicts/sets)"
-                    ),
-                    path="<system>",
-                ),
-            )
+        guard.unhashable(exc)
         truncated = True
-    report = PreflightReport(
-        findings=tuple(
-            probe.findings[code] for code in sorted(probe.findings)
-        ),
-        states_probed=probe.states,
-        edges_probed=probe.edges,
-        complete=not truncated and not queue,
-    )
-    return report
+    return guard.report(complete=not truncated and not queue)
 
 
 def preflight_once(

@@ -51,7 +51,12 @@ from collections.abc import Callable, Hashable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro.core.checker import ConsensusChecker, ConsensusReport, Verdict
+from repro.core.checker import (
+    ConsensusChecker,
+    ConsensusReport,
+    Verdict,
+    replay_witness,
+)
 from repro.layerings.st_synchronous import StSynchronousLayering
 from repro.models.sync import SynchronousModel
 from repro.protocols.base import MessagePassingProtocol
@@ -310,55 +315,6 @@ class MutantResult:
     def verdict(self) -> Verdict:
         """The checker's verdict on this mutant."""
         return self.report.verdict
-
-
-def replay_witness(system, report: ConsensusReport) -> bool:
-    """Replay a violation witness through the system; True if it checks out.
-
-    Safety violations (AGREEMENT / VALIDITY / WRITE_ONCE): every
-    transition of the execution must be a real successor edge, and the
-    final state must exhibit the reported problem.  Decision violations:
-    the lasso's prefix and cycle transitions must be real edges, the
-    cycle must close, and some process must be non-failed, undecided and
-    scheduled-nonfaulty through the whole cycle.
-    """
-    if report.execution is None:
-        return False
-    for execution in filter(None, (report.execution, report.cycle)):
-        for state, action, nxt in execution.transitions():
-            if (action, nxt) not in system.successors(state):
-                return False
-    final = report.execution.final
-    failed = system.failed_at(final)
-    decisions = {
-        i: v for i, v in system.decisions(final).items() if i not in failed
-    }
-    if report.verdict is Verdict.AGREEMENT:
-        return len(set(decisions.values())) > 1
-    if report.verdict is Verdict.VALIDITY:
-        inputs = frozenset(report.inputs or ())
-        return any(v not in inputs for v in decisions.values())
-    if report.verdict is Verdict.WRITE_ONCE:
-        if report.execution.length < 1:
-            return False
-        before = system.decisions(report.execution.states[-2])
-        after = system.decisions(final)
-        return any(after.get(i) != v for i, v in before.items())
-    if report.verdict is Verdict.DECISION:
-        cycle = report.cycle
-        if cycle is None or cycle.initial != cycle.final:
-            return False
-        for i in range(final.n):
-            starved = all(
-                i not in system.decisions(s) and i not in system.failed_at(s)
-                for s in cycle.states
-            ) and all(
-                i in system.nonfaulty_under(a) for a in cycle.actions
-            )
-            if starved:
-                return True
-        return False
-    return False
 
 
 def default_subjects(t: int) -> list[Callable[[], MessagePassingProtocol]]:

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.core.cache import CacheSpec, resolve_cache
-from repro.core.checker import ConsensusChecker, Verdict, _StateFacts
+from repro.core.checker import ConsensusChecker, Verdict
 from repro.core.run import Execution
-from repro.core.state import GlobalState
+from repro.core.state import GlobalState, StateFacts, revoked_decision
 from repro.core.valence import ExplorationLimitExceeded
 from repro.resilience.budget import Budget, DEFAULT_MAX_STATES
 from repro.tasks.problem import DecisionProblem
@@ -130,7 +130,7 @@ class TaskChecker:
         system = self._system
         problem = self._problem
         helper = ConsensusChecker(system, self._budget)
-        facts = _StateFacts(system)
+        facts = StateFacts(system)
         meter = self._budget.meter()
         parent: dict[GlobalState, Optional[tuple]] = {initial_state: None}
         queue: deque[GlobalState] = deque([initial_state])
@@ -165,7 +165,7 @@ class TaskChecker:
                     parent[child] = (state, action)
                     meter.charge_state(child)
                     queue.append(child)
-                write_once = helper._write_once_problem(state, child, facts)
+                write_once = revoked_decision(facts[state][1], facts[child][1])
                 if write_once is not None:
                     return self._report(
                         Verdict.WRITE_ONCE, input_facet, child, parent,

@@ -1,9 +1,13 @@
-"""The preflight's default-on integration with checkers and explorers.
+"""The contract checks' default-on integration with checkers and explorers.
 
-Three behaviours are pinned here:
+Four behaviours are pinned here:
 
 * an ill-formed system yields ``ILL_FORMED`` reports (checkers) or an
   :class:`IllFormedSystemError` (explorers) instead of garbage verdicts;
+* the consensus checker checks the edges its own search computes, so a
+  verdict rests only on checked edges, a contract broken where the
+  search never went does not hide its refutation, and every refuting
+  witness replays through the uncached system (RP201 when it does not);
 * ``preflight=False`` reproduces the pre-preflight engines exactly — a
   clean system's report is identical with the stage on or off, and an
   ill-formed system is explored rather than refused;
@@ -13,25 +17,38 @@ Three behaviours are pinned here:
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from repro.core.checker import ConsensusChecker, Verdict
+from repro.core.checker import ConsensusChecker, Verdict, replay_witness
 from repro.core.exploration import (
     explore,
     reachable_states,
     reachable_states_parallel,
 )
+from repro.layerings.st_synchronous import StSynchronousLayering
 from repro.lint import IllFormedSystemError
+from repro.protocols.eig import EIG
 from repro.resilience.pool import PoolConfig
 from repro.tasks.catalog import binary_consensus
 from repro.tasks.checker import TaskChecker
 from repro.tasks.simplex import Simplex
 from tests.conftest import ToySystem
+from tests.lint.test_contracts import _DropsInBatch
 
 
-def reviving_system():
+class RootedToy(ToySystem):
+    """A toy system that is its own ``check_all`` model: every input
+    assignment starts at state ``x``."""
+
+    def initial_state(self, assignment):
+        return self.state("x")
+
+
+def reviving_system(cls=ToySystem):
     """Ill-formed: process 1 is failed at the root and revives (RP203)."""
-    return ToySystem(
+    return cls(
         edges={
             "x": [("revive", "a"), ("other", "b")],
             "a": [("s", "a")],
@@ -96,6 +113,184 @@ class TestConsensusChecker:
         report = ConsensusChecker(system).check(system.state("x"), (0, 0))
         assert report.states_explored == 0
         assert report.execution is None and report.cycle is None
+
+
+def _drops_in_batch():
+    """Ill-formed: the batch fold loses a message the per-primitive fold
+    delivers (RP202)."""
+    model = _DropsInBatch(EIG(2), 3, 1)
+    return StSynchronousLayering(model), model
+
+
+def _toy(system):
+    return system, system
+
+
+#: name -> (builder of the (system, model) pair, the expected code)
+ILL_FORMED_SWEEPS = {
+    "reviving": (lambda: _toy(reviving_system(RootedToy)), "RP203"),
+    "drops-in-batch": (_drops_in_batch, "RP202"),
+    "revoked": (lambda: _toy(RootedToy(
+        edges={"x": [("flip", "y")], "y": [("s", "y")]},
+        decisions={"x": {0: 0}, "y": {0: 1, 1: 1}},
+    )), "RP204"),
+    "dead-end": (lambda: _toy(RootedToy(
+        edges={"x": [("go", "dead")], "dead": []},
+    )), "RP202"),
+}
+
+
+def _assert_real_witness(system, finding):
+    """A finding's witness edge is an edge of the uncached system."""
+    witness = finding.witness
+    if witness is not None and witness.action is not None:
+        base = getattr(system, "uncached", system)
+        assert (witness.action, witness.child) in base.successors(
+            witness.state
+        )
+
+
+class TestFusedChecks:
+    POOL = PoolConfig(workers=2, max_retries=0, retry_backoff=0.01)
+
+    @pytest.mark.parametrize("name", list(ILL_FORMED_SWEEPS))
+    def test_sequential_and_pooled_sweeps_agree(self, name):
+        build, code = ILL_FORMED_SWEEPS[name]
+        system, model = build()
+        sequential = ConsensusChecker(system).check_all(model)
+        pooled = ConsensusChecker(system).check_all(
+            model, workers=2, pool=self.POOL
+        )
+        assert sequential.verdict is Verdict.ILL_FORMED
+        assert [f.code for f in sequential.preflight.findings] == [code]
+        assert pooled == sequential
+        _assert_real_witness(system, sequential.preflight.findings[0])
+
+    def test_the_cached_search_checks_the_same_edges(self):
+        system = reviving_system()
+        report = ConsensusChecker(system, cache=True).check(
+            system.state("x"), (0, 0)
+        )
+        finding = report.preflight.findings[0]
+        assert finding.code == "RP203"
+        _assert_real_witness(system, finding)
+
+    def test_violation_before_an_unsearched_bad_edge_is_reported(self):
+        # x -> a shows disagreement; the reviving edge b -> c lies past
+        # the point where the search stops, so no verdict rests on it.
+        system = ToySystem(
+            edges={
+                "x": [("l", "a"), ("r", "b")],
+                "a": [("s", "a")],
+                "b": [("revive", "c")],
+                "c": [("s", "c")],
+            },
+            decisions={"a": {0: 0, 1: 1}},
+            failed={"b": frozenset({1})},
+        )
+        report = ConsensusChecker(system).check(system.state("x"), (0, 1))
+        assert report.verdict is Verdict.AGREEMENT
+        assert replay_witness(system, report)
+
+    def test_bad_edge_on_the_searched_path_is_ill_formed(self):
+        system = ToySystem(
+            edges={"x": [("revive", "b")], "b": [("l", "a")], "a": []},
+            decisions={"a": {0: 0, 1: 1}},
+            failed={"x": frozenset({1})},
+        )
+        report = ConsensusChecker(system).check(system.state("x"), (0, 1))
+        assert report.verdict is Verdict.ILL_FORMED
+        finding = report.preflight.findings[0]
+        assert finding.code == "RP203"
+        assert finding.witness.action == "revive"
+        _assert_real_witness(system, finding)
+
+    def test_late_nondeterminism_fails_the_witness_replay(self):
+        system = _LateFlicker(chain=10)
+        bare = ConsensusChecker(system, preflight=False).check(
+            system.state("s0"), (0, 1)
+        )
+        assert bare.verdict is Verdict.AGREEMENT
+        system = _LateFlicker(chain=10)
+        report = ConsensusChecker(system).check(system.state("s0"), (0, 1))
+        assert report.verdict is Verdict.ILL_FORMED
+        finding = report.preflight.findings[0]
+        assert finding.code == "RP201"
+        assert "does not replay" in finding.message
+        # The first edge past the 8 sampled states, on the witness path.
+        assert (finding.witness.state, finding.witness.action) == (
+            system.state("s8"), "go"
+        )
+
+    def test_sampled_determinism_check_catches_early_nondeterminism(self):
+        system = _LateFlicker(chain=10, after=0)
+        report = ConsensusChecker(system).check(system.state("s0"), (0, 1))
+        finding = report.preflight.findings[0]
+        assert finding.code == "RP201"
+        assert "disagreed at index 0" in finding.message
+
+    def test_only_the_sweeps_first_assignment_is_sampled(self):
+        # Sequential and pooled sweeps sample the same states: those of
+        # assignment (0, 0), where this system is deterministic.
+        system = _FlickersPastTheFirstRoot()
+        sequential = ConsensusChecker(system).check_all(system)
+        pooled = ConsensusChecker(system).check_all(
+            system, workers=2, pool=self.POOL
+        )
+        assert sequential.verdict is Verdict.SATISFIED
+        assert pooled == sequential
+
+
+class _FlickersPastTheFirstRoot(RootedToy):
+    """Each input assignment ``(a, b)`` starts at its own root ``rab``,
+    whose two edges reach states where both processes decided ``a``;
+    every root but ``r00`` lists them in alternating order."""
+
+    def __init__(self):
+        super().__init__(edges={})
+        self.calls: Counter = Counter()
+
+    def initial_state(self, assignment):
+        return self.state("r%d%d" % assignment)
+
+    def successors(self, state):
+        name = self._name(state)
+        if not name.startswith("r"):
+            return []
+        self.calls[name] += 1
+        succs = [("l", self.state("d" + name[1])),
+                 ("r", self.state("e" + name[1]))]
+        flip = name != "r00" and self.calls[name] % 2 == 0
+        return succs[::-1] if flip else succs
+
+    def decisions(self, state):
+        name = self._name(state)
+        return {} if name.startswith("r") else dict.fromkeys(
+            range(self.n), int(name[1])
+        )
+
+
+class _LateFlicker(ToySystem):
+    """A chain ``s0 -> ... -> s<chain>`` ending in disagreement, whose
+    states from ``s<after>`` on answer a second ``successors()`` call
+    with a different edge."""
+
+    def __init__(self, chain: int, after: int = 8):
+        names = [f"s{k}" for k in range(chain + 1)]
+        super().__init__(
+            edges={a: [("go", b)] for a, b in zip(names, names[1:])},
+            decisions={names[-1]: {0: 0, 1: 1}},
+        )
+        self.after = after
+        self.calls: Counter = Counter()
+
+    def successors(self, state):
+        name = self._name(state)
+        self.calls[name] += 1
+        succs = super().successors(state)
+        if self.calls[name] > 1 and int(name[1:]) >= self.after:
+            return [(action, self.state("elsewhere")) for action, _ in succs]
+        return succs
 
 
 class TestTaskChecker:
