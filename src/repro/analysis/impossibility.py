@@ -51,22 +51,23 @@ from repro.resilience.checkpoint import CampaignCheckpoint
 from repro.resilience.pool import PoolConfig
 
 
-def standard_layerings(protocol, n: int) -> dict[str, object]:
-    """The Section 5 layered systems applicable to *protocol*.
+def standard_layering_classes(protocol) -> dict[str, tuple[type, type]]:
+    """The Section 5 layered systems applicable to *protocol*, unbuilt:
+    ``name -> (layering class, model class)``.
 
     Message-passing layerings apply to every
     :class:`MessagePassingProtocol`; the shared-memory synchronic
     layering additionally requires the protocol to implement the
     shared-memory interface (all :class:`DualProtocol` subclasses do).
     """
-    systems: dict[str, object] = {}
+    classes: dict[str, tuple[type, type]] = {}
     if isinstance(protocol, MessagePassingProtocol):
-        systems["s1-mobile"] = S1MobileLayering(MobileModel(protocol, n))
-        systems["synchronic-mp"] = SynchronicMPLayering(
-            AsyncMessagePassingModel(protocol, n)
+        classes["s1-mobile"] = (S1MobileLayering, MobileModel)
+        classes["synchronic-mp"] = (
+            SynchronicMPLayering, AsyncMessagePassingModel
         )
-        systems["permutation-mp"] = PermutationLayering(
-            AsyncMessagePassingModel(protocol, n)
+        classes["permutation-mp"] = (
+            PermutationLayering, AsyncMessagePassingModel
         )
     if isinstance(protocol, DualProtocol):
         from repro.layerings.iterated_snapshot import (
@@ -74,17 +75,26 @@ def standard_layerings(protocol, n: int) -> dict[str, object]:
         )
         from repro.models.snapshot import SnapshotMemoryModel
 
-        systems["synchronic-rw"] = SynchronicRWLayering(
-            SharedMemoryModel(protocol, n)
+        classes["synchronic-rw"] = (SynchronicRWLayering, SharedMemoryModel)
+        classes["iis-snapshot"] = (
+            IteratedSnapshotLayering, SnapshotMemoryModel
         )
-        systems["iis-snapshot"] = IteratedSnapshotLayering(
-            SnapshotMemoryModel(protocol, n)
-        )
-    if not systems:
+    if not classes:
         raise TypeError(
             f"{type(protocol).__name__} fits no Section 5 layering interface"
         )
-    return systems
+    return classes
+
+
+def standard_layerings(protocol, n: int) -> dict[str, object]:
+    """The Section 5 layered systems applicable to *protocol*, built for
+    *n* processes (see :func:`standard_layering_classes`)."""
+    return {
+        name: layering(model(protocol, n))
+        for name, (layering, model) in standard_layering_classes(
+            protocol
+        ).items()
+    }
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from repro.core.exploration import ExplorationStats, explore
 from repro.core.similarity import is_similarity_connected
 from repro.core.state import GlobalState
 from repro.core.valence import ValenceAnalyzer
-from repro.layerings.base import Layering
+from repro.layerings.base import CompiledLayer, Layering
 from repro.resilience.budget import Budget, DEFAULT_MAX_STATES
 
 
@@ -75,10 +75,26 @@ class FilteredLayering(Layering):
         self._inner = inner
         self._keep = keep
         self._name = name or f"filtered-{type(inner).__name__}"
+        # The inner layering's compiled layers, minus the removed actions.
+        for key, layer in inner.compiled_layers.items():
+            kept = [
+                index
+                for index, action in enumerate(layer.actions)
+                if keep(action)
+            ]
+            expansions = tuple(layer.expansions[index] for index in kept)
+            self._layers[key] = CompiledLayer(
+                tuple(layer.actions[index] for index in kept),
+                expansions,
+                self.model.compile(expansions),
+            )
 
     @property
     def name(self) -> str:
         return self._name
+
+    def layer_key(self, state: GlobalState):
+        return self._inner.layer_key(state)
 
     def layer_actions(self, state: GlobalState):
         return [a for a in self._inner.layer_actions(state) if self._keep(a)]

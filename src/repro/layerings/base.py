@@ -21,11 +21,18 @@ primitives run the whole expansion on scratch locals and build a single
 :class:`GlobalState` at the endpoint (hashed lazily, on first use).
 :func:`verify_layering_embedding` steps through :meth:`Model.apply` one
 primitive at a time instead, so it also checks the batch fold against the
-single-step fold.  :meth:`Layering.successors` hands every layer action's
-expansion to :meth:`Model.apply_each` in one call, so work is shared
-across the layer: the round models compute one synchronous round per
-state, and the asynchronous models fold the expansions along their
-shared prefixes, stepping each distinct prefix once.
+single-step fold.
+
+A layer is compiled once (:meth:`Layering.compile_layer`): its action
+labels, their expansions, and the model's program for them
+(:meth:`Model.compile`).  :meth:`Layering.successors` runs a compiled
+program at each state (:meth:`Model.run`), so work is shared across the
+layer: the round models compute one synchronous round per state, and the
+asynchronous models step each distinct prefix of the expansions once.
+The layerings of this library build their layers in their constructors,
+keyed by what the layer depends on (:meth:`Layering.layer_key`):
+nothing for ``S^per``, ``S^mp``, ``S^rw``, IIS and ``S_1``, the failed
+set for ``S^t``.
 
 Layerings implement the :class:`SuccessorSystem` interface consumed by the
 analyzers in :mod:`repro.core` (valence, connectivity, bivalence): they are
@@ -35,7 +42,9 @@ the submodels on which all of the paper's round-by-round analysis runs.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable, Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Any, NamedTuple
 from typing import Protocol as TypingProtocol
 
 from repro.core.state import GlobalState
@@ -64,11 +73,27 @@ class SuccessorSystem(TypingProtocol):
         ...
 
 
+#: The state a layer that reads no part of the state is compiled at.
+ANY_STATE = GlobalState(None)
+
+
+class CompiledLayer(NamedTuple):
+    """One layer, built once and run at every state that has it."""
+
+    actions: tuple[Hashable, ...]
+    expansions: tuple[tuple[Hashable, ...], ...]
+    #: The model's program for *expansions* (:meth:`Model.compile`).
+    program: Any
+
+
 class Layering(ABC):
     """A successor function defined by macro-actions over a model."""
 
     def __init__(self, model: Model) -> None:
         self._model = model
+        # layer_key -> the compiled layer of every state with that key;
+        # filled by the constructors (_compile_layers), read-only after.
+        self._layers: dict[Hashable, CompiledLayer] = {}
 
     @property
     def model(self) -> Model:
@@ -97,22 +122,49 @@ class Layering(ABC):
         """Apply one layer: fold the expansion through the model."""
         return self._model.apply_many(state, self.expand(state, action))
 
+    def compile_layer(self, state: GlobalState) -> CompiledLayer:
+        """The layer at *state*, compiled from :meth:`layer_actions` and
+        :meth:`expand`."""
+        actions = tuple(self.layer_actions(state))
+        expansions = tuple(
+            tuple(self.expand(state, action)) for action in actions
+        )
+        return CompiledLayer(
+            actions, expansions, self._model.compile(expansions)
+        )
+
+    def layer_key(self, state: GlobalState) -> Hashable:
+        """What the layer at *state* depends on: states with equal keys
+        have equal layer actions and expansions.  The default, None,
+        suits a layer that depends on no part of the state."""
+        return None
+
+    def _compile_layers(self, states: Iterable[GlobalState]) -> None:
+        """Compile the layer of each of *states* under its key; called
+        by constructors, with one state per key."""
+        for state in states:
+            self._layers[self.layer_key(state)] = self.compile_layer(state)
+
+    @property
+    def compiled_layers(self) -> Mapping[Hashable, CompiledLayer]:
+        """The layers built in the constructor, by :meth:`layer_key`."""
+        return MappingProxyType(self._layers)
+
     # -- SuccessorSystem ---------------------------------------------------
     def successors(
         self, state: GlobalState
     ) -> list[tuple[Hashable, GlobalState]]:
         """All ``(layer_action, next_state)`` pairs from *state*.
 
-        Every layer action's expansion goes to the model in one
-        :meth:`Model.apply_each` call, so a model can share work across
-        the layer (one round per state in the round models, one step per
-        distinct prefix in the asynchronous ones).
+        The model runs the layer built for the state's key (else one
+        compiled at *state* now) in one :meth:`Model.run` call, so it can
+        share work across the layer (one round per state in the round
+        models, one step per distinct prefix in the asynchronous ones).
         """
-        actions = self.layer_actions(state)
-        children = self._model.apply_each(
-            state, [self.expand(state, action) for action in actions]
-        )
-        return list(zip(actions, children))
+        layer = self._layers.get(self.layer_key(state))
+        if layer is None:
+            layer = self.compile_layer(state)
+        return list(zip(layer.actions, self._model.run(state, layer.program)))
 
     def failed_at(self, state: GlobalState) -> frozenset[int]:
         """Delegates to the underlying model's failure bookkeeping."""

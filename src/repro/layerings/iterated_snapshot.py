@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.core.state import GlobalState
-from repro.layerings.base import Layering
+from repro.layerings.base import ANY_STATE, Layering
 from repro.models.snapshot import (
     SnapshotMemoryModel,
     scan_action,
@@ -67,6 +67,8 @@ class IteratedSnapshotLayering(Layering):
                 "the IIS layering is defined over the snapshot-memory model"
             )
         super().__init__(model)
+        # The layer reads no part of the state: compile it once.
+        self._compile_layers([ANY_STATE])
 
     def layer_actions(self, state: GlobalState) -> list[tuple]:
         n = self.n

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.core.state import GlobalState
-from repro.layerings.base import Layering
+from repro.layerings.base import ANY_STATE, Layering
 from repro.models.mobile import MobileModel, prefix_action
 
 
@@ -28,6 +28,8 @@ class S1MobileLayering(Layering):
         if not isinstance(model, MobileModel):
             raise TypeError("S_1 is a layering of the mobile-failure model")
         super().__init__(model)
+        # The layer reads no part of the state: compile it once.
+        self._compile_layers([ANY_STATE])
 
     def layer_actions(self, state: GlobalState) -> list[tuple]:
         """All prefix actions ``(j, [k])``.

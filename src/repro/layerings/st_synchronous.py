@@ -28,11 +28,16 @@ account, including why Lemma 6.2 survives.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Hashable, Sequence
+from itertools import combinations
 
 from repro.core.state import GlobalState
 from repro.layerings.base import Layering
-from repro.models.sync import NO_FAILURE, SynchronousModel
+from repro.models.sync import NO_FAILURE, SynchronousModel, sync_env
+
+#: The layer key of every state at which ``t`` processes have failed: its
+#: layer is the failure-free round, whoever failed.
+SATURATED = "saturated"
 
 
 def st_action(j: int, k: int) -> tuple:
@@ -47,10 +52,26 @@ class StSynchronousLayering(Layering):
         if not isinstance(model, SynchronousModel):
             raise TypeError("S^t is a layering of the synchronous model")
         super().__init__(model)
+        # The layer reads only the failed set (layer_key): compile one per
+        # failed set of fewer than t processes, and the saturated one.
+        failed_sets = [
+            frozenset(failed)
+            for size in range(self.t)
+            for failed in combinations(range(self.n), size)
+        ]
+        failed_sets.append(frozenset(range(self.t)))
+        self._compile_layers(
+            GlobalState(sync_env(failed)) for failed in failed_sets
+        )
 
     @property
     def t(self) -> int:
         return self.model.t
+
+    def layer_key(self, state: GlobalState) -> Hashable:
+        """The failed set, or :data:`SATURATED` once ``t`` have failed."""
+        failed = self.model.failed_at(state)
+        return failed if len(failed) < self.t else SATURATED
 
     def layer_actions(self, state: GlobalState) -> list[tuple]:
         failed = self.model.failed_at(state)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.core.state import GlobalState
-from repro.layerings.base import Layering
+from repro.layerings.base import ANY_STATE, Layering
 from repro.models.async_mp import (
     AsyncMessagePassingModel,
     flush_action,
@@ -59,6 +59,8 @@ class SynchronicMPLayering(Layering):
                 "the synchronic MP layering is defined over the async MP model"
             )
         super().__init__(model)
+        # The layer reads no part of the state: compile it once.
+        self._compile_layers([ANY_STATE])
 
     def layer_actions(self, state: GlobalState) -> list[tuple]:
         n = self.n

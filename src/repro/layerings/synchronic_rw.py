@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.core.state import GlobalState
-from repro.layerings.base import Layering
+from repro.layerings.base import ANY_STATE, Layering
 from repro.models.shared_memory import SharedMemoryModel, step_action
 
 
@@ -52,6 +52,8 @@ class SynchronicRWLayering(Layering):
         if not isinstance(model, SharedMemoryModel):
             raise TypeError("S^rw is a layering of the shared-memory model")
         super().__init__(model)
+        # The layer reads no part of the state: compile it once.
+        self._compile_layers([ANY_STATE])
 
     def layer_actions(self, state: GlobalState) -> list[tuple]:
         n = self.n

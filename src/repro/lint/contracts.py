@@ -22,7 +22,9 @@ lint --protocol``).  The conditions:
   expansion must be a legal model execution
   (:func:`~repro.layerings.base.verify_layering_embedding`) — the
   monotone-embedding clause of the layering definition — whose endpoint
-  is the child ``successors`` returned for that action.
+  is the child ``successors`` returned for that action, and
+  ``successors`` must label its children with exactly the state's
+  ``layer_actions``, in order.
 * **RP203 — Faulty monotonicity**: the ``failed_at`` set never shrinks
   along an edge.  ``Faulty`` membership is a property of every run
   through a state (Section 2); a resurrected process would break the
@@ -299,6 +301,20 @@ class ContractGuard:
         if self.states > self.embedding_samples or not isinstance(
             self.system, Layering
         ):
+            return
+        # successors() runs a layer compiled ahead of the state; it must
+        # label its children with exactly the state's layer actions.
+        labels = [action for action, _ in succs]
+        actions = list(self.system.layer_actions(state))
+        if labels != actions:
+            missing = [a for a in actions if a not in labels]
+            extra = [a for a in labels if a not in actions]
+            self.record(
+                RP202,
+                "successors() labels disagree with layer_actions() "
+                f"(missing {missing!r}, unexpected {extra!r})",
+                ContractWitness(state),
+            )
             return
         for action, child in succs:
             try:

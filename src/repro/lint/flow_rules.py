@@ -77,6 +77,9 @@ TRANSITION_METHODS = frozenset(
         "apply",
         "apply_many",
         "apply_each",
+        "compile",
+        "run",
+        "layer_key",
         "layer_actions",
         "expand",
         "initial_state",

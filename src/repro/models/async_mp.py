@@ -46,7 +46,13 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Sequence
 
 from repro.core.state import GlobalState
-from repro.models.base import UNSEEN, Model, prefix_fold
+from repro.models.base import (
+    UNSEEN,
+    Model,
+    PrefixProgram,
+    prefix_fold,
+    prefix_program,
+)
 from repro.protocols.base import MessageBatch, MessagePassingProtocol
 
 NO_OUTBOX = None
@@ -145,8 +151,11 @@ class AsyncMessagePassingModel(Model):
     ) -> GlobalState:
         return self.apply_each(state, [actions])[0]
 
-    def apply_each(
-        self, state: GlobalState, expansions: Iterable[Iterable[tuple]]
+    def compile(self, expansions: Iterable[Iterable[tuple]]) -> PrefixProgram:
+        return prefix_program(expansions)
+
+    def run(
+        self, state: GlobalState, program: PrefixProgram
     ) -> list[GlobalState]:
         """Fold stage/recv/flush primitives on scratch locals and bag.
 
@@ -161,7 +170,7 @@ class AsyncMessagePassingModel(Model):
         staged: dict[tuple, tuple] = {}
         received: dict[tuple, Hashable] = {}
 
-        def run(
+        def fold(
             locals_in: Sequence, bag_in: dict, actions: Sequence[tuple]
         ) -> tuple[list, dict]:
             locals_, bag = list(locals_in), dict(bag_in)
@@ -233,7 +242,7 @@ class AsyncMessagePassingModel(Model):
             return locals_, bag
 
         return prefix_fold(
-            state, expansions, self.bag(state), run,
+            state, program, self.bag(state), fold,
             lambda bag: mp_env(tuple(sorted(bag.items()))),
         )
 

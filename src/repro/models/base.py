@@ -31,7 +31,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from itertools import product
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.core.state import GlobalState
 from repro.protocols.base import MessagePassingProtocol
@@ -79,20 +79,35 @@ class Model(ABC):
             state = self.apply(state, action)
         return state
 
-    def apply_each(
-        self, state: GlobalState, expansions: Iterable[Sequence[Hashable]]
-    ) -> list[GlobalState]:
-        """The endpoint of each expansion, every one folded from *state*.
+    def compile(self, expansions: Iterable[Iterable[Hashable]]) -> Any:
+        """A layer program: *expansions* prepared once for :meth:`run`.
 
-        This is one call per state for all of a layer's actions (see
-        :meth:`repro.layerings.base.Layering.successors`).  The default
-        folds each expansion through :meth:`apply_many`.  Every model in
-        this library overrides it to share work across the layer: the
-        round models compute one synchronous round per state
-        (:func:`synchronous_round`), and the asynchronous models fold all
-        expansions along their shared prefixes (:func:`prefix_fold`).
+        A layering compiles each of its layers once, in its constructor,
+        and runs the program at every state that has that layer (see
+        :meth:`repro.layerings.base.Layering.successors`).  Compiling
+        reads no state and checks nothing; every legality check happens
+        in :meth:`run`.  The default program is the expansions as tuples.
         """
-        return [self.apply_many(state, expansion) for expansion in expansions]
+        return tuple(tuple(expansion) for expansion in expansions)
+
+    def run(self, state: GlobalState, program: Any) -> list[GlobalState]:
+        """The endpoint of each compiled expansion, every one from *state*.
+
+        The default folds each expansion through :meth:`apply_many`.
+        Every model in this library overrides :meth:`compile` and this to
+        share work across the layer: the round models compute one
+        synchronous round per state (:func:`synchronous_round`), and the
+        asynchronous models step each distinct prefix once
+        (:func:`prefix_fold`).  A program never changes when it runs.
+        """
+        return [self.apply_many(state, expansion) for expansion in program]
+
+    def apply_each(
+        self, state: GlobalState, expansions: Iterable[Iterable[Hashable]]
+    ) -> list[GlobalState]:
+        """The endpoint of each expansion, every one folded from *state*:
+        :meth:`compile`, then :meth:`run`."""
+        return self.run(state, self.compile(expansions))
 
     @abstractmethod
     def failed_at(self, state: GlobalState) -> frozenset[int]:
@@ -153,14 +168,38 @@ class Model(ABC):
 RoundOutcome = tuple[Hashable, Sequence[frozenset[int]]]
 
 
+class RoundProgram(NamedTuple):
+    """A layer compiled for :func:`synchronous_round`."""
+
+    #: The distinct one-primitive expansions' primitives, in the order
+    #: the expansions first name them.
+    primitives: tuple[Hashable, ...]
+    #: Per expansion, its primitive's index in ``primitives``, or None
+    #: for an expansion that is not exactly one primitive.
+    picks: tuple[tuple[Optional[int], tuple[Hashable, ...]], ...]
+
+
+def round_program(expansions: Iterable[Iterable[Hashable]]) -> RoundProgram:
+    """:meth:`Model.compile` for a model whose primitive is one round."""
+    slots: dict[Hashable, int] = {}
+    picks = []
+    for expansion in expansions:
+        expansion = tuple(expansion)
+        slot = None
+        if len(expansion) == 1:
+            slot = slots.setdefault(expansion[0], len(slots))
+        picks.append((slot, expansion))
+    return RoundProgram(tuple(slots), tuple(picks))
+
+
 def synchronous_round(
     model: Model,
     protocol: MessagePassingProtocol,
     state: GlobalState,
-    expansions: Iterable[Sequence[Hashable]],
+    program: RoundProgram,
     round_for: Callable[[Hashable], RoundOutcome],
 ) -> list[GlobalState]:
-    """:meth:`Model.apply_each` for a model whose primitive is one round.
+    """:meth:`Model.run` for a model whose primitive is one round.
 
     In a synchronous round every process sends, then every process
     receives.  A sender's messages depend only on its own local state, and
@@ -175,9 +214,9 @@ def synchronous_round(
 
     ``round_for(primitive)`` checks that the primitive is legal at *state*
     (raising ``ValueError`` if not) and returns its :data:`RoundOutcome`.
-    It runs once per distinct primitive, before any protocol call.  An
-    expansion that is not exactly one primitive is folded by
-    :meth:`Model.apply_many`.
+    It runs once per distinct primitive of *program*
+    (:func:`round_program`), before any protocol call.  An expansion that
+    is not exactly one primitive is folded by :meth:`Model.apply_many`.
 
     The memo tables are locals of this call: they live for one state's
     round and hold nothing between calls.
@@ -186,20 +225,7 @@ def synchronous_round(
         ValueError: a process sends to itself or to an unknown
             destination, or ``round_for`` refuses a primitive.
     """
-    slots: dict[Hashable, int] = {}
-    rounds: list[RoundOutcome] = []
-    picks: list[tuple[Optional[int], Sequence[Hashable]]] = []
-    for expansion in expansions:
-        if len(expansion) != 1:
-            picks.append((None, expansion))
-            continue
-        primitive = expansion[0]
-        slot = slots.get(primitive)
-        if slot is None:
-            slot = slots[primitive] = len(rounds)
-            rounds.append(round_for(primitive))
-        picks.append((slot, expansion))
-
+    rounds = [round_for(primitive) for primitive in program.primitives]
     endpoints: list[GlobalState] = []
     if rounds:
         n, locals_ = state.n, state.locals
@@ -240,7 +266,7 @@ def synchronous_round(
             endpoints.append(GlobalState(env, tuple(new_locals)))
     return [
         model.apply_many(state, expansion) if slot is None else endpoints[slot]
-        for slot, expansion in picks
+        for slot, expansion in program.picks
     ]
 
 
@@ -248,44 +274,34 @@ def synchronous_round(
 #: models (a memoized write value may be None).
 UNSEEN = object()
 
-#: The key under which a :func:`prefix_fold` tree node lists the
+#: The key under which a :func:`prefix_program` tree node lists the
 #: expansions that end there (no primitive equals it).
 _ENDS = object()
 
 
-def prefix_fold(
-    state: GlobalState,
-    expansions: Iterable[Iterable[Hashable]],
-    env: Any,
-    run: Callable[[Sequence, Any, list], tuple[list, Any]],
-    seal: Callable[[Any], Hashable],
-) -> list[GlobalState]:
-    """:meth:`Model.apply_each` for a model whose layers are many primitives.
+class PrefixProgram(NamedTuple):
+    """A layer compiled for :func:`prefix_fold`: its prefix tree, flat."""
+
+    #: How many expansions the program folds.
+    count: int
+    #: ``(source, primitives, ends)`` per step, in run order: step ``k``
+    #: folds *primitives* from the scratch of slot *source* into slot
+    #: ``k + 1`` (slot 0 is the state itself), and *ends* lists the
+    #: expansions whose endpoint that is.
+    steps: tuple[tuple[int, tuple[Hashable, ...], tuple[int, ...]], ...]
+
+
+def prefix_program(expansions: Iterable[Iterable[Hashable]]) -> PrefixProgram:
+    """:meth:`Model.compile` for a model whose layers are many primitives.
 
     The asynchronous layerings build each layer from the same few local
-    phases in different orders, so a state's expansions share long
-    prefixes.  They are folded along a prefix tree keyed by primitive:
-
-    * each distinct prefix is stepped once;
-    * scratch locals and environment are copied only where expansions
-      diverge, or where one ends inside another;
-    * the expansions that end at the same prefix, duplicates and the
-      empty expansion included, share one endpoint object.
-
-    *env* is the environment of *state* in the model's scratch form (a
-    message bag as a ``dict``, a register array as a sequence).
-    ``run(locals_, env, primitives)`` folds a run of primitives from a
-    scratch state, one primitive at a time, checking each as the
-    one-primitive path does and raising ``ValueError`` if it is illegal
-    there.  It copies its arguments rather than change them and returns
-    the new scratch ``(locals_, env)``, so every child of a tree node
-    starts from the node's scratch.  ``seal(env)`` turns a scratch
-    environment into the endpoint's environment state.
-
-    The tree is walked depth first, children in the order their
-    expansions first name them.  So an expansion that is legal alone
-    never fails here, and one that is illegal alone raises the same
-    error here, unless an expansion walked before it raises first.
+    phases in different orders, so a layer's expansions share long
+    prefixes.  They are filed into a prefix tree keyed by primitive, and
+    the tree is flattened into steps, one per edge chain that neither
+    branches nor ends inside: each distinct prefix is stepped once.  The
+    tree is walked depth first, children in the order their expansions
+    first name them, which is the order :func:`prefix_fold` runs the
+    steps in.
     """
     # A tree node maps each next primitive to its child node, and _ENDS
     # to the indices of the expansions that end at the node.
@@ -301,25 +317,70 @@ def prefix_fold(
         node.setdefault(_ENDS, []).append(count)
         count += 1
 
-    endpoints: list = [None] * count
-    # Each pending edge is run from its parent node's scratch, then along
-    # the chain of nodes below it that neither branch nor end.
-    pending: list = [(None, root, state.locals, env)]
+    steps = []
+    ends = root.pop(_ENDS, None)
+    if ends is not None:
+        steps.append((0, (), tuple(ends)))
+    # Each pending edge leaves the node whose scratch is in *slot*, then
+    # runs along the chain of nodes below it that neither branch nor end.
+    pending = [
+        (0, primitive, child) for primitive, child in reversed(root.items())
+    ]
     while pending:
-        primitive, node, locals_, env = pending.pop()
-        if node is not root:
-            primitives = [primitive]
-            while len(node) == 1 and _ENDS not in node:
-                ((primitive, node),) = node.items()
-                primitives.append(primitive)
-            locals_, env = run(locals_, env, primitives)
-        ends = node.pop(_ENDS, None)
-        if ends is not None:
+        slot, primitive, node = pending.pop()
+        primitives = [primitive]
+        while len(node) == 1 and _ENDS not in node:
+            ((primitive, node),) = node.items()
+            primitives.append(primitive)
+        steps.append((slot, tuple(primitives), tuple(node.pop(_ENDS, ()))))
+        slot = len(steps)
+        pending.extend(
+            (slot, primitive, child) for primitive, child in reversed(node.items())
+        )
+    return PrefixProgram(count, tuple(steps))
+
+
+def prefix_fold(
+    state: GlobalState,
+    program: PrefixProgram,
+    env: Any,
+    fold: Callable[[Sequence, Any, Sequence], tuple[list, Any]],
+    seal: Callable[[Any], Hashable],
+) -> list[GlobalState]:
+    """:meth:`Model.run` for a model whose layers are many primitives.
+
+    Runs the steps of *program* (:func:`prefix_program`) from *state*:
+
+    * each distinct prefix of the layer's expansions is stepped once;
+    * scratch locals and environment are copied only where expansions
+      diverge, or where one ends inside another;
+    * the expansions that end at the same prefix, duplicates and the
+      empty expansion included, share one endpoint object.
+
+    *env* is the environment of *state* in the model's scratch form (a
+    message bag as a ``dict``, a register array as a sequence).
+    ``fold(locals_, env, primitives)`` folds a run of primitives from a
+    scratch state, one primitive at a time, checking each as the
+    one-primitive path does and raising ``ValueError`` if it is illegal
+    there.  It copies its arguments rather than change them and returns
+    the new scratch ``(locals_, env)``, so every step starts from its
+    source slot's scratch.  ``seal(env)`` turns a scratch environment
+    into the endpoint's environment state.
+
+    The steps run in the program's depth-first order.  So an expansion
+    that is legal alone never fails here, and one that is illegal alone
+    raises the same error here, unless an expansion walked before it
+    raises first.
+    """
+    endpoints: list = [None] * program.count
+    scratch = [(state.locals, env)]
+    for source, primitives, ends in program.steps:
+        locals_, env = scratch[source]
+        if primitives:
+            locals_, env = fold(locals_, env, primitives)
+        scratch.append((locals_, env))
+        if ends:
             endpoint = GlobalState(seal(env), tuple(locals_))
             for index in ends:
                 endpoints[index] = endpoint
-        pending.extend(
-            (primitive, child, locals_, env)
-            for primitive, child in reversed(node.items())
-        )
     return endpoints

@@ -23,7 +23,13 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Sequence
 
 from repro.core.state import GlobalState
-from repro.models.base import Model, RoundOutcome, synchronous_round
+from repro.models.base import (
+    Model,
+    RoundOutcome,
+    RoundProgram,
+    round_program,
+    synchronous_round,
+)
 from repro.protocols.base import MessagePassingProtocol
 
 ENV_MF: str = "mf"
@@ -88,8 +94,11 @@ class MobileModel(Model):
     def apply(self, state: GlobalState, action: tuple) -> GlobalState:
         return self.apply_each(state, ((action,),))[0]
 
-    def apply_each(
-        self, state: GlobalState, expansions: Iterable[Sequence[tuple]]
+    def compile(self, expansions: Iterable[Iterable[tuple]]) -> RoundProgram:
+        return round_program(expansions)
+
+    def run(
+        self, state: GlobalState, program: RoundProgram
     ) -> list[GlobalState]:
         """One synchronous round from *state* for every expansion.
 
@@ -110,7 +119,7 @@ class MobileModel(Model):
             return ENV_MF, lost
 
         return synchronous_round(
-            self, self._protocol, state, expansions, round_for
+            self, self._protocol, state, program, round_for
         )
 
     def failed_at(self, state: GlobalState) -> frozenset[int]:

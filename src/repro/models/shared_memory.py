@@ -26,7 +26,13 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Sequence
 
 from repro.core.state import GlobalState
-from repro.models.base import UNSEEN, Model, prefix_fold
+from repro.models.base import (
+    UNSEEN,
+    Model,
+    PrefixProgram,
+    prefix_fold,
+    prefix_program,
+)
 from repro.protocols.base import SharedMemoryProtocol
 
 BOT: str = "⊥"
@@ -110,8 +116,11 @@ class SharedMemoryModel(Model):
     ) -> GlobalState:
         return self.apply_each(state, [actions])[0]
 
-    def apply_each(
-        self, state: GlobalState, expansions: Iterable[Iterable[tuple]]
+    def compile(self, expansions: Iterable[Iterable[tuple]]) -> PrefixProgram:
+        return prefix_program(expansions)
+
+    def run(
+        self, state: GlobalState, program: PrefixProgram
     ) -> list[GlobalState]:
         """Fold ``step`` primitives on scratch locals and registers.
 
@@ -126,7 +135,7 @@ class SharedMemoryModel(Model):
         written: dict[tuple, Hashable] = {}
         collected: dict[tuple, Hashable] = {}
 
-        def run(
+        def fold(
             locals_in: Sequence, registers_in: Sequence,
             actions: Sequence[tuple],
         ) -> tuple[list, list]:
@@ -162,7 +171,7 @@ class SharedMemoryModel(Model):
             return locals_, registers
 
         return prefix_fold(
-            state, expansions, self.registers(state), run, rw_env
+            state, program, self.registers(state), fold, rw_env
         )
 
     def failed_at(self, state: GlobalState) -> frozenset[int]:

@@ -30,7 +30,13 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Sequence
 
 from repro.core.state import GlobalState
-from repro.models.base import UNSEEN, Model, prefix_fold
+from repro.models.base import (
+    UNSEEN,
+    Model,
+    PrefixProgram,
+    prefix_fold,
+    prefix_program,
+)
 from repro.protocols.base import SharedMemoryProtocol
 
 BOT: str = "⊥"
@@ -106,8 +112,11 @@ class SnapshotMemoryModel(Model):
     ) -> GlobalState:
         return self.apply_each(state, [actions])[0]
 
-    def apply_each(
-        self, state: GlobalState, expansions: Iterable[Iterable[tuple]]
+    def compile(self, expansions: Iterable[Iterable[tuple]]) -> PrefixProgram:
+        return prefix_program(expansions)
+
+    def run(
+        self, state: GlobalState, program: PrefixProgram
     ) -> list[GlobalState]:
         """Fold update/scan primitives on scratch locals and cells.
 
@@ -122,7 +131,7 @@ class SnapshotMemoryModel(Model):
         written: dict[tuple, Hashable] = {}
         scanned: dict[tuple, Hashable] = {}
 
-        def run(
+        def fold(
             locals_in: Sequence, cells_in: Sequence, actions: Sequence[tuple]
         ) -> tuple[list, list]:
             locals_, cells = list(locals_in), list(cells_in)
@@ -158,7 +167,7 @@ class SnapshotMemoryModel(Model):
             return locals_, cells
 
         return prefix_fold(
-            state, expansions, self.cells(state), run, snapshot_env
+            state, program, self.cells(state), fold, snapshot_env
         )
 
     def failed_at(self, state: GlobalState) -> frozenset[int]:

@@ -29,7 +29,13 @@ from collections.abc import Hashable, Iterable, Sequence
 from itertools import combinations
 
 from repro.core.state import GlobalState
-from repro.models.base import Model, RoundOutcome, synchronous_round
+from repro.models.base import (
+    Model,
+    RoundOutcome,
+    RoundProgram,
+    round_program,
+    synchronous_round,
+)
 from repro.protocols.base import MessagePassingProtocol
 
 
@@ -142,8 +148,11 @@ class SynchronousModel(Model):
     def apply(self, state: GlobalState, action: frozenset) -> GlobalState:
         return self.apply_each(state, ((action,),))[0]
 
-    def apply_each(
-        self, state: GlobalState, expansions: Iterable[Sequence[frozenset]]
+    def compile(self, expansions: Iterable[Iterable[frozenset]]) -> RoundProgram:
+        return round_program(expansions)
+
+    def run(
+        self, state: GlobalState, program: RoundProgram
     ) -> list[GlobalState]:
         """One synchronous round from *state* for every expansion.
 
@@ -171,7 +180,7 @@ class SynchronousModel(Model):
             return sync_env(failed | frozenset(new_failures)), lost
 
         return synchronous_round(
-            self, self._protocol, state, expansions, round_for
+            self, self._protocol, state, program, round_for
         )
 
     def failed_at(self, state: GlobalState) -> frozenset[int]:

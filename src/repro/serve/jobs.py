@@ -28,6 +28,7 @@ the server can dispatch it through the fault-isolated pool.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -173,9 +174,9 @@ class JobSpec:
         the layered system's structural fingerprint for refute jobs."""
         ident = {"job": self.canonical()}
         if self.kind == KIND_REFUTE:
-            from repro.resilience.checkpoint import system_fingerprint
-
-            ident["system"] = system_fingerprint(self._layering())
+            ident["system"] = _system_identity(
+                self.protocol, self.model, self.n
+            )
         return hashlib.sha256(canonical_json(ident)).hexdigest()
 
     def describe(self) -> str:
@@ -184,20 +185,35 @@ class JobSpec:
         return f"refute({self.protocol}/{self.model}, n={self.n})"
 
     def _layering(self):
-        from repro.analysis.impossibility import standard_layerings
-        from repro.protocols.registry import PROTOCOLS
+        return _build_layering(self.protocol, self.model, self.n)
 
-        return standard_layerings(PROTOCOLS[self.protocol](self.n), self.n)[
-            self.model
-        ]
+
+def _build_layering(protocol: str, model: str, n: int):
+    from repro.analysis.impossibility import standard_layering_classes
+    from repro.protocols.registry import PROTOCOLS
+
+    instance = PROTOCOLS[protocol](n)
+    layering, model_cls = standard_layering_classes(instance)[model]
+    return layering(model_cls(instance, n))
+
+
+@functools.lru_cache(maxsize=256)
+def _system_identity(protocol: str, model: str, n: int) -> str:
+    """The structural fingerprint of a refute job's layered system.
+
+    Cached: every submit computes a job fingerprint, and building a
+    layering compiles its layers."""
+    from repro.resilience.checkpoint import system_fingerprint
+
+    return system_fingerprint(_build_layering(protocol, model, n))
 
 
 def _layering_names(protocol: str, n: int) -> frozenset:
-    from repro.analysis.impossibility import standard_layerings
+    from repro.analysis.impossibility import standard_layering_classes
     from repro.protocols.registry import PROTOCOLS
 
     try:
-        return frozenset(standard_layerings(PROTOCOLS[protocol](n), n))
+        return frozenset(standard_layering_classes(PROTOCOLS[protocol](n)))
     except TypeError as exc:  # protocol fits no layering interface
         raise InvalidJob(str(exc)) from None
 

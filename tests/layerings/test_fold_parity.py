@@ -9,25 +9,31 @@ three models and every registry protocol, the two folds must reach
 equal, equally hashed endpoints.  Illegal primitives must raise the
 same ``ValueError`` on both paths, including in the middle of a batch.
 
-``Layering.successors`` hands every layer action's expansion to
-``Model.apply_each`` at once.  The synchronous and mobile models answer
-with one shared round per state; the other three fold every expansion
-along a prefix tree, stepping each shared prefix once.  So over a
-bounded BFS of every layering, each child must equal, with an equal
-hash, the endpoint of its own action folded alone, and an illegal
+``Layering.successors`` runs a layer compiled in the layering's
+constructor (``Model.compile``) at each state (``Model.run``).  The
+synchronous and mobile models answer with one shared round per state;
+the other three step each shared prefix of the layer's expansions once.
+So over a bounded BFS of every layering, each child must equal, with an
+equal hash, the endpoint of its own action folded alone, and an illegal
 primitive must raise the same ``ValueError`` inside a batch as alone,
-including after a prefix it shares with a legal expansion.
+including after a prefix it shares with a legal expansion.  Each
+compiled layer must list exactly the actions and expansions that
+``layer_actions`` and ``expand`` give at the states with its key.
 """
 
 from collections import deque
+from itertools import combinations
 
 import pytest
 
 from repro.analysis.impossibility import standard_layerings
+from repro.analysis.statistics import FilteredLayering
 from repro.core.state import GlobalState
 from repro.layerings.base import verify_layering_embedding
+from repro.layerings.permutation import PermutationLayering
 from repro.layerings.s1_mobile import S1MobileLayering
-from repro.layerings.st_synchronous import StSynchronousLayering
+from repro.layerings.st_synchronous import SATURATED, StSynchronousLayering
+from repro.layerings.synchronic_rw import SynchronicRWLayering
 from repro.models.async_mp import (
     AsyncMessagePassingModel,
     flush_action,
@@ -41,8 +47,13 @@ from repro.models.snapshot import (
     scan_action,
     update_action,
 )
-from repro.models.sync import NO_FAILURE, SynchronousModel, fail_action
-from repro.protocols.candidates import QuorumDecide
+from repro.models.sync import (
+    NO_FAILURE,
+    SynchronousModel,
+    fail_action,
+    sync_env,
+)
+from repro.protocols.candidates import QuorumDecide, WaitForAll
 from repro.protocols.eig import EIG
 from repro.protocols.floodset import FloodSet
 from repro.protocols.registry import PROTOCOLS
@@ -206,6 +217,26 @@ def _successor_cases():
                     S1MobileLayering(MobileModel(PROTOCOLS[name](n), n)),
                 id=f"s1-{proto_name}-n{n}",
             )
+    yield from _filtered_cases()
+
+
+def _filtered_cases():
+    """The two E9 ablations: S^rw without its absent actions, S^per
+    without its short schedules."""
+    yield pytest.param(
+        lambda: FilteredLayering(
+            SynchronicRWLayering(SharedMemoryModel(WaitForAll(), 3)),
+            keep=lambda a: a[0] != "absent",
+        ),
+        id="filtered-srw-no-absent",
+    )
+    yield pytest.param(
+        lambda: FilteredLayering(
+            PermutationLayering(AsyncMessagePassingModel(WaitForAll(), 3)),
+            keep=lambda a: a[0] != "short",
+        ),
+        id="filtered-sper-no-short",
+    )
 
 
 @pytest.mark.parametrize("make_layering", list(_successor_cases()))
@@ -223,6 +254,74 @@ def test_successors_equal_per_action_fold(make_layering):
             assert hash(child) == hash(alone)
             edges += 1
     assert edges > 0
+
+
+def _key_id(key):
+    if key is None:
+        return "any"
+    if isinstance(key, frozenset):
+        return "failed-" + ("".join(map(str, sorted(key))) or "none")
+    return str(key)
+
+
+def _compiled_key_cases():
+    """Every layering of the successor parity above, once per key of
+    its compiled layers (S^t over its own grid, clean crashes or not
+    making no difference to its layers)."""
+    for case in _successor_cases():
+        (make_layering,), case_id = case.values, case.id
+        if case_id.startswith("st-") and case_id.endswith("-clean"):
+            continue
+        for key in make_layering().compiled_layers:
+            yield pytest.param(
+                make_layering, key, id=f"{case_id}-{_key_id(key)}"
+            )
+
+
+def _states_with_key(layering, key):
+    """The states of a bounded BFS whose layer key is *key*, and for
+    S^t a state with each failed set that *key* stands for."""
+    states = [
+        state for state in _bounded_bfs(layering, 40)
+        if layering.layer_key(state) == key
+    ]
+    if isinstance(layering, StSynchronousLayering):
+        root = layering.model.initial_states()[-1]
+        failed_sets = (
+            [key] if key != SATURATED
+            else map(frozenset, combinations(range(layering.n), layering.t))
+        )
+        states.extend(
+            GlobalState(sync_env(failed), root.locals)
+            for failed in failed_sets
+        )
+    return states
+
+
+@pytest.mark.parametrize("make_layering, key", list(_compiled_key_cases()))
+def test_compiled_layer_is_the_definition(make_layering, key):
+    layering = make_layering()
+    layer = layering.compiled_layers[key]
+    states = _states_with_key(layering, key)
+    assert states
+    for state in states:
+        assert layering.layer_key(state) == key
+        actions = list(layering.layer_actions(state))
+        assert list(layer.actions) == actions
+        assert list(layer.expansions) == [
+            tuple(layering.expand(state, action)) for action in actions
+        ]
+
+
+@pytest.mark.parametrize("n, t", [(3, 1), (3, 2), (4, 2)])
+def test_st_compiles_one_layer_per_failed_set(n, t):
+    layering = StSynchronousLayering(SynchronousModel(FloodSet(t + 1), n, t))
+    expected = {
+        frozenset(failed)
+        for size in range(t)
+        for failed in combinations(range(n), size)
+    }
+    assert set(layering.compiled_layers) == expected | {SATURATED}
 
 
 def _shared_prefix_raises(model, state, legal, illegal):

@@ -281,6 +281,39 @@ class TestRP403ReceiverMutation:
             "model.Cached.apply_each"
         ]
 
+    def test_layer_compiled_in_init_vs_memoized_in_successors(self, tmp_path):
+        # a layer program built in the constructor and run per state is
+        # fine; filling the same table lazily from successors, or keeping
+        # a run's scratch on the model, is receiver mutation
+        findings = deep(
+            tmp_path,
+            {
+                "layering.py": """
+                class Eager(Layering):
+                    def __init__(self, model):
+                        self._layers = {None: model.compile([])}
+
+                    def successors(self, state):
+                        return self.model.run(state, self._layers[None])
+
+                class Lazy(Layering):
+                    def successors(self, state):
+                        self._layers[None] = self.model.compile([])
+                        return self.model.run(state, self._layers[None])
+                """,
+                "model.py": """
+                class Scratchy(Model):
+                    def run(self, state, program):
+                        self.scratch = list(program)
+                        return self.scratch
+                """,
+            },
+        )
+        found = by_code(findings, "RP403")
+        assert sorted(f.witness.chain[0].qualname for f in found) == [
+            "layering.Lazy.successors", "model.Scratchy.run",
+        ]
+
     def test_init_chain_is_fine(self, tmp_path):
         findings = deep(
             tmp_path,

@@ -27,8 +27,12 @@ from repro.core.exploration import (
     reachable_states,
     reachable_states_parallel,
 )
+from repro.layerings.base import CompiledLayer
+from repro.layerings.permutation import PermutationLayering
 from repro.layerings.st_synchronous import StSynchronousLayering
-from repro.lint import IllFormedSystemError
+from repro.lint import IllFormedSystemError, preflight_system
+from repro.models.async_mp import AsyncMessagePassingModel
+from repro.protocols.candidates import QuorumDecide
 from repro.protocols.eig import EIG
 from repro.resilience.pool import PoolConfig
 from repro.tasks.catalog import binary_consensus
@@ -291,6 +295,40 @@ class _LateFlicker(ToySystem):
         if self.calls[name] > 1 and int(name[1:]) >= self.after:
             return [(action, self.state("elsewhere")) for action, _ in succs]
         return succs
+
+
+class _DropsAnAction(PermutationLayering):
+    """Ill-formed: its compiled layer leaves out the last layer action.
+
+    Every child ``successors()`` returns is the right endpoint for its
+    label, so only the comparison of the labels with ``layer_actions()``
+    can catch it (RP202)."""
+
+    def compile_layer(self, state):
+        actions, expansions, _ = super().compile_layer(state)
+        return CompiledLayer(
+            actions[:-1], expansions[:-1], self.model.compile(expansions[:-1])
+        )
+
+
+class TestCompiledLayerLabels:
+    def test_a_dropped_action_is_ill_formed(self):
+        model = AsyncMessagePassingModel(QuorumDecide(2), 3)
+        layering = _DropsAnAction(model)
+        report = ConsensusChecker(layering).check_all(model)
+        assert report.verdict is Verdict.ILL_FORMED
+        [finding] = report.preflight.findings
+        assert finding.code == "RP202"
+        assert "labels disagree with layer_actions()" in finding.message
+        probe = preflight_system(layering, model.initial_states())
+        assert [f.code for f in probe.findings] == ["RP202"]
+
+    def test_the_full_layer_is_clean(self):
+        model = AsyncMessagePassingModel(QuorumDecide(2), 3)
+        probe = preflight_system(
+            PermutationLayering(model), model.initial_states()
+        )
+        assert probe.ok
 
 
 class TestTaskChecker:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.state import GlobalState
-from repro.models.base import Model, synchronous_round
+from repro.models.base import Model, round_program, synchronous_round
 from repro.models.mobile import MobileModel
 from repro.protocols.base import MessagePassingProtocol
 from repro.protocols.floodset import FloodSet
@@ -64,7 +64,8 @@ def _round(n, outgoing, *losses):
         tuple((tuple(outgoing.get(i, {}).items()), ()) for i in range(n)),
     )
     endpoints = synchronous_round(
-        _Round(n), protocol, state, [(lost,) for lost in losses],
+        _Round(n), protocol, state,
+        round_program([(lost,) for lost in losses]),
         lambda lost: ("env", lost),
     )
     return [

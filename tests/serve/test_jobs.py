@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.analysis.impossibility import standard_layerings
+from repro.protocols.registry import PROTOCOLS
+from repro.resilience.checkpoint import system_fingerprint
 from repro.serve.jobs import InvalidJob, JobSpec, run_job
 
 
@@ -62,6 +65,33 @@ class TestFingerprint:
              "model": "s1-mobile", "n": 3}
         )
         assert implicit.fingerprint() == explicit.fingerprint()
+
+    def test_fingerprints_are_pinned(self):
+        # Fingerprints key the persistent verdict store: a change to how
+        # they are computed must not change them.
+        assert JobSpec.from_dict({}).fingerprint() == (
+            "474afa511e54d88fa7d2d177528b19d83f422b84df59d82c65c5b13408868c9f"
+        )
+        assert JobSpec.from_dict(
+            {"protocol": "eig", "model": "permutation-mp", "n": 2}
+        ).fingerprint() == (
+            "c5606864987336e660245b1fe306c458be04567310ce68dcf85cb8c57611c1d5"
+        )
+
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+    def test_system_identity_is_the_layerings_fingerprint(self, protocol):
+        from repro.serve.jobs import _system_identity
+
+        for n in (2, 3):
+            layerings = standard_layerings(PROTOCOLS[protocol](n), n)
+            for model, layering in layerings.items():
+                spec = JobSpec.from_dict(
+                    {"protocol": protocol, "model": model, "n": n}
+                )
+                assert _system_identity(protocol, model, n) == (
+                    system_fingerprint(layering)
+                )
+                assert type(spec._layering()) is type(layering)
 
     def test_fingerprint_is_stable(self):
         spec = JobSpec.from_dict({"kind": "probe", "work": 7, "value": "v"})
