@@ -71,6 +71,7 @@ from repro.resilience.pool import (
     PoolFault,
     PoolReport,
     UnitOutcome,
+    WorkerPool,
     exception_category,
     pool_config_for,
     run_units,
@@ -109,6 +110,7 @@ __all__ = [
     "PoolReport",
     "RetryPolicy",
     "UnitOutcome",
+    "WorkerPool",
     "active_plan",
     "chaos_sweep",
     "crashpoint",

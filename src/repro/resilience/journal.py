@@ -50,6 +50,7 @@ import io
 import os
 import pickle
 import tempfile
+import zlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,7 +60,12 @@ from repro.resilience.checkpoint import (
     CheckpointCorrupt,
     _fsync_directory,
 )
-from repro.resilience.frames import append_frame, encode_frame, scan_frames
+from repro.resilience.frames import (
+    FRAME_HEADER,
+    FRAME_MAGIC,
+    append_frame,
+    scan_frames,
+)
 
 __all__ = [
     "CampaignJournal",
@@ -98,11 +104,36 @@ def is_journal(path) -> bool:
         return False
 
 
-def _encode_frame(kind: str, data) -> bytes:
-    """One complete journal frame for a ``(kind, data)`` record."""
-    return encode_frame(
-        pickle.dumps((kind, data), protocol=pickle.HIGHEST_PROTOCOL)
-    )
+class _CountingWriter:
+    """Forwards writes to *fh*, keeping their total length and crc32."""
+
+    def __init__(self, fh) -> None:
+        self.fh = fh
+        self.length = 0
+        self.crc = 0
+
+    def write(self, data) -> int:
+        self.length += memoryview(data).nbytes
+        self.crc = zlib.crc32(data, self.crc)
+        return self.fh.write(data)
+
+
+def _write_frame(fh, kind: str, data) -> None:
+    """Write one journal frame for ``(kind, data)`` to the seekable *fh*.
+
+    The pickle streams straight into the file and the header is filled
+    in afterwards, so a base snapshot of a large ledger never exists as
+    one payload buffer in memory: compaction's transient memory stays
+    flat as the ledger grows.
+    """
+    start = fh.tell()
+    fh.write(bytes(FRAME_HEADER.size))
+    out = _CountingWriter(fh)
+    pickle.dump((kind, data), out, protocol=pickle.HIGHEST_PROTOCOL)
+    end = fh.tell()
+    fh.seek(start)
+    fh.write(FRAME_HEADER.pack(FRAME_MAGIC, out.length, out.crc))
+    fh.seek(end)
 
 
 def _scan(raw: bytes, path: str):
@@ -350,7 +381,12 @@ class CampaignJournal(CampaignCheckpoint):
         try:
             with os.fdopen(fd, "wb") as tmp:
                 tmp.write(MAGIC)
-                tmp.write(_encode_frame(KIND_BASE, self.snapshot()))
+                # A view, not snapshot(): no copy of the ledger.
+                _write_frame(tmp, KIND_BASE, CampaignCheckpoint(
+                    completed=self.completed,
+                    current=self.current,
+                    inner=self.inner,
+                ))
                 tmp.flush()
                 os.fsync(tmp.fileno())
             if self._fh is not None and not self._fh.closed:

@@ -70,10 +70,20 @@ prevent.  ``PoolConfig.steal=False`` switches to static round-robin
 assignment (unit *i* waits for worker ``i mod N``), which tests use to
 pin scheduling-independence of merged results.
 
-``workers <= 1`` degrades to in-process sequential execution with the
-same retry/quarantine semantics for unit *exceptions* (in-process
-execution cannot survive a SIGKILL, by definition), so callers need no
-separate code path and tests can force the sequential engine.
+The workers outlive a run.  :class:`WorkerPool` has an
+``open()`` → ``run(units, on_complete)`` → ``close()`` lifecycle, and
+``run`` may be called any number of times on the same workers, so a
+caller that runs many small sets of units (``repro serve`` runs one
+unit per job) forks once, not once per set.  :func:`run_units` is one
+run on a pool opened for it: the same supervisor loop, the same fault
+rules.
+
+``workers <= 1`` degrades :func:`run_units` to in-process sequential
+execution with the same retry/quarantine semantics for unit
+*exceptions* (in-process execution cannot survive a SIGKILL, by
+definition), so callers need no separate code path and tests can force
+the sequential engine.  A :class:`WorkerPool` always runs its units in
+worker processes, one worker included.
 """
 
 from __future__ import annotations
@@ -271,13 +281,15 @@ class PoolReport:
             (the only completion-order-dependent field; it is a log, not
             an input to any merge).
         workers: how many worker processes served the run (0 = serial).
-        seconds: total wall clock of the pool run.
-        spawn_seconds: cold-start window — from the start of the run
-            until the last of the *initially spawned* workers reported
-            ready (process spawned, context unpickled, ``warmup()``
-            run).  ``seconds - spawn_seconds`` approximates the
-            steady-state sweep time; benchmarks report both so process
-            fan-out cost is never silently booked against the engine.
+        seconds: total wall clock of the pool run (for a
+            :class:`WorkerPool`'s first run, counted from ``open()``).
+        spawn_seconds: cold-start window — from ``open()`` until the
+            last of the workers it spawned reported ready (process
+            spawned, context unpickled, ``warmup()`` run); 0 for every
+            later run on the same pool.  ``seconds - spawn_seconds``
+            approximates the steady-state sweep time; benchmarks report
+            both so process fan-out cost is never silently booked
+            against the engine.
         withdrawn: keys of the units ``on_complete`` withdrew before they
             resolved, in submission order.  None of them has an outcome;
             a withdrawn unit whose failed attempt was running keeps that
@@ -518,56 +530,132 @@ class _Pending:
         self.order = order
 
 
-class _Supervisor:
-    """Drives N worker processes over a fixed set of units."""
+class WorkerPool:
+    """N long-lived worker processes that run sets of units, fault-isolated.
 
-    def __init__(self, fn, units, config, on_complete, context_bytes=None):
+    The lifecycle is ``open()`` → ``run(units, on_complete)`` → ``close()``,
+    and ``run`` may be called again and again on the same workers: a
+    caller that runs many small sets of units (the job server runs one
+    unit per served job) pays the process spawn once, not once per set.
+    :func:`run_units` is one run on a pool opened for it.  Every fault
+    rule holds per run: a crashed, hung or timed-out attempt is retried
+    on a respawned worker, a unit that keeps failing is quarantined, and
+    ``on_complete`` may withdraw units.  A run keeps nothing per unit
+    once it returns; the same key may recur in a later run.  A worker
+    that died between runs is replaced when the next run starts, with no
+    fault charged to that run's units.
+
+    ``run`` and ``close`` take one lock, so a ``close`` from another
+    thread waits for an in-flight run to return.  :attr:`spawned` counts
+    worker processes started, :attr:`respawned` the replacements.
+    """
+
+    def __init__(self, fn, config: PoolConfig, context: Any = None):
         self._fn = fn
-        self._units = list(units)
         self._config = config
         self._retry_policy = config.retry_policy()
-        self._on_complete = on_complete
-        self._context_bytes = context_bytes
+        self._context_bytes = _dumps(context) if context is not None else None
         self._ctx = multiprocessing.get_context()
+        self._lock = threading.Lock()
         self._workers: list[_Worker] = []
+        self._next_worker_id = 0
+        self._closed = False
+        self.spawned = 0
+        self.respawned = 0
+        # Cold-start accounting for the first run: the ids of the workers
+        # open() spawned and the instant each reported ready.  Replacement
+        # workers are steady-state costs, not cold start.
+        self._opened_at = 0.0
+        self._initial_ids: set = set()
+        self._ready_at: dict = {}
+        self._reset()
+
+    def _reset(self, units=(), on_complete=None, unit_timeout=None) -> None:
+        """Start a run's per-unit bookkeeping afresh (empty by default)."""
+        self._units = list(units)
+        self._on_complete = on_complete
+        self._unit_timeout = unit_timeout
         self._pending: list[_Pending] = []
         self._outcomes: dict = {}
         self._withdrawn: set = set()
         self._faults: list[PoolFault] = []
         self._unit_faults: dict = {}
         self._dispatched_at: dict = {}
-        self._next_worker_id = 0
-        self._started = 0.0
-        # Cold-start accounting: the ids of the initially spawned workers
-        # and the instant each reported ready.  spawn_seconds is the run
-        # start to the *last* initial ready — replacement workers spawned
-        # after crashes are steady-state costs, not cold-start.
-        self._initial_ids: set = set()
-        self._ready_at: dict = {}
 
     # -- lifecycle ----------------------------------------------------------
-    def run(self) -> PoolReport:
-        started = time.monotonic()
-        self._started = started
-        _unit_keys(self._units)
-        for order, (key, payload) in enumerate(self._units):
-            self._unit_faults[key] = []
-            self._pending.append(_Pending(key, 1, payload, 0.0, order))
+    def open(self, workers: Optional[int] = None) -> "WorkerPool":
+        """Spawn *workers* processes (``config.workers`` by default)."""
+        self._opened_at = time.monotonic()
+        count = self._config.workers if workers is None else workers
         try:
-            for _ in range(min(self._config.workers, len(self._units))):
+            for _ in range(count):
                 worker = self._spawn_worker()
                 self._initial_ids.add(worker.id)
                 self._workers.append(worker)
-            while self._unresolved():
-                self._dispatch()
-                self._drain(timeout=0.05)
-                self._check_health()
-        finally:
-            self._shutdown()
+        except BaseException:
+            self.close()
+            raise
+        return self
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def run(
+        self,
+        units: Sequence[tuple],
+        on_complete: Optional[Callable[[UnitOutcome], Any]] = None,
+        unit_timeout: Optional[float] = None,
+    ) -> PoolReport:
+        """Run every ``(key, payload)`` unit to resolution on this pool.
+
+        Same contract as :func:`run_units`.  *unit_timeout* overrides
+        ``config.unit_timeout`` for this run (None keeps the config's).
+        The first run on a pool counts its wall clock and
+        ``spawn_seconds`` from :meth:`open`; later runs start warm and
+        report ``spawn_seconds == 0``.
+        """
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("run() on a closed WorkerPool")
+            _unit_keys(units)
+            origin = (
+                self._opened_at if self._initial_ids else time.monotonic()
+            )
+            if unit_timeout is None:
+                unit_timeout = self._config.unit_timeout
+            self._reset(units, on_complete, unit_timeout)
+            for order, (key, payload) in enumerate(self._units):
+                self._unit_faults[key] = []
+                self._pending.append(_Pending(key, 1, payload, 0.0, order))
+            try:
+                for index, worker in enumerate(self._workers):
+                    if not worker.process.is_alive():
+                        self._replace(index)
+                while self._unresolved():
+                    self._dispatch()
+                    self._drain(timeout=0.05)
+                    self._check_health()
+                return self._report(origin)
+            except BaseException:
+                # Abandoned mid-run: kill whatever still holds a unit of
+                # it, so the next run starts on fresh workers.
+                for worker in self._workers:
+                    if worker.busy:
+                        worker.release()
+                        worker.process.kill()
+                raise
+            finally:
+                self._reset()
+                self._initial_ids.clear()
+                self._ready_at.clear()
+
+    def _report(self, origin: float) -> PoolReport:
         ready = [
             self._ready_at[i] for i in self._initial_ids if i in self._ready_at
         ]
-        spawn_seconds = max(ready) - started if ready else 0.0
         return PoolReport(
             outcomes={
                 key: self._outcomes[key]
@@ -576,12 +664,21 @@ class _Supervisor:
             },
             faults=tuple(self._faults),
             workers=self._config.workers,
-            seconds=time.monotonic() - started,
-            spawn_seconds=spawn_seconds,
+            seconds=time.monotonic() - origin,
+            spawn_seconds=max(ready) - origin if ready else 0.0,
             withdrawn=tuple(
                 key for key, _ in self._units if key in self._withdrawn
             ),
         )
+
+    def close(self) -> None:
+        """Stop every worker; waits for an in-flight run.  Idempotent."""
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._shutdown()
+            self._workers = []
 
     def _unresolved(self) -> bool:
         """Whether some unit is still waiting for dispatch or running."""
@@ -605,10 +702,20 @@ class _Supervisor:
             daemon=True,
         )
         process.start()
+        self.spawned += 1
         # Drop the parent's copy of the write end so the worker process
         # is the channel's only writer and its death yields a clean EOF.
         send_conn.close()
         return _Worker(worker_id, process, task_queue, recv_conn)
+
+    def _replace(self, index: int) -> None:
+        """Retire the (dead or killed) worker in slot *index* and spawn
+        its replacement."""
+        worker = self._workers[index]
+        worker.queue.close()
+        worker.close_channel()
+        self._workers[index] = self._spawn_worker()
+        self.respawned += 1
 
     def _shutdown(self) -> None:
         for worker in self._workers:
@@ -667,7 +774,7 @@ class _Supervisor:
                 unit.key,
                 unit.attempt,
                 unit.payload,
-                self._config.unit_timeout,
+                self._unit_timeout,
                 self._config.stall_timeout,
             )
 
@@ -709,10 +816,10 @@ class _Supervisor:
         kind, worker_id, key, attempt, body = message
         if kind == "ready":
             # Sent once per worker process, before any unit: context
-            # decoded and warmup done.  Recorded for every worker; the
-            # report only folds the *initially spawned* ids into
-            # spawn_seconds (replacements are steady-state costs).
-            self._ready_at.setdefault(worker_id, time.monotonic())
+            # decoded and warmup done.  Only the workers open() spawned
+            # count, and only until the first run returns.
+            if worker_id in self._initial_ids:
+                self._ready_at.setdefault(worker_id, time.monotonic())
             return
         worker = self._worker_for(worker_id)
         current = (
@@ -743,8 +850,7 @@ class _Supervisor:
                 if worker.busy:
                     key, attempt = worker.key, worker.attempt
                     worker.release()
-                    worker.close_channel()
-                    self._workers[index] = self._spawn_worker()
+                    self._replace(index)
                     self._attempt_failed(
                         key,
                         attempt,
@@ -753,8 +859,7 @@ class _Supervisor:
                         f"{worker.process.exitcode})",
                     )
                 elif self._unresolved():
-                    worker.close_channel()
-                    self._workers[index] = self._spawn_worker()
+                    self._replace(index)
                 continue
             if not worker.busy:
                 continue
@@ -763,7 +868,7 @@ class _Supervisor:
                     index,
                     FAULT_TIMEOUT,
                     f"attempt exceeded unit timeout "
-                    f"({config.unit_timeout:g}s)",
+                    f"({self._unit_timeout:g}s)",
                 )
             elif worker.stall.expired(now):
                 self._kill_and_fail(
@@ -778,9 +883,7 @@ class _Supervisor:
         worker.release()
         worker.process.kill()
         worker.process.join(1.0)
-        worker.queue.close()
-        worker.close_channel()
-        self._workers[index] = self._spawn_worker()
+        self._replace(index)
         self._attempt_failed(key, attempt, kind, detail)
 
     # -- outcome accounting -------------------------------------------------
@@ -1019,10 +1122,9 @@ def run_units(
     elif config.workers <= 1:
         report = _run_serial(fn, units, config, on_complete, context)
     else:
-        context_bytes = _dumps(context) if context is not None else None
-        report = _Supervisor(
-            fn, units, config, on_complete, context_bytes
-        ).run()
+        pool = WorkerPool(fn, config, context)
+        with pool.open(min(config.workers, len(units))):
+            report = pool.run(units, on_complete)
     if config.report_sink is not None:
         config.report_sink(report)
     return report

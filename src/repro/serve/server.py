@@ -21,9 +21,12 @@ conditions:
   the store already holds its fingerprint — then it is marked complete
   without re-running;
 * **fault isolation behind a circuit breaker** — jobs execute on the
-  existing fault-isolated pool; repeated quarantine trips the
-  :class:`~repro.serve.breaker.CircuitBreaker` and jobs complete as
-  structured UNKNOWN-degraded instead of cascading;
+  fault-isolated pool.  Each executor owns one long-lived one-worker
+  :class:`~repro.resilience.pool.WorkerPool`, opened at start, so the
+  workers persist across jobs and a job pays no process spawn; a worker
+  that dies is replaced and its job retried as before.  Repeated
+  quarantine trips the :class:`~repro.serve.breaker.CircuitBreaker` and
+  jobs complete as structured UNKNOWN-degraded instead of cascading;
 * **graceful drain** — SIGTERM/SIGINT stop admission, let in-flight
   jobs finish inside a grace deadline, sync the ledger and store, and
   exit :data:`~repro.exitcodes.EXIT_INTERRUPTED`; whatever the grace
@@ -85,7 +88,7 @@ from repro.resilience.budget import Budget
 from repro.resilience.chaos import crashpoint
 from repro.resilience.checkpoint import CheckpointCorrupt
 from repro.resilience.journal import CampaignJournal, is_journal
-from repro.resilience.pool import PoolConfig, run_units
+from repro.resilience.pool import PoolConfig, WorkerPool, run_units
 from repro.resilience.retry import Deadline
 from repro.serve.admission import AdmissionController
 from repro.serve.breaker import CircuitBreaker
@@ -196,6 +199,8 @@ class VerifyServer:
         self._exit_code = EXIT_OK
         self._server: Optional[asyncio.base_events.Server] = None
         self._executors: list[asyncio.Task] = []
+        #: One pool per executor with isolation on, else empty.
+        self._pools: list[WorkerPool] = []
         self.port: Optional[int] = None
         self.counters = {
             "submitted": 0,
@@ -230,6 +235,18 @@ class VerifyServer:
         else:
             self._ledger = CampaignJournal.create(ledger_path)
         self._recover()
+        if cfg.isolation:
+            # Forked here, before the listening socket and any thread
+            # exist, so the first job pays no spawn.
+            pool_cfg = PoolConfig(
+                workers=1,
+                max_retries=cfg.pool_retries,
+                stall_timeout=cfg.stall_timeout,
+            )
+            self._pools = [
+                WorkerPool(run_job, pool_cfg).open()
+                for _ in range(max(1, cfg.concurrency))
+            ]
         self._server = await asyncio.start_server(
             self._handle_conn, cfg.host, cfg.port
         )
@@ -240,8 +257,8 @@ class VerifyServer:
             fh.flush()
             os.fsync(fh.fileno())
         self._executors = [
-            asyncio.ensure_future(self._executor())
-            for _ in range(max(1, cfg.concurrency))
+            asyncio.ensure_future(self._executor(pool))
+            for pool in self._pools or [None] * max(1, cfg.concurrency)
         ]
         log.info(
             "serving on %s:%d (dir=%s, queue<=%d, %d recovered)",
@@ -317,6 +334,10 @@ class VerifyServer:
             for task in self._executors:
                 task.cancel()
             await asyncio.gather(*self._executors, return_exceptions=True)
+            # A cancelled executor's run goes on in its thread; close()
+            # waits for it, so no pool closes under its supervisor loop.
+            for pool in self._pools:
+                await asyncio.to_thread(pool.close)
             crashpoint("serve.drain.sync")
             assert self._ledger is not None and self._store is not None
             self._ledger.sync()
@@ -680,14 +701,14 @@ class VerifyServer:
         return {"status": "unknown", "id": fingerprint}
 
     # -- execution ---------------------------------------------------------
-    async def _executor(self) -> None:
+    async def _executor(self, pool: Optional[WorkerPool]) -> None:
         while True:
             fingerprint = await self._queue.get()
             state = self._jobs.get(fingerprint)
             if state is None or state.status != "queued":
                 continue
             try:
-                await self._run_one(state)
+                await self._run_one(state, pool)
             except asyncio.CancelledError:
                 raise
             except Exception:
@@ -705,7 +726,9 @@ class VerifyServer:
                     },
                 )
 
-    async def _run_one(self, state: _JobState) -> None:
+    async def _run_one(
+        self, state: _JobState, pool: Optional[WorkerPool]
+    ) -> None:
         state.status = "running"
         self._event(state, {"type": "running"})
         fingerprint = state.fingerprint
@@ -743,15 +766,16 @@ class VerifyServer:
                 "max_seconds": state.deadline.remaining(),
             },
         }
-        pool_cfg = PoolConfig(
-            workers=2 if cfg.isolation else 0,
-            max_retries=cfg.pool_retries,
-            unit_timeout=state.deadline.remaining(),
-            stall_timeout=cfg.stall_timeout,
-        )
-        report = await asyncio.to_thread(
-            run_units, run_job, [(fingerprint, payload)], pool_cfg
-        )
+        units = [(fingerprint, payload)]
+        if pool is None:
+            report = await asyncio.to_thread(
+                run_units, run_job, units,
+                PoolConfig(workers=0, max_retries=cfg.pool_retries),
+            )
+        else:
+            report = await asyncio.to_thread(
+                pool.run, units, None, state.deadline.remaining()
+            )
         outcome = report.outcomes[fingerprint]
         if outcome.quarantined:
             self._breaker.record_failure()
@@ -871,7 +895,11 @@ class VerifyServer:
             "high_water": self._high_water,
             "queued": self._queue.qsize(),
             "store_records": len(self._store),
-            "counters": dict(self.counters),
+            "counters": dict(
+                self.counters,
+                pool_spawned=sum(pool.spawned for pool in self._pools),
+                pool_respawned=sum(pool.respawned for pool in self._pools),
+            ),
             "admission": self._admission.stats(),
             "breaker": self._breaker.describe(),
         }

@@ -57,7 +57,7 @@ def scrambled_schedule(monkeypatch):
     arbitrary (but seed-reproducible) permutation — a strictly more
     adversarial schedule than any real race.
     """
-    original = pool_module._Supervisor._dispatch
+    original = pool_module.WorkerPool._dispatch
 
     def apply(seed):
         rng = random.Random(seed)
@@ -69,7 +69,7 @@ def scrambled_schedule(monkeypatch):
                 pending.order = order
             original(self)
 
-        monkeypatch.setattr(pool_module._Supervisor, "_dispatch", dispatch)
+        monkeypatch.setattr(pool_module.WorkerPool, "_dispatch", dispatch)
 
     return apply
 

@@ -17,13 +17,20 @@ from repro.resilience.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.resilience.frames import encode_frame
 from repro.resilience.journal import (
     MAGIC,
     CampaignJournal,
-    _encode_frame,
     is_journal,
     load_journal,
 )
+
+
+def _encode_frame(kind, data):
+    """One journal frame for a ``(kind, data)`` record, built by hand."""
+    return encode_frame(
+        pickle.dumps((kind, data), protocol=pickle.HIGHEST_PROTOCOL)
+    )
 
 
 def _journal_with_units(path, units, **kwargs):

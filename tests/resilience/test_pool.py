@@ -9,6 +9,7 @@ and the merged outcome mapping is keyed and complete regardless of
 completion order.
 """
 
+import multiprocessing
 import os
 import signal
 import time
@@ -20,6 +21,7 @@ from repro.resilience.pool import (
     FAULT_ERROR,
     FAULT_TIMEOUT,
     PoolConfig,
+    WorkerPool,
     pool_config_for,
     run_units,
 )
@@ -55,6 +57,32 @@ def _crash_or_square(payload):
     if payload == "crash":
         os.kill(os.getpid(), signal.SIGKILL)
     return payload * 2
+
+
+def _pid(payload):
+    return payload, os.getpid()
+
+
+def _hang_if(payload):
+    if payload == "hang":
+        _hang_forever(payload)
+    return os.getpid()
+
+
+def _wait_exited(pid, timeout=10.0):
+    """Block until *pid* is gone or a zombie; False on timeout."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                state = fh.read().rsplit(")", 1)[1].split()[0]
+        except (OSError, IndexError):
+            return True
+        if state in ("Z", "X"):
+            return True
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.01)
 
 
 def _mark(payload):
@@ -535,3 +563,90 @@ class TestWithdrawal:
         assert self._ran(tmp_path) == ["u0", "u1", "u2", "u3"]
         assert list(report.outcomes) == ["u0", "u1", "u2", "u3"]
         assert report.withdrawn == ()
+
+
+class TestLongLivedPool:
+    """One :class:`WorkerPool` serves many runs on the same workers."""
+
+    @staticmethod
+    def _assert_no_unit_state(pool):
+        assert pool._units == [] and pool._pending == []
+        assert pool._outcomes == {} and pool._unit_faults == {}
+        assert pool._dispatched_at == {} and pool._withdrawn == set()
+        assert pool._faults == []
+
+    def test_many_runs_share_the_workers(self):
+        with WorkerPool(_pid, PoolConfig(workers=2)).open() as pool:
+            pids = set()
+            for run in range(10):
+                report = pool.run([(f"r{run}u{i}", i) for i in range(3)])
+                assert [o.value[0] for o in report.outcomes.values()] == [
+                    0, 1, 2
+                ]
+                pids.update(o.value[1] for o in report.outcomes.values())
+                self._assert_no_unit_state(pool)
+            assert len(pids) <= 2 and os.getpid() not in pids
+            assert (pool.spawned, pool.respawned) == (2, 0)
+
+    def test_a_key_may_recur_across_runs(self):
+        with WorkerPool(_pid, PoolConfig(workers=1)).open() as pool:
+            first = pool.run([("k", 1)])
+            again = pool.run([("k", 2)])
+        assert first.value("k")[0] == 1 and again.value("k")[0] == 2
+        assert again.outcomes["k"].attempts == 1 and again.faults == ()
+
+    def test_only_the_first_run_pays_the_spawn(self):
+        with WorkerPool(_pid, PoolConfig(workers=2)).open() as pool:
+            cold = pool.run([("a", 1), ("b", 2)])
+            warm = pool.run([("a", 1), ("b", 2)])
+        assert 0.0 < cold.spawn_seconds <= cold.seconds
+        assert warm.spawn_seconds == 0.0
+
+    def test_idle_killed_worker_is_replaced_without_a_fault(self):
+        with WorkerPool(_pid, PoolConfig(workers=1)).open() as pool:
+            _, victim = pool.run([("u", 1)]).value("u")
+            os.kill(victim, signal.SIGKILL)
+            assert _wait_exited(victim)
+            report = pool.run([("u", 2)])
+            assert report.faults == ()
+            outcome = report.outcomes["u"]
+            assert outcome.ok and outcome.attempts == 1
+            assert outcome.value[1] != victim
+            assert (pool.spawned, pool.respawned) == (2, 1)
+
+    def test_mid_run_sigkill_retries_on_a_respawned_worker(self, tmp_path):
+        marker = str(tmp_path / "died")
+        survived = tmp_path / "survived"
+        survived.write_text("no kill on this unit")
+        with WorkerPool(_kill_once, PoolConfig(workers=1)).open() as pool:
+            assert pool.run([("warm", (str(survived), 0))]).value("warm") == 0
+            report = pool.run([("u", (marker, 7))])
+            outcome = report.outcomes["u"]
+            assert outcome.ok and outcome.value == 7 and outcome.attempts == 2
+            assert [f.kind for f in report.faults] == [FAULT_CRASH]
+            assert (pool.spawned, pool.respawned) == (2, 1)
+            self._assert_no_unit_state(pool)
+            after = pool.run([("v", (marker, 8))])
+            assert after.value("v") == 8 and after.faults == ()
+
+    def test_per_run_unit_timeout(self):
+        config = PoolConfig(workers=1, max_retries=0)
+        with WorkerPool(_hang_if, config).open() as pool:
+            timed_out = pool.run([("h", "hang")], unit_timeout=0.3)
+            assert [f.kind for f in timed_out.faults] == [FAULT_TIMEOUT]
+            assert timed_out.outcomes["h"].quarantined
+            # The override lasts one run: the next has no deadline.
+            assert pool.run([("ok", "fine")]).outcomes["ok"].ok
+            assert pool.respawned == 1
+
+    def test_close_is_idempotent_and_reaps_every_worker(self):
+        pool = WorkerPool(_pid, PoolConfig(workers=2)).open()
+        report = pool.run([(i, i) for i in range(4)])
+        pids = {o.value[1] for o in report.outcomes.values()}
+        pool.close()
+        pool.close()
+        live = {child.pid for child in multiprocessing.active_children()}
+        assert not pids & live
+        assert all(_wait_exited(pid, timeout=0.0) for pid in pids)
+        with pytest.raises(RuntimeError):
+            pool.run([("late", 1)])

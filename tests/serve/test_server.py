@@ -27,27 +27,29 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 SLOW_WORK = 400_000
 
 
-def _env():
+def _env(**chaos):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     for var in (ENV_SPECS, ENV_TRACE, ENV_SCOPE):
         env.pop(var, None)
+    env.update(chaos)
     return env
 
 
-def _start(tmp_path, *extra):
+def _start(tmp_path, *extra, isolation=False, env=None):
     argv = [
         sys.executable, "-m", "repro", "serve",
         "--dir", str(tmp_path),
         "--port", "0",
         "--concurrency", "1",
-        "--no-isolation",
+        *([] if isolation else ["--no-isolation"]),
         *extra,
     ]
     return subprocess.Popen(
-        argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=_env()
+        argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        env=env or _env(),
     )
 
 
@@ -79,6 +81,38 @@ def _client(tmp_path, proc, timeout=30.0):
 
 def _probe(work, tag):
     return {"kind": "probe", "work": work, "value": tag}
+
+
+def _refute(model="s1-mobile", max_states=None):
+    job = {"kind": "refute", "protocol": "quorum", "model": model, "n": 2}
+    if max_states is not None:
+        job["max_states"] = max_states
+    return job
+
+
+def _children(pid):
+    """Pids whose parent is *pid* (Linux ``/proc``)."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            found.append(int(entry))
+    return found
+
+
+def _exited(pid):
+    """Whether *pid* is gone or a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+    except OSError:
+        return True
 
 
 @pytest.mark.slow
@@ -320,5 +354,91 @@ class TestCompactionAndGC:
             response = client.compact()
             assert response["status"] == "ok"
             assert response["evicted"] == 0
+        finally:
+            _stop(proc)
+
+
+@pytest.mark.slow
+class TestIsolatedServer:
+    """The default ``repro serve``: every job runs on a pool worker that
+    outlives it (one long-lived one-worker pool per executor)."""
+
+    def test_record_matches_the_in_process_record(self, tmp_path):
+        records = {}
+        for isolation in (False, True):
+            directory = tmp_path / f"isolation-{isolation}"
+            proc = _start(directory, "--concurrency", "2",
+                          isolation=isolation)
+            try:
+                client = _client(directory, proc)
+                jobs = [_refute(max_states=1000 + i) for i in range(4)]
+                done = [client.submit(job, wait=True) for job in jobs]
+                assert all(r["status"] == "done" for r in done), done
+                records[isolation] = [r["result"] for r in done]
+                counters = client.stats()["counters"]
+                # Fault-free jobs never spawn past the executors' pools.
+                assert counters["pool_spawned"] == (2 if isolation else 0)
+                assert counters["pool_respawned"] == 0
+            finally:
+                _stop(proc)
+        assert records[True] == records[False]
+
+    def test_worker_killed_on_its_second_job_is_replaced(self, tmp_path):
+        """Each worker dies at its own second unit start.  A worker
+        forked per job never runs a second unit, so a retry here also
+        shows the worker outlived the first job."""
+        env = _env(**{ENV_SCOPE: "all", ENV_SPECS: "worker.unit.start:2:kill"})
+        proc = _start(tmp_path, isolation=True, env=env)
+        try:
+            client = _client(tmp_path, proc)
+            first = client.submit(_refute(max_states=1001), wait=True)
+            assert first["status"] == "done" and "result" in first, first
+            assert client.stats()["counters"]["pool_respawned"] == 0
+            second = client.submit(_refute(max_states=1002), wait=True)
+            assert second["status"] == "done", second
+            assert second["result"] == first["result"]
+            counters = client.stats()["counters"]
+            assert counters["stored"] == 2 and counters["degraded"] == 0
+            assert (counters["pool_spawned"], counters["pool_respawned"]) == (
+                2, 1
+            )
+        finally:
+            _stop(proc)
+
+    def test_always_dying_worker_quarantines_and_trips_breaker(
+        self, tmp_path
+    ):
+        env = _env(**{ENV_SCOPE: "all", ENV_SPECS: "worker.unit.start:1:kill"})
+        proc = _start(tmp_path, "--breaker-threshold", "1",
+                      isolation=True, env=env)
+        try:
+            client = _client(tmp_path, proc)
+            doomed = client.submit(_refute(max_states=1001), wait=True)
+            assert doomed["reason"] == "quarantined", doomed
+            assert doomed["verdict"] == "unknown" and doomed["degraded"]
+            stats = client.stats()
+            assert stats["breaker"]["state"] == "open"
+            assert stats["breaker"]["opened_total"] == 1
+            # One first attempt and one retry, each on its own worker.
+            assert stats["counters"]["pool_respawned"] == 2
+            shed = client.submit(_refute(max_states=1002), wait=True)
+            assert shed["reason"] == "breaker-open", shed
+            assert client.stats()["counters"]["stored"] == 0
+        finally:
+            _stop(proc)
+
+    def test_workers_exit_after_the_server_is_killed(self, tmp_path):
+        proc = _start(tmp_path, "--concurrency", "2", isolation=True)
+        try:
+            client = _client(tmp_path, proc)
+            assert client.submit(_refute(), wait=True)["status"] == "done"
+            workers = _children(proc.pid)
+            assert len(workers) == client.stats()["counters"]["pool_spawned"]
+            proc.kill()
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 10.0
+            while not all(_exited(pid) for pid in workers):
+                assert time.monotonic() < deadline, "orphaned pool workers"
+                time.sleep(0.05)
         finally:
             _stop(proc)
