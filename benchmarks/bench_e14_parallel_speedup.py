@@ -8,8 +8,8 @@ and records wall clock, verified states/second and speedup vs the
 sequential engine.
 
 Cold-start is measured separately from steady-state: the pool reports
-its ``spawn_seconds`` (process fan-out, context unpickling, preflight
-warmup) through a ``report_sink`` hook, and the table shows both the
+its ``spawn_seconds`` (process fan-out and context unpickling) through
+a ``report_sink`` hook, and the table shows both the
 total ("cold s") and the total minus cold-start ("steady s").  The
 speedup column is computed on **steady-state** time — the engine's
 scaling — so process spawn cost is never silently booked against the

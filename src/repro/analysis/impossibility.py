@@ -134,7 +134,6 @@ def refute_candidate(
     campaign: Optional[CampaignCheckpoint] = None,
     workers: Optional[int] = None,
     pool: Optional[PoolConfig] = None,
-    on_unit=None,
     cache: CacheSpec = True,
     preflight: bool = True,
     shard_states: Optional[int] = None,
@@ -178,7 +177,7 @@ def refute_candidate(
     crashpoint("driver.impossibility.campaign")
     results = run_campaign(
         units, campaign=campaign, workers=workers, pool=pool,
-        on_unit=on_unit, shard_states=shard_states,
+        shard_states=shard_states,
     )
     return [
         Refutation(model_name=name, protocol_name=protocol.name(), report=report)

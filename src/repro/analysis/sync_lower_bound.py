@@ -86,7 +86,6 @@ def _campaign_rows(
     campaign: Optional[CampaignCheckpoint],
     workers: Optional[int],
     pool: Optional[PoolConfig],
-    on_unit,
     shard_states: Optional[int] = None,
 ) -> list[LowerBoundRow]:
     """Run ``(label, key, unit, n, t, rounds)`` specs through the shared
@@ -98,7 +97,6 @@ def _campaign_rows(
         campaign=campaign,
         workers=workers,
         pool=pool,
-        on_unit=on_unit,
         shard_states=shard_states,
     )
     return [
@@ -114,7 +112,6 @@ def defeat_fast_candidates(
     campaign: Optional[CampaignCheckpoint] = None,
     workers: Optional[int] = None,
     pool: Optional[PoolConfig] = None,
-    on_unit=None,
     cache: CacheSpec = True,
     preflight: bool = True,
     shard_states: Optional[int] = None,
@@ -151,9 +148,7 @@ def defeat_fast_candidates(
                     rounds,
                 )
             )
-    return _campaign_rows(
-        specs, campaign, workers, pool, on_unit, shard_states
-    )
+    return _campaign_rows(specs, campaign, workers, pool, shard_states)
 
 
 def verify_tight_protocols(
@@ -165,7 +160,6 @@ def verify_tight_protocols(
     campaign: Optional[CampaignCheckpoint] = None,
     workers: Optional[int] = None,
     pool: Optional[PoolConfig] = None,
-    on_unit=None,
     cache: CacheSpec = True,
     preflight: bool = True,
     shard_states: Optional[int] = None,
@@ -211,9 +205,7 @@ def verify_tight_protocols(
                     t + 1,
                 )
             )
-    return _campaign_rows(
-        specs, campaign, workers, pool, on_unit, shard_states
-    )
+    return _campaign_rows(specs, campaign, workers, pool, shard_states)
 
 
 def lemma_6_1(

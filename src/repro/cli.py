@@ -140,31 +140,6 @@ def _save_campaign(args: argparse.Namespace) -> None:
         log.info("checkpoint written to %s", args.checkpoint)
 
 
-def _autosave(args: argparse.Namespace):
-    """The per-unit campaign autosave callback (or None).
-
-    Fired by the campaign engine as each unit resolves — with parallel
-    workers, as they *finish*, so a crash of the driver itself loses at
-    most the units still in flight.  Save failures stay silent here; the
-    final :func:`_save_campaign` reports them once.
-    """
-    if not (args.checkpoint and args.campaign is not None):
-        return None
-    if isinstance(args.campaign, CampaignJournal):
-        # A journal persists each record/suspend the moment the campaign
-        # engine applies it — a per-unit whole-file rewrite would undo
-        # exactly the O(1)-per-unit property the journal exists for.
-        return None
-
-    def save(_key, _report) -> None:
-        try:
-            save_checkpoint(args.campaign, args.checkpoint)
-        except OSError:
-            pass
-
-    return save
-
-
 def _log_cache_stats(args: argparse.Namespace) -> None:
     """One INFO line summarizing memoization-cache effectiveness.
 
@@ -214,7 +189,6 @@ def _cmd_lower_bound(args: argparse.Namespace) -> int:
         campaign=args.campaign,
         workers=args.workers,
         pool=args.pool,
-        on_unit=_autosave(args),
         cache=args.cache,
         preflight=args.preflight,
         shard_states=args.shard_states,
@@ -229,7 +203,6 @@ def _cmd_lower_bound(args: argparse.Namespace) -> int:
             campaign=args.campaign,
             workers=args.workers,
             pool=args.pool,
-            on_unit=_autosave(args),
             cache=args.cache,
             preflight=args.preflight,
             shard_states=args.shard_states,
@@ -266,7 +239,6 @@ def _cmd_impossibility(args: argparse.Namespace) -> int:
         campaign=args.campaign,
         workers=args.workers,
         pool=args.pool,
-        on_unit=_autosave(args),
         cache=args.cache,
         preflight=args.preflight,
         shard_states=args.shard_states,

@@ -969,7 +969,6 @@ def run_campaign(
     campaign=None,
     workers: Optional[int] = None,
     pool: Optional[PoolConfig] = None,
-    on_unit=None,
     shard_states: Optional[int] = None,
 ) -> list[tuple]:
     """Run ``(key, SweepUnit)`` campaign units with shared resilience
@@ -997,9 +996,6 @@ def run_campaign(
     conclusive reports are recorded **the moment their sweep is
     decided** (an interrupt loses at most undecided units), and the
     first inconclusive unit's partial progress is suspended for resume.
-    *on_unit*, when given, is called as ``on_unit(key, report)`` after
-    each freshly-run unit's campaign update — the CLI hooks its
-    incremental checkpoint autosave here.
 
     Returns ``(key, report)`` pairs in submission order, truncated at
     the first inconclusive report.
@@ -1023,8 +1019,6 @@ def run_campaign(
                 campaign.suspend(key, report.checkpoint)
             else:
                 campaign.record(key, report)
-        if on_unit is not None:
-            on_unit(key, report)
 
     def decided(key, report: ConsensusReport) -> None:
         # The campaign suspends only its first inconclusive sweep (below).

@@ -322,6 +322,19 @@ class ChaosSweep:
         )
 
 
+def _src_pythonpath(env: dict) -> str:
+    """*env*'s ``PYTHONPATH`` with this checkout's ``src/`` in front.
+
+    A child ``python -m repro`` inherits the caller's resolution, and a
+    bare checkout works too.
+    """
+    src = os.path.dirname(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    )
+    existing = env.get("PYTHONPATH")
+    return src if not existing else f"{src}{os.pathsep}{existing}"
+
+
 def _run_cli(
     argv: list,
     env_extra: dict,
@@ -330,12 +343,7 @@ def _run_cli(
 ) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env.update(env_extra)
-    # The engine lives in src/; inherit the caller's resolution but make
-    # sure a bare checkout works too.
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__)))))
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src if not existing else f"{src}{os.pathsep}{existing}"
+    env["PYTHONPATH"] = _src_pythonpath(env)
     proc = subprocess.Popen(
         [python, "-m", "repro", *argv],
         stdout=subprocess.PIPE,

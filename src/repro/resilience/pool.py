@@ -49,11 +49,8 @@ Two mechanisms keep the plumbing cheap enough for fine-grained units
   ``fn(payload, context)``; payloads then carry only compact shard
   descriptors while the heavyweight system/model objects ride the
   context.  Because every unit a worker runs sees the *same* context
-  object, per-process memos keyed on it (the contract-preflight probe,
-  warm caches) hit across units instead of re-running per unit.  A
-  context may define a ``warmup()`` method, called best-effort once per
-  worker before it reports ready — the hook to move one-time probe
-  costs into the pool's cold-start window.
+  object, per-process memos keyed on it (warm caches) hit across units
+  instead of re-running per unit.
 * **pinned wire protocol** — every queue and pipe message (payloads,
   results, heartbeats, ready marks) is encoded with
   :func:`repro.resilience.wire.dumps`, i.e. ``pickle.HIGHEST_PROTOCOL``,
@@ -285,8 +282,8 @@ class PoolReport:
             :class:`WorkerPool`'s first run, counted from ``open()``).
         spawn_seconds: cold-start window — from ``open()`` until the
             last of the workers it spawned reported ready (process
-            spawned, context unpickled, ``warmup()`` run); 0 for every
-            later run on the same pool.  ``seconds - spawn_seconds``
+            spawned, context unpickled); 0 for every later run on
+            the same pool.  ``seconds - spawn_seconds``
             approximates the steady-state sweep time; benchmarks report
             both so process fan-out cost is never silently booked
             against the engine.
@@ -373,7 +370,7 @@ def _worker_main(
     *context_bytes* is the shared context, wire-encoded once by the
     supervisor; it is decoded here exactly once, so every unit this
     worker runs sees the same context object and per-process memos keyed
-    on it (preflight probes, warm caches) survive across units.
+    on it (warm caches) survive across units.
     """
     send_lock = threading.Lock()  # main thread vs heartbeat thread
 
@@ -387,18 +384,6 @@ def _worker_main(
     context = None
     if context_bytes is not None:
         context = _loads(context_bytes)
-        warmup = getattr(context, "warmup", None)
-        if callable(warmup):
-            try:
-                crashpoint("worker.warmup")
-                warmup()
-            except Exception:
-                # Warmup is purely a cache-warmer: a context whose
-                # warmup fails will fail identically inside the first
-                # unit, where the fault machinery (retry, quarantine)
-                # owns the error.  Swallowing here keeps a broken
-                # context from crash-looping the respawn logic.
-                pass
     send(("ready", worker_id, None, 0, None))
 
     parent = multiprocessing.parent_process()
@@ -815,9 +800,9 @@ class WorkerPool:
     def _handle(self, message) -> None:
         kind, worker_id, key, attempt, body = message
         if kind == "ready":
-            # Sent once per worker process, before any unit: context
-            # decoded and warmup done.  Only the workers open() spawned
-            # count, and only until the first run returns.
+            # Sent once per worker process, once its context is
+            # decoded and before any unit.  Only the workers open()
+            # spawned count, and only until the first run returns.
             if worker_id in self._initial_ids:
                 self._ready_at.setdefault(worker_id, time.monotonic())
             return
@@ -993,16 +978,6 @@ def _run_serial(fn, units, config, on_complete, context=None) -> PoolReport:
     faults: list[PoolFault] = []
     policy = config.retry_policy()
     started = time.monotonic()
-    if context is not None:
-        warmup = getattr(context, "warmup", None)
-        if callable(warmup):
-            try:
-                warmup()
-            except Exception:
-                # Same contract as the worker side: warmup is a
-                # best-effort cache-warmer; real failures surface inside
-                # the first unit where retry/quarantine own them.
-                pass
     for key, payload in units:
         if key in withdrawn:
             continue
@@ -1103,9 +1078,8 @@ def run_units(
             argument.  The E14 lever: heavyweight immutable inputs (the
             system under test, the model) ride here so per-unit payloads
             stay O(shard descriptor) and worker-side memos keyed on the
-            context object (preflight probes, warm caches) hit across
-            every unit the worker runs.  May define ``warmup()``, called
-            best-effort once per worker before it accepts units.
+            context object (warm caches) hit across every unit the
+            worker runs.
 
     Returns:
         A :class:`PoolReport` whose ``outcomes`` hold one entry per unit

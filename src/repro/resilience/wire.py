@@ -1,40 +1,16 @@
-"""Compact wire codec for cross-process payloads.
+"""Pinned pickle codec for cross-process payloads.
 
 The fault-isolated pool (:mod:`repro.resilience.pool`) moves payloads and
 results between the supervisor and its workers through pipes and queues.
-Profiling E14 showed the parallel engine losing to the sequential one not
-on exploration but on *plumbing*: rich :class:`~repro.core.state.
-GlobalState` objects pickled per unit, each copy deserializing into a
-fresh object graph worker-side that defeated every per-process memo
-(most expensively the contract-preflight probe, re-run per unit instead
-of once per process).  This module is the compact alternative:
-
-* :func:`dumps` / :func:`loads` — pickling pinned to
-  ``pickle.HIGHEST_PROTOCOL``.  Every byte the pool puts on a pipe or
-  queue goes through these two functions, so no message silently falls
-  back to the (slower, fatter) default protocol.
-* :class:`StatePack` — a column-packed encoding of a list of global
-  states: one intern table of the *distinct* environment/local values
-  plus per-state index tuples.  Layered state sets repeat their local
-  values heavily (initial states differ only in inputs; BFS frontiers
-  share almost everything), so the pack is a fraction of the naive
-  pickle and — more importantly — unpacking can route every state
-  through a worker-side ``intern()`` so the engines run over canonical
-  objects, exactly as the cache layer (PR 3) arranges in-process.
-
-The codec is value-faithful: ``unpack(pack_states(states)) == states``
-element-wise, in order, including duplicates.  Only identity is
-re-established worker-side (via the optional *intern* hook).
+:func:`dumps` / :func:`loads` pickle with the protocol pinned to
+``pickle.HIGHEST_PROTOCOL``.  Every byte the pool puts on a pipe or queue
+goes through these two functions, so no message silently falls back to
+the (slower, fatter) default protocol.
 """
 
 from __future__ import annotations
 
 import pickle
-from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
-from typing import Hashable, Optional
-
-from repro.core.state import GlobalState
 
 #: The pickle protocol every cross-process payload is encoded with.
 PROTOCOL = pickle.HIGHEST_PROTOCOL
@@ -48,98 +24,3 @@ def dumps(obj: object) -> bytes:
 def loads(data: bytes) -> object:
     """Inverse of :func:`dumps`."""
     return pickle.loads(data)
-
-
-@dataclass(frozen=True)
-class StatePack:
-    """A column-packed batch of :class:`GlobalState` values.
-
-    Attributes:
-        values: the intern table — each distinct environment or local
-            value appears exactly once, in first-seen order.
-        envs: per-state index of the environment value in ``values``.
-        locals_: per-state tuple of indices of the local values.
-    """
-
-    values: tuple
-    envs: tuple[int, ...]
-    locals_: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.envs)
-
-    def unpack(
-        self,
-        intern: Optional[Callable[[GlobalState], GlobalState]] = None,
-    ) -> list[GlobalState]:
-        """Rematerialize the packed states, in packing order.
-
-        *intern*, when given, maps each rebuilt state to its canonical
-        object (e.g. :meth:`repro.core.cache.CachedSystem.intern`), so a
-        worker that unpacks a shard immediately joins the process-local
-        hash-consing regime instead of littering duplicates.
-        """
-        values = self.values
-        states = [
-            GlobalState(values[env], tuple(values[i] for i in locs))
-            for env, locs in zip(self.envs, self.locals_)
-        ]
-        if intern is not None:
-            states = [intern(state) for state in states]
-        return states
-
-
-def pack_states(states: Iterable[GlobalState]) -> StatePack:
-    """Pack an iterable of states into a :class:`StatePack`.
-
-    Duplicates and ordering are preserved exactly; the intern table keys
-    values by equality, so two states sharing a local value share one
-    table slot.
-    """
-    table: dict[Hashable, int] = {}
-
-    def slot(value: Hashable) -> int:
-        index = table.get(value)
-        if index is None:
-            index = len(table)
-            table[value] = index
-        return index
-
-    envs: list[int] = []
-    locals_: list[tuple[int, ...]] = []
-    for state in states:
-        envs.append(slot(state.env))
-        locals_.append(tuple(slot(value) for value in state.locals))
-    return StatePack(
-        values=tuple(table), envs=tuple(envs), locals_=tuple(locals_)
-    )
-
-
-@dataclass(frozen=True)
-class DepthPack:
-    """A packed ``{state: depth}`` mapping (a BFS shard's result).
-
-    The states travel as a :class:`StatePack`; depths ride alongside as
-    a parallel tuple.  This is the result-pipe counterpart of the shard
-    payload: a parallel reachability shard returns its whole discovered
-    region, so the naive pickle of the dict dominated the result pipe
-    the same way root states dominated the task queue.
-    """
-
-    pack: StatePack
-    depths: tuple[int, ...]
-
-    def unpack(
-        self,
-        intern: Optional[Callable[[GlobalState], GlobalState]] = None,
-    ) -> dict[GlobalState, int]:
-        return dict(zip(self.pack.unpack(intern), self.depths))
-
-
-def pack_depths(mapping: dict[GlobalState, int]) -> DepthPack:
-    """Pack a ``{state: depth}`` mapping into a :class:`DepthPack`."""
-    states: Sequence[GlobalState] = list(mapping)
-    return DepthPack(
-        pack=pack_states(states),
-        depths=tuple(mapping[state] for state in states),
-    )

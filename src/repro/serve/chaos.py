@@ -46,6 +46,9 @@ from repro.resilience.chaos import (
     ENV_TRACE,
     MODE_EXIT,
     MODE_KILL,
+    _read_trace,
+    _select_hits,
+    _src_pythonpath,
 )
 from repro.resilience.chaos import EXIT_STATUS as CHAOS_EXIT_STATUS
 from repro.resilience.frames import read_frames
@@ -121,14 +124,6 @@ def default_battery(jobs: int = 5) -> list[dict]:
     return battery
 
 
-def _src_pythonpath() -> str:
-    src = os.path.dirname(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    )
-    existing = os.environ.get("PYTHONPATH")
-    return src if not existing else f"{src}{os.pathsep}{existing}"
-
-
 def _start_server(
     python: str,
     dirpath: str,
@@ -146,7 +141,7 @@ def _start_server(
     env = dict(os.environ)
     env.update({ENV_SPECS: "", ENV_TRACE: "", ENV_SCOPE: ""})
     env.update(env_extra)
-    env["PYTHONPATH"] = _src_pythonpath()
+    env["PYTHONPATH"] = _src_pythonpath(env)
     argv = [
         python, "-m", "repro", "serve",
         "--dir", dirpath,
@@ -308,17 +303,6 @@ def _check_consistency(
     return (not problems, "; ".join(problems))
 
 
-def _read_trace(path: str) -> Counter:
-    reachable: Counter = Counter()
-    if os.path.exists(path):
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    reachable[line] += 1
-    return reachable
-
-
 def serve_chaos_sweep(
     battery: Optional[list[dict]] = None,
     workdir: Optional[str] = None,
@@ -340,8 +324,6 @@ def serve_chaos_sweep(
     target, and serial execution keeps cycles fast and hit counts
     deterministic).
     """
-    from repro.resilience.chaos import _select_hits
-
     for mode in modes:
         if mode not in (MODE_KILL, MODE_EXIT):
             raise ValueError(
@@ -356,7 +338,7 @@ def serve_chaos_sweep(
     try:
         return _sweep(
             battery, workdir, modes, max_hits_per_point, points, seed,
-            timeout, python, isolation, on_result, _select_hits,
+            timeout, python, isolation, on_result,
         )
     finally:
         if own_tmp is not None:
@@ -365,7 +347,7 @@ def serve_chaos_sweep(
 
 def _sweep(
     battery, workdir, modes, max_hits_per_point, points, seed,
-    timeout, python, isolation, on_result, select_hits,
+    timeout, python, isolation, on_result,
 ) -> ServeChaosSweep:
     sweep = ServeChaosSweep()
 
@@ -413,7 +395,9 @@ def _sweep(
     for point in sorted(reachable):
         if points is not None and point not in points:
             continue
-        hits = select_hits(reachable[point], max_hits_per_point, point, seed)
+        hits = _select_hits(
+            reachable[point], max_hits_per_point, point, seed
+        )
         for hit in hits:
             for mode in modes:
                 result = _kill_and_recover(

@@ -1,10 +1,10 @@
 """Parallel campaign drivers: identical tables, incremental checkpoints.
 
 The analysis drivers (``refute_candidate``, ``defeat_fast_candidates``,
-``verify_tight_protocols``, ``solvability_matrix``) and the frontier-
-partitioned explorer must produce results identical to their sequential
-selves under ``workers=N``, record campaign progress as workers finish,
-and surface the flags end-to-end through the CLI.
+``verify_tight_protocols``, ``solvability_matrix``) must produce results
+identical to their sequential selves under ``workers=N``, record
+campaign progress as workers finish, and surface the flags end-to-end
+through the CLI.
 """
 
 from functools import lru_cache
@@ -20,9 +20,6 @@ from repro.analysis.sync_lower_bound import (
     verify_tight_protocols,
 )
 from repro.cli import EXIT_INCONCLUSIVE, EXIT_OK, main
-from repro.core.exploration import reachable_states, reachable_states_parallel
-from repro.core.state import GlobalState
-from repro.core.valence import ExplorationLimitExceeded
 from repro.core import checker as checker_module
 from repro.core.checker import SweepUnit, run_campaign
 from repro.protocols.candidates import QuorumDecide
@@ -32,24 +29,6 @@ from repro.resilience.budget import Budget
 from repro.resilience.checkpoint import CampaignCheckpoint
 from repro.resilience.journal import CampaignJournal, load_journal
 from repro.resilience.pool import PoolConfig
-
-
-class _LookalikeRaiser:
-    """A picklable system whose expansion fails with an error message
-    that *mentions* ExplorationLimitExceeded without being one."""
-
-    n = 2
-
-    def successors(self, state):
-        raise ValueError(
-            "not a budget trip, despite saying ExplorationLimitExceeded"
-        )
-
-    def failed_at(self, state):
-        return frozenset()
-
-    def decisions(self, state):
-        return {}
 
 
 def _rows_equal(parallel_rows, sequential_rows):
@@ -283,72 +262,6 @@ class TestCampaignIntegration:
         # The cached reports are the same objects — nothing re-ran.
         for f, s in zip(first, second):
             assert s.report is f.report
-
-    def test_on_unit_fires_per_fresh_unit(self):
-        fired = []
-        campaign = CampaignCheckpoint()
-        rows = defeat_fast_candidates(
-            3,
-            1,
-            campaign=campaign,
-            workers=2,
-            on_unit=lambda key, report: fired.append(key),
-        )
-        assert sorted(fired) == sorted(
-            f"defeat:{row.protocol_name}:n3:t1" for row in rows
-        )
-
-
-class TestParallelExploration:
-    def test_min_depth_merge_equals_sequential(self, st_floodset_tight):
-        roots = st_floodset_tight.model.initial_states((0, 1))
-        sequential = reachable_states(st_floodset_tight, roots)
-        parallel = reachable_states_parallel(
-            st_floodset_tight, roots, workers=3
-        )
-        assert parallel == sequential
-
-    def test_single_root_degrades_to_sequential(self, st_floodset_tight):
-        roots = st_floodset_tight.model.initial_states((0, 1))[:1]
-        assert reachable_states_parallel(
-            st_floodset_tight, roots, workers=4
-        ) == reachable_states(st_floodset_tight, roots)
-
-    def test_max_depth_respected(self, st_floodset_tight):
-        roots = st_floodset_tight.model.initial_states((0, 1))
-        sequential = reachable_states(st_floodset_tight, roots, max_depth=1)
-        parallel = reachable_states_parallel(
-            st_floodset_tight, roots, max_depth=1, workers=2
-        )
-        assert parallel == sequential
-
-
-class TestQuarantineDispatch:
-    """The supervisor tells budget trips from genuine faults by the
-    structured exception category the pool records — not by searching
-    the quarantine cause text (regression: any error message mentioning
-    ``ExplorationLimitExceeded`` used to masquerade as a budget trip)."""
-
-    POOL = PoolConfig(workers=2, max_retries=0, retry_backoff=0.01)
-
-    def test_shard_budget_trip_raises_limit_exceeded(self, st_floodset_tight):
-        roots = st_floodset_tight.model.initial_states((0, 1))
-        with pytest.raises(ExplorationLimitExceeded, match="shard"):
-            reachable_states_parallel(
-                st_floodset_tight,
-                roots,
-                max_states=Budget(max_states=2),
-                workers=2,
-                pool=self.POOL,
-            )
-
-    def test_lookalike_error_is_not_a_budget_trip(self):
-        system = _LookalikeRaiser()
-        roots = [GlobalState("toy", ("a", "a")), GlobalState("toy", ("b", "b"))]
-        with pytest.raises(RuntimeError, match="quarantined"):
-            reachable_states_parallel(
-                system, roots, workers=2, pool=self.POOL
-            )
 
 
 class TestCLIWorkers:

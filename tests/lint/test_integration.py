@@ -1,6 +1,6 @@
 """The contract checks' default-on integration with checkers and explorers.
 
-Four behaviours are pinned here:
+Three behaviours are pinned here:
 
 * an ill-formed system yields ``ILL_FORMED`` reports (checkers) or an
   :class:`IllFormedSystemError` (explorers) instead of garbage verdicts;
@@ -10,9 +10,7 @@ Four behaviours are pinned here:
   witness replays through the uncached system (RP201 when it does not);
 * ``preflight=False`` reproduces the pre-preflight engines exactly — a
   clean system's report is identical with the stage on or off, and an
-  ill-formed system is explored rather than refused;
-* in the parallel explorer the refusal crosses the process boundary
-  with its exception type intact.
+  ill-formed system is explored rather than refused.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from repro.core.checker import ConsensusChecker, Verdict, replay_witness
 from repro.core.exploration import (
     explore,
     reachable_states,
-    reachable_states_parallel,
 )
 from repro.layerings.base import CompiledLayer
 from repro.layerings.permutation import PermutationLayering
@@ -402,29 +399,3 @@ class TestRealSystemParity:
             with_stage, budget_stats=None
         ) == dataclasses.replace(without, budget_stats=None)
 
-
-class TestParallelExplorer:
-    # Fast-fail pool: no retries, minimal backoff — the refusal is
-    # deterministic, so retrying it only slows the test down.
-    POOL = PoolConfig(workers=2, max_retries=0, retry_backoff=0.01)
-
-    def test_refusal_crosses_the_process_boundary(self):
-        system = reviving_system()
-        roots = [system.state("x"), system.state("a")]
-        with pytest.raises(IllFormedSystemError) as excinfo:
-            reachable_states_parallel(
-                system, roots, workers=2, pool=self.POOL
-            )
-        # Only the describing text survives pickling; the structured
-        # report does not.
-        assert excinfo.value.report is None
-        assert "RP203" in str(excinfo.value)
-
-    def test_no_preflight_matches_sequential(self):
-        system = reviving_system()
-        roots = [system.state("x"), system.state("a")]
-        parallel = reachable_states_parallel(
-            system, roots, workers=2, pool=self.POOL, preflight=False
-        )
-        sequential = reachable_states(system, roots, preflight=False)
-        assert parallel == sequential

@@ -361,21 +361,10 @@ class TestStructuredCategories:
 # -- shared context, spawn accounting, stealing ------------------------------
 
 class ScalingContext:
-    """Picklable shared context: scales payloads, journals warmups.
+    """Picklable shared context: scales every payload by ``factor``."""
 
-    ``warmup`` appends one line to a per-pid file, so a test can count
-    how many times each worker process warmed up (the contract: once).
-    """
-
-    def __init__(self, factor, marker_dir=None):
+    def __init__(self, factor):
         self.factor = factor
-        self.marker_dir = marker_dir
-
-    def warmup(self):
-        if self.marker_dir is not None:
-            path = os.path.join(self.marker_dir, f"warm-{os.getpid()}")
-            with open(path, "a") as fh:
-                fh.write("warm\n")
 
 
 def _scale(payload, context):
@@ -392,23 +381,12 @@ class TestSharedContext:
             0, 10, 20, 30, 40, 50,
         ]
 
-    def test_warmup_runs_once_per_worker_process(self, tmp_path):
-        context = ScalingContext(2, marker_dir=str(tmp_path))
-        units = [(f"u{i}", i) for i in range(8)]
-        run_units(_scale, units, PoolConfig(workers=2), context=context)
-        journals = list(tmp_path.iterdir())
-        assert 1 <= len(journals) <= 2  # one file per worker that spawned
-        for journal in journals:
-            assert journal.read_text() == "warm\n"  # exactly once each
-
-    def test_serial_path_shares_the_contract(self, tmp_path):
-        context = ScalingContext(3, marker_dir=str(tmp_path))
+    def test_serial_path_shares_the_contract(self):
         report = run_units(
-            _scale, [("u", 7)], PoolConfig(workers=1), context=context
+            _scale, [("u", 7)], PoolConfig(workers=1),
+            context=ScalingContext(3),
         )
         assert report.value("u") == 21
-        warm = tmp_path / f"warm-{os.getpid()}"
-        assert warm.read_text() == "warm\n"
 
 
 class TestSpawnAccounting:

@@ -1,35 +1,16 @@
-"""The compact wire codec: protocol pin and value-faithful packing.
+"""The wire codec's protocol pin.
 
-Satellite guarantee for the parallel-scaling fix: every byte the pool
-puts on a pipe or queue is pickled at ``pickle.HIGHEST_PROTOCOL`` (the
-pin test greps the pool source so a stray ``conn.send(...)`` or default-
-protocol ``pickle.dumps`` cannot sneak back in), and the state packs are
-exact — ``unpack(pack_states(xs)) == xs`` element-wise including
-duplicates, with the optional ``intern`` hook re-establishing identity
-worker-side.
+Every byte the pool puts on a pipe or queue is pickled at
+``pickle.HIGHEST_PROTOCOL``: the pin test greps the pool source so a
+stray ``conn.send(...)`` or default-protocol ``pickle.dumps`` cannot
+sneak back in.
 """
 
 import pathlib
 import pickle
 
-from hypothesis import given
-from hypothesis import strategies as st
-
-from repro.core.state import GlobalState
 from repro.resilience import pool as pool_module
-from repro.resilience.wire import (
-    PROTOCOL,
-    DepthPack,
-    StatePack,
-    dumps,
-    loads,
-    pack_depths,
-    pack_states,
-)
-
-
-def _state(env, locals_):
-    return GlobalState(env, tuple(locals_))
+from repro.resilience.wire import PROTOCOL, dumps, loads
 
 
 class TestProtocolPin:
@@ -57,93 +38,3 @@ class TestProtocolPin:
         # and it really routes through the wire codec
         assert "from repro.resilience.wire import dumps" in source
         assert "from repro.resilience.wire import loads" in source
-
-
-class TestStatePack:
-    def test_round_trip_preserves_order_and_duplicates(self):
-        states = [
-            _state("e0", ["a", "b"]),
-            _state("e1", ["a", "a"]),
-            _state("e0", ["a", "b"]),  # duplicate state
-        ]
-        pack = pack_states(states)
-        assert len(pack) == 3
-        assert pack.unpack() == states
-
-    def test_intern_table_shares_repeated_values(self):
-        # 3 states x 3 slots = 9 value references, but only 3 distinct
-        # values: the intern table holds each exactly once.
-        states = [
-            _state("env", ["x", "y"]),
-            _state("env", ["y", "x"]),
-            _state("env", ["x", "x"]),
-        ]
-        pack = pack_states(states)
-        assert len(pack.values) == 3
-        assert set(pack.values) == {"env", "x", "y"}
-
-    def test_intern_hook_routes_every_state(self):
-        states = [_state(0, [1, 2]), _state(0, [2, 1])]
-        seen = []
-
-        def intern(state):
-            seen.append(state)
-            return state
-
-        assert pack_states(states).unpack(intern=intern) == states
-        assert seen == states
-
-    def test_empty_pack(self):
-        pack = pack_states([])
-        assert len(pack) == 0
-        assert pack.unpack() == []
-
-    def test_pack_is_smaller_than_naive_pickle_on_shared_values(self):
-        shared = tuple(range(50))
-        states = [_state(shared, [shared] * 4) for _ in range(32)]
-        packed = dumps(pack_states(states))
-        naive = dumps(states)
-        assert len(packed) < len(naive)
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(0, 3),
-                st.lists(st.integers(0, 3), min_size=1, max_size=3),
-            ),
-            max_size=12,
-        )
-    )
-    def test_property_round_trip(self, raw):
-        states = [_state(env, locs) for env, locs in raw]
-        assert pack_states(states).unpack() == states
-
-
-class TestDepthPack:
-    def test_round_trip(self):
-        mapping = {
-            _state("e", ["a"]): 0,
-            _state("e", ["b"]): 1,
-            _state("f", ["a"]): 2,
-        }
-        pack = pack_depths(mapping)
-        assert isinstance(pack, DepthPack)
-        assert isinstance(pack.pack, StatePack)
-        assert pack.unpack() == mapping
-
-    def test_survives_the_wire(self):
-        mapping = {_state(i, [i, i + 1]): i for i in range(5)}
-        assert loads(dumps(pack_depths(mapping))).unpack() == mapping
-
-    def test_intern_hook_applies_to_keys(self):
-        mapping = {_state("e", ["a"]): 4}
-        canonical = {}
-
-        def intern(state):
-            return canonical.setdefault(state, state)
-
-        first = pack_depths(mapping).unpack(intern=intern)
-        second = pack_depths(mapping).unpack(intern=intern)
-        assert first == second == mapping
-        (a,), (b,) = first.keys(), second.keys()
-        assert a is b  # identity re-established across unpacks
