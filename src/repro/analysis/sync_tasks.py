@@ -24,8 +24,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional, Union
 
-from repro.core.checker import Verdict
+from repro.core.checker import Verdict, _path_to
+from repro.core.run import Execution
 from repro.core.state import GlobalState
+from repro.core.valence import ExplorationLimitExceeded
 from repro.layerings.st_synchronous import StSynchronousLayering
 from repro.models.sync import SynchronousModel
 from repro.protocols.base import MessagePassingProtocol
@@ -70,18 +72,18 @@ def _round_bound_breach(
     budget: Budget,
 ) -> Optional[TaskReport]:
     """BFS every run to depth *rounds*; an undecided frontier state is a
-    breach of the round bound."""
-    from repro.core.run import Execution
-
+    breach of the round bound, witnessed by its run from the facet's
+    initial state."""
     model = layering.model
     meter = budget.meter()
     for facet in sorted(problem.input_facets(), key=repr):
         assignment = [facet.value_of(i) for i in range(problem.n)]
-        initial = model.initial_state(assignment)
-        frontier: deque[tuple[GlobalState, int]] = deque([(initial, 0)])
-        seen = {(initial, 0)}
+        root = (model.initial_state(assignment), 0)
+        frontier: deque[tuple[GlobalState, int]] = deque([root])
+        parent: dict[tuple[GlobalState, int], Optional[tuple]] = {root: None}
         while frontier:
-            state, depth = frontier.popleft()
+            key = frontier.popleft()
+            state, depth = key
             failed = model.failed_at(state)
             decided = model.decisions(state)
             done = all(
@@ -90,27 +92,31 @@ def _round_bound_breach(
             if done:
                 continue
             if depth >= rounds:
+                path = _path_to(key, parent)  # over (state, depth) keys
                 return TaskReport(
                     verdict=Verdict.DECISION,
                     input_facet=facet,
-                    execution=Execution((state,)),
+                    execution=Execution(
+                        tuple(s for s, _ in path.states), path.actions
+                    ),
                     cycle=None,
                     detail=(
                         f"some run undecided after {rounds} round(s); "
                         f"undecided non-failed processes remain"
                     ),
-                    states_explored=len(seen),
+                    states_explored=len(parent),
                 )
-            for _, child in layering.successors(state):
-                key = (child, depth + 1)
-                if key not in seen:
+            for action, child in layering.successors(state):
+                child_key = (child, depth + 1)
+                if child_key not in parent:
                     tripped = meter.charge_state(child)
                     if tripped is not None:
-                        raise RuntimeError(
-                            f"round-bound BFS budget exhausted ({tripped})"
+                        raise ExplorationLimitExceeded(
+                            f"round-bound budget exhausted ({tripped}) "
+                            f"after {len(parent)} states from {facet!r}"
                         )
-                    seen.add(key)
-                    frontier.append(key)
+                    parent[child_key] = (key, action)
+                    frontier.append(child_key)
     return None
 
 

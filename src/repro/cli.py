@@ -72,8 +72,8 @@ Static analysis (:mod:`repro.lint`):
   the registry.  Exit codes: 0 clean, 1 findings, 2 internal error.
 * Every experiment subcommand checks its systems' contracts (an
   ill-formed system is diagnosed instead of producing garbage
-  verdicts): the consensus checker inside its own search, the other
-  engines by a bounded probe before exploring; ``--no-preflight`` runs
+  verdicts): the consensus and task checkers inside their search, the
+  explorers by a bounded probe before exploring; ``--no-preflight`` runs
   the bare engines.
 
 Diagnostics go through the shared :mod:`repro.log` logger: ``-q`` keeps

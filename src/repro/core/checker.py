@@ -61,7 +61,7 @@ from collections.abc import Hashable, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import product
-from typing import Optional, Union
+from typing import Any, Optional, Union
 
 from repro.core.run import Execution, RunWitness
 from repro.core.state import GlobalState, StateFacts, revoked_decision
@@ -354,13 +354,15 @@ class ConsensusChecker:
     def _check_one(
         self,
         initial_state: GlobalState,
-        inputs: tuple,
+        inputs: Any,
         meter: BudgetMeter,
         checkpoint: Optional[ExplorationCheckpoint],
         sampled: bool = True,
     ) -> ConsensusReport:
         """One assignment's search, with the contract checks fused into
-        it when the stage is on (*sampled*: also the sampled checks)."""
+        it when the stage is on (*sampled*: also the sampled checks).
+        *inputs* are what :meth:`_state_problem` reads: the assignment
+        tuple here, an input facet in the task checker's search."""
         facts = StateFacts(self._system)
         if not self._preflight:
             return self._search(
@@ -383,7 +385,7 @@ class ConsensusChecker:
         # The post-condition: a refutation the uncached system cannot
         # replay rests on successors() that changed since the search.
         gap = report is not None and report.refuted and _witness_gap(
-            guard.system, report
+            guard.system, report, self._state_problem
         )
         if gap:
             guard.record(
@@ -418,7 +420,6 @@ class ConsensusChecker:
         """The BFS and lasso passes; None when *guard* recorded a finding
         on a state it expanded."""
         system = self._system
-        input_values = frozenset(inputs)
 
         if checkpoint is not None:
             checkpoint.validate_for(system, inputs)
@@ -433,7 +434,7 @@ class ConsensusChecker:
             edges = {}
             meter.charge_state(initial_state)
 
-            problem = self._state_problem(initial_state, input_values, facts)
+            problem = self._state_problem(initial_state, inputs, facts)
             if problem is not None:
                 return self._safety_report(
                     problem[0], initial_state, parent, inputs, problem[1], 1
@@ -478,7 +479,7 @@ class ConsensusChecker:
                             len(parent),
                             via=(action, child),
                         )
-                    problem = self._state_problem(child, input_values, facts)
+                    problem = self._state_problem(child, inputs, facts)
                     if problem is not None:
                         return self._safety_report(
                             problem[0],
@@ -600,8 +601,15 @@ class ConsensusChecker:
 
     @staticmethod
     def _state_problem(
-        state: GlobalState, input_values: frozenset, facts: StateFacts
+        state: GlobalState, inputs: Any, facts: StateFacts
     ) -> Optional[tuple[Verdict, str]]:
+        """The safety predicate on one state: the violation it exhibits
+        in a run with these *inputs*, as ``(verdict, detail)``, or None.
+
+        The search tests it on every state it generates, and the witness
+        replay on a refutation's final state; the task checker overrides
+        it with Δ-membership (its runs' *inputs* are input facets).
+        """
         failed, decided = facts[state]
         decisions = {i: v for i, v in decided.items() if i not in failed}
         distinct = set(decisions.values())
@@ -611,7 +619,7 @@ class ConsensusChecker:
                 f"non-failed processes decided differently: {decisions!r}",
             )
         for i, v in decisions.items():
-            if v not in input_values:
+            if v not in inputs:
                 return (
                     Verdict.VALIDITY,
                     f"process {i} decided {v!r}, not an input of this run",
@@ -1069,33 +1077,34 @@ def replay_witness(system, report: ConsensusReport) -> bool:
     """
     return (
         report.execution is not None
-        and _witness_gap(system, report) is None
+        and _witness_gap(system, report, ConsensusChecker._state_problem)
+        is None
     )
 
 
-def _witness_gap(system, report: ConsensusReport) -> Optional[tuple]:
+def _witness_gap(
+    system, report: ConsensusReport, state_problem
+) -> Optional[tuple]:
     """Where *report*'s witness fails to replay through *system*: the
     first transition ``(state, action, child)`` that is not an edge, or
     ``(state,)`` for the final state when every edge replays but the
-    violation does not show; None when it replays."""
+    violation does not show (safety verdicts are judged by the search's
+    *state_problem*); None when it replays."""
     for execution in filter(None, (report.execution, report.cycle)):
         for state, action, nxt in execution.transitions():
             if (action, nxt) not in system.successors(state):
                 return state, action, nxt
     final = report.execution.final
-    return None if _exhibits(system, report, final) else (final,)
+    shown = _exhibits(system, report, final, state_problem)
+    return None if shown else (final,)
 
 
-def _exhibits(system, report: ConsensusReport, final: GlobalState) -> bool:
-    failed = system.failed_at(final)
-    decisions = {
-        i: v for i, v in system.decisions(final).items() if i not in failed
-    }
-    if report.verdict is Verdict.AGREEMENT:
-        return len(set(decisions.values())) > 1
-    if report.verdict is Verdict.VALIDITY:
-        inputs = frozenset(report.inputs or ())
-        return any(v not in inputs for v in decisions.values())
+def _exhibits(
+    system, report: ConsensusReport, final: GlobalState, state_problem
+) -> bool:
+    if report.verdict in (Verdict.AGREEMENT, Verdict.VALIDITY):
+        problem = state_problem(final, report.inputs, StateFacts(system))
+        return problem is not None and problem[0] is report.verdict
     if report.verdict is Verdict.WRITE_ONCE:
         return report.execution.length >= 1 and revoked_decision(
             system.decisions(report.execution.states[-2]),

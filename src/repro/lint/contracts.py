@@ -4,10 +4,10 @@ Static lint cannot see through factories, closures or data flow; this
 module is the dynamic backstop.  One :class:`ContractGuard` checks the
 states a search expands.  The consensus checker runs it inside its own
 search, on edges it computes anyway (see
-:class:`~repro.core.checker.ConsensusChecker`); :func:`preflight_system`
-drives it with a bounded breadth-first probe for the engines that still
-check before they explore (the task checker, the explorers, ``repro
-lint --protocol``).  The conditions:
+:class:`~repro.core.checker.ConsensusChecker`; the task checker runs the
+same search); :func:`preflight_system` drives it with a bounded
+breadth-first probe for the engines that still check before they
+explore (the explorers, ``repro lint --protocol``).  The conditions:
 
 * **RP201 — successor determinism**: two calls to ``successors`` on the
   same state must return identical ``(action, child)`` lists.  Cached

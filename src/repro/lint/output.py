@@ -13,13 +13,18 @@ Two concerns live here, both boring on purpose:
   CI forever.  Entries are keyed by ``(code, path, symbol)`` — not by
   line number, so reformatting a file does not churn the baseline;
   ``symbol`` is the taint detail for deep findings and the message for
-  shallow ones.  Unused baseline entries are reported so the file
-  shrinks as debt is paid down instead of fossilizing.
+  shallow ones.  Each entry also records the ``count`` of findings of
+  that shape it accepts: a file with more of them fails the gate with
+  all of them reported (which one is new cannot be told), so one
+  accepted ``except Exception`` does not hide every later one.  Unused
+  baseline entries are reported so the file shrinks as debt is paid
+  down instead of fossilizing.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -37,6 +42,9 @@ __all__ = [
 
 #: Bumped if the JSON report shape ever changes incompatibly.
 REPORT_VERSION = 1
+
+#: The baseline file format; version 2 added the per-entry ``count``.
+BASELINE_VERSION = 2
 
 
 def _symbol_for(finding: LintFinding) -> str:
@@ -98,21 +106,30 @@ def _by_code(findings: Sequence[LintFinding]) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class BaselineEntry:
-    """One accepted finding: matched by code + path + symbol."""
+    """Accepted findings: *count* of them matching code + path + symbol."""
 
     code: str
     path: str
     symbol: str
+    count: int
+
+    @property
+    def key(self) -> tuple[str, str, str]:
+        return (self.code, self.path, self.symbol)
 
     def to_dict(self) -> dict:
-        return {"code": self.code, "path": self.path, "symbol": self.symbol}
+        return {
+            "code": self.code,
+            "path": self.path,
+            "symbol": self.symbol,
+            "count": self.count,
+        }
 
-    def matches(self, finding: LintFinding) -> bool:
-        return (
-            self.code == finding.code
-            and self.path == finding.path.replace("\\", "/")
-            and self.symbol == _symbol_for(finding)
-        )
+
+def _key(finding: LintFinding) -> tuple[str, str, str]:
+    """The baseline key of a finding (its path with forward slashes)."""
+    path = finding.path.replace("\\", "/")
+    return (finding.code, path, _symbol_for(finding))
 
 
 @dataclass
@@ -135,37 +152,43 @@ def load_baseline(path: str) -> Baseline:
         raise LintError(
             f"baseline {path} must be an object with a 'suppressions' list"
         )
+    if raw.get("version") != BASELINE_VERSION:
+        raise LintError(
+            f"baseline {path} is format version {raw.get('version')!r}, "
+            f"not {BASELINE_VERSION} (entries without a count); "
+            "regenerate it with --write-baseline"
+        )
     entries = []
     for i, item in enumerate(raw["suppressions"]):
         try:
-            entries.append(
-                BaselineEntry(
-                    code=item["code"],
-                    path=item["path"],
-                    symbol=item["symbol"],
-                )
+            entry = BaselineEntry(
+                code=item["code"],
+                path=item["path"],
+                symbol=item["symbol"],
+                count=item["count"],
             )
         except (TypeError, KeyError) as exc:
             raise LintError(
                 f"baseline {path} suppression #{i} is malformed: "
-                "need code/path/symbol"
+                "need code/path/symbol/count"
             ) from exc
+        if not isinstance(entry.count, int) or entry.count < 1:
+            raise LintError(
+                f"baseline {path} suppression #{i} has count "
+                f"{entry.count!r}; need a positive integer"
+            )
+        entries.append(entry)
     return Baseline(entries=entries, path=path)
 
 
 def write_baseline(path: str, findings: Sequence[LintFinding]) -> None:
     """Accept the current findings as the new baseline."""
-    entries = sorted(
-        {
-            (f.code, f.path.replace("\\", "/"), _symbol_for(f))
-            for f in findings
-        }
-    )
+    counts = Counter(_key(f) for f in findings)
     payload = {
-        "version": REPORT_VERSION,
+        "version": BASELINE_VERSION,
         "suppressions": [
-            {"code": code, "path": fpath, "symbol": symbol}
-            for code, fpath, symbol in entries
+            BaselineEntry(*key, count=counts[key]).to_dict()
+            for key in sorted(counts)
         ],
     }
     Path(path).write_text(
@@ -180,21 +203,13 @@ def apply_baseline(
     """Split findings against the baseline.
 
     Returns ``(kept, suppressed_count, unused_entries)``: *kept* are the
-    findings the baseline does not cover (the ones that gate), *unused*
-    are baseline entries that matched nothing (debt already paid — CI
-    logs them so the file gets pruned).
+    findings the baseline does not cover (the ones that gate) — every
+    finding of a shape with no entry, or with more findings than its
+    entry's count — and *unused* are baseline entries that matched
+    nothing (debt already paid — CI logs them so the file gets pruned).
     """
-    kept: list[LintFinding] = []
-    used: set[BaselineEntry] = set()
-    suppressed = 0
-    for finding in findings:
-        entry = next(
-            (e for e in baseline.entries if e.matches(finding)), None
-        )
-        if entry is None:
-            kept.append(finding)
-        else:
-            used.add(entry)
-            suppressed += 1
-    unused = [e for e in baseline.entries if e not in used]
-    return kept, suppressed, unused
+    counts = Counter(_key(f) for f in findings)
+    allowed = {e.key: e.count for e in baseline.entries}
+    kept = [f for f in findings if counts[_key(f)] > allowed.get(_key(f), 0)]
+    unused = [e for e in baseline.entries if e.key not in counts]
+    return kept, len(findings) - len(kept), unused

@@ -3,8 +3,10 @@
 The combinatorial layer of the paper's characterization results:
 simplexes and complexes, decision problems ``<I, O, Δ>``,
 k-thick-connectivity, coverings/generalized valence, s-diameter bounds,
-and the solvability drivers for Theorem 7.2 / Corollary 7.3 — plus a
-catalog of concrete tasks spanning the solvable/unsolvable frontier.
+the task checker (the consensus checker's search, with membership in
+``Δ(input facet)`` as its state predicate) and the solvability drivers
+for Theorem 7.2 / Corollary 7.3 — plus a catalog of concrete tasks
+spanning the solvable/unsolvable frontier.
 """
 
 from repro.tasks.catalog import (

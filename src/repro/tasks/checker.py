@@ -20,16 +20,13 @@ facets in the output complex).
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from repro.core.cache import CacheSpec, resolve_cache
+from repro.core.cache import CacheSpec
 from repro.core.checker import ConsensusChecker, Verdict
 from repro.core.run import Execution
-from repro.core.state import GlobalState, StateFacts, revoked_decision
-from repro.core.valence import ExplorationLimitExceeded
+from repro.core.state import GlobalState, StateFacts
 from repro.resilience.budget import Budget, DEFAULT_MAX_STATES
 from repro.tasks.problem import DecisionProblem
 from repro.tasks.simplex import Simplex
@@ -57,16 +54,45 @@ class TaskReport:
 
     @property
     def ill_formed(self) -> bool:
-        """True when the contract preflight refused the system."""
+        """True when the contract checks refused the system."""
         return self.verdict is Verdict.ILL_FORMED
+
+
+class _TaskSearch(ConsensusChecker):
+    """The consensus search with Δ-membership as its state predicate.
+
+    A run's ``inputs`` are its input facet, so the search's reports and
+    its witness replay carry the facet where they carry an assignment.
+    """
+
+    def __init__(
+        self, system, problem: DecisionProblem, budget, cache, preflight
+    ) -> None:
+        super().__init__(
+            system, budget, strict=True, cache=cache, preflight=preflight
+        )
+        self.problem = problem
+
+    def _state_problem(
+        self, state: GlobalState, input_facet: Simplex, facts: StateFacts
+    ) -> Optional[tuple[Verdict, str]]:
+        decided = _decided_simplex(*facts[state])
+        if self.problem.acceptable(input_facet, decided):
+            return None
+        return (
+            Verdict.VALIDITY,
+            f"decided simplex {decided!r} not acceptable for input "
+            f"{input_facet!r}",
+        )
 
 
 class TaskChecker:
     """Exhaustively check decision + validity for a decision problem.
 
-    Reuses the consensus checker's exploration and lasso machinery; only
-    the state-level safety predicate differs (Δ-membership instead of
-    agreement/value-validity).
+    Runs the consensus checker's search, with Δ-membership as the state
+    predicate in place of agreement/value-validity: the contract checks
+    fused into the search, witness replay, the lasso pass and the budget
+    accounting are the consensus checker's own.
 
     ``max_states`` accepts a state count or a full
     :class:`~repro.resilience.Budget`.  The task checker is always
@@ -79,10 +105,12 @@ class TaskChecker:
     (see :func:`repro.core.cache.resolve_cache`); reports are identical
     cached or uncached.
 
-    ``preflight`` (default on) runs the bounded contract preflight
-    (:mod:`repro.lint.contracts`) before the first exploration and
-    returns an ``ILL_FORMED`` report instead of exploring an ill-formed
-    system; ``preflight=False`` reproduces historical behaviour exactly.
+    ``preflight`` (default on) runs the RP2xx contract checks inside the
+    search, as the consensus checker does: every edge it computes is
+    checked, the sampled determinism and embedding checks run on the
+    first facet of :meth:`check_all`, and a refuting witness that does
+    not replay is ILL_FORMED (RP201).  An ill-formed system yields an
+    ``ILL_FORMED`` report; ``preflight=False`` runs the bare search.
     """
 
     def __init__(
@@ -93,123 +121,26 @@ class TaskChecker:
         cache: CacheSpec = None,
         preflight: bool = True,
     ) -> None:
-        self._system = resolve_cache(system, cache)
-        self._problem = problem
-        self._budget = Budget.of(max_states)
-        self._preflight = preflight
-
-    def _preflight_gate(
-        self, roots, input_facet: Optional[Simplex]
-    ) -> Optional[TaskReport]:
-        """Run the contract preflight once; the ILL_FORMED report if it
-        failed, else None."""
-        if not self._preflight:
-            return None
-        from repro.lint.contracts import preflight_once
-
-        report = preflight_once(self._system, roots)
-        if report is None or report.ok:
-            return None
-        return TaskReport(
-            verdict=Verdict.ILL_FORMED,
-            input_facet=input_facet,
-            execution=None,
-            cycle=None,
-            detail=report.describe(),
-            states_explored=0,
-            preflight=report,
+        self._search = _TaskSearch(
+            system, problem, Budget.of(max_states), cache, preflight
         )
 
     def check(
         self, initial_state: GlobalState, input_facet: Simplex
     ) -> TaskReport:
         """Check all runs from the initial state of one input facet."""
-        refused = self._preflight_gate([initial_state], input_facet)
-        if refused is not None:
-            return refused
-        system = self._system
-        problem = self._problem
-        helper = ConsensusChecker(system, self._budget)
-        facts = StateFacts(system)
-        meter = self._budget.meter()
-        parent: dict[GlobalState, Optional[tuple]] = {initial_state: None}
-        queue: deque[GlobalState] = deque([initial_state])
-        terminal: set[GlobalState] = set()
-        edges: dict[GlobalState, list[tuple[Hashable, GlobalState]]] = {}
-        meter.charge_state(initial_state)
-
-        problem_detail = self._validity_problem(initial_state, input_facet)
-        if problem_detail is not None:
-            return self._report(
-                Verdict.VALIDITY, input_facet, initial_state, parent,
-                problem_detail, 1,
-            )
-
-        while queue:
-            tripped = meter.poll()
-            if tripped is not None:
-                raise ExplorationLimitExceeded(
-                    f"task-check budget exhausted ({tripped}) after "
-                    f"{len(parent)} states from {input_facet!r}"
-                )
-            state = queue.popleft()
-            if helper._all_nonfailed_decided(state, facts):
-                terminal.add(state)
-                continue
-            succs = system.successors(state)
-            edges[state] = succs
-            for action, child in succs:
-                meter.charge_edge()
-                fresh = child not in parent
-                if fresh:
-                    parent[child] = (state, action)
-                    meter.charge_state(child)
-                    queue.append(child)
-                write_once = revoked_decision(facts[state][1], facts[child][1])
-                if write_once is not None:
-                    return self._report(
-                        Verdict.WRITE_ONCE, input_facet, child, parent,
-                        write_once, len(parent),
-                    )
-                detail = self._validity_problem(child, input_facet)
-                if detail is not None:
-                    return self._report(
-                        Verdict.VALIDITY, input_facet, child, parent,
-                        detail, len(parent),
-                    )
-
-        lasso = helper._find_undecided_lasso(
-            initial_state, edges, terminal, facts
-        )
-        if lasso is not None:
-            prefix, cycle = lasso
-            return TaskReport(
-                verdict=Verdict.DECISION,
-                input_facet=input_facet,
-                execution=prefix,
-                cycle=cycle,
-                detail=(
-                    "fair infinite run on which some non-failed process "
-                    "never decides"
-                ),
-                states_explored=len(parent),
-            )
-        return TaskReport(
-            verdict=Verdict.SATISFIED,
-            input_facet=None,
-            execution=None,
-            cycle=None,
-            detail="all runs decide and are valid",
-            states_explored=len(parent),
-        )
+        return self._check(initial_state, input_facet, sampled=True)
 
     def check_all(self, model) -> TaskReport:
         """Check every input facet of the problem."""
+        problem = self._search.problem
         total = 0
-        facets = sorted(self._problem.input_facets(), key=repr)
-        for facet in facets:
-            assignment = [facet.value_of(i) for i in range(self._problem.n)]
-            report = self.check(model.initial_state(assignment), facet)
+        facets = sorted(problem.input_facets(), key=repr)
+        for index, facet in enumerate(facets):
+            assignment = [facet.value_of(i) for i in range(problem.n)]
+            report = self._check(
+                model.initial_state(assignment), facet, sampled=index == 0
+            )
             total += report.states_explored
             if not report.satisfied:
                 return report
@@ -222,43 +153,47 @@ class TaskChecker:
             states_explored=total,
         )
 
-    # -- internals ----------------------------------------------------------
     def decided_simplex(self, state: GlobalState) -> Simplex:
         """The simplex of decisions made by non-failed processes."""
-        failed = self._system.failed_at(state)
-        return Simplex(
-            (i, v)
-            for i, v in self._system.decisions(state).items()
-            if i not in failed
+        system = self._search._system
+        return _decided_simplex(
+            system.failed_at(state), system.decisions(state)
         )
 
-    def _validity_problem(
-        self, state: GlobalState, input_facet: Simplex
-    ) -> Optional[str]:
-        decided = self.decided_simplex(state)
-        if not self._problem.acceptable(input_facet, decided):
-            return (
-                f"decided simplex {decided!r} not acceptable for input "
-                f"{input_facet!r}"
-            )
-        return None
-
-    def _report(
-        self,
-        verdict: Verdict,
-        input_facet: Simplex,
-        state: GlobalState,
-        parent: dict,
-        detail: str,
-        explored: int,
+    # -- internals ----------------------------------------------------------
+    def _check(
+        self, initial_state: GlobalState, input_facet: Simplex, sampled: bool
     ) -> TaskReport:
-        from repro.core.checker import _path_to
+        from repro.lint.contracts import IllFormedSystemError
 
+        search = self._search
+        try:
+            report = search._check_one(
+                initial_state, input_facet, search.budget.meter(), None, sampled
+            )
+        except IllFormedSystemError as exc:
+            return TaskReport(
+                verdict=Verdict.ILL_FORMED,
+                input_facet=input_facet,
+                execution=None,
+                cycle=None,
+                detail=str(exc),
+                states_explored=0,
+                preflight=exc.report,
+            )
         return TaskReport(
-            verdict=verdict,
-            input_facet=input_facet,
-            execution=_path_to(state, parent),
-            cycle=None,
-            detail=detail,
-            states_explored=explored,
+            verdict=report.verdict,
+            input_facet=report.inputs,
+            execution=report.execution,
+            cycle=report.cycle,
+            detail=(
+                "all runs decide and are valid"
+                if report.satisfied
+                else report.detail
+            ),
+            states_explored=report.states_explored,
         )
+
+
+def _decided_simplex(failed: frozenset, decisions: dict) -> Simplex:
+    return Simplex((i, v) for i, v in decisions.items() if i not in failed)

@@ -110,8 +110,8 @@ def verify_protocol_solves(
 
     Each model gets its own memoization cache (``cache=False`` disables,
     an int bounds it); reports are identical either way.  ``preflight``
-    (default on) contract-probes each layered system first, diagnosing an
-    ill-formed protocol as ``ILL_FORMED`` instead of exploring it."""
+    (default on) checks the contracts inside each search, diagnosing an
+    ill-formed protocol as ``ILL_FORMED`` instead of a verdict on it."""
     systems = models or one_resilient_layerings(protocol, problem.n)
     reports = {}
     for name, layering in systems.items():

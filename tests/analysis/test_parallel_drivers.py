@@ -119,10 +119,31 @@ class TestRegistryParity:
         assert all(row.refuted for row in sequential)
         assert _refutation_fields(parallel) == _refutation_fields(sequential)
 
-    def test_waitforall_runs_a_bounded_prefix(self):
-        """Every WaitForAll sweep refutes at its first assignment, so with
-        two workers each of the 5 sweeps runs that shard plus at most one
-        more that was already running: at most 10 of the 40 shards."""
+    def test_waitforall_runs_a_bounded_prefix(self, monkeypatch):
+        """How far past its decided prefix a sweep reads, on a scripted
+        dispatch order.
+
+        Under the withdrawal rule a shard of a sweep runs only if it was
+        dispatched before the sweep was decided.  Shards are ranked by
+        (span index, sweep order), so a sweep's spans beyond its decided
+        prefix are dispatched no earlier than its last prefix span.  In
+        lockstep — the next shards are handed out only once every worker
+        is idle — the sweep is decided by the end of the batch holding
+        that last prefix span, so it runs at most ``workers - 1`` shards
+        beyond its prefix.  (A free-running pool has no such bound: an
+        idle worker may read ahead in a sweep whose first shard is slow,
+        while nothing else is pending.)  Every WaitForAll sweep refutes
+        at its first assignment, so the lockstep schedule is exactly
+        [s0:0, s1:0], [s2:0, s3:0], [s4:0, s4:1] for the 5 sweeps."""
+        from repro.resilience import pool as pool_module
+
+        dispatch = pool_module.WorkerPool._dispatch
+
+        def lockstep(self):
+            if not any(worker.busy for worker in self._workers):
+                dispatch(self)
+
+        monkeypatch.setattr(pool_module.WorkerPool, "_dispatch", lockstep)
         workers = 2
         reports = []
         rows = refute_candidate(
@@ -134,13 +155,14 @@ class TestRegistryParity:
         (pool_report,) = reports
         ran = list(pool_report.outcomes)
         assert len(ran) + len(pool_report.withdrawn) == 40
-        assert len(ran) <= 10
-        for row in rows:
+        assert len(rows) == 5
+        for index, row in enumerate(rows):
             prefix = _decided_prefix(row.report)
             assert prefix == 1
             spans = sorted(lo for key, lo in ran if f":{row.model_name}:" in key)
             assert spans[:prefix] == list(range(prefix))
             assert len(spans) <= prefix + workers - 1
+            assert spans == ([0, 1] if index == len(rows) - 1 else [0])
 
 
 class TestCampaignIntegration:

@@ -48,6 +48,46 @@ class TestPositiveInstances:
         assert report.verdict is Verdict.DECISION
         assert "undecided after 0 round" in report.detail
 
+    def test_round_bound_breach_replays(self):
+        """FloodSet(2) needs two rounds; its one-round breach is a run of
+        one layer from the facet's initial state, ending undecided."""
+        from repro.analysis.sync_lower_bound import make_st_system
+
+        report = check_solves_in_rounds(
+            binary_consensus(3), FloodSet(2), t=1, rounds=1
+        )
+        assert report.verdict is Verdict.DECISION
+        layering = make_st_system(FloodSet(2), 3, 1)
+        facet = report.input_facet
+        state = layering.model.initial_state(
+            [facet.value_of(i) for i in range(3)]
+        )
+        execution = report.execution
+        assert execution.initial == state
+        assert execution.length == 1
+        for action in execution.actions:
+            state = layering.apply(state, action)
+        assert state == execution.final
+        failed = layering.failed_at(state)
+        decided = layering.decisions(state)
+        assert any(
+            i not in decided for i in range(3) if i not in failed
+        )
+
+    def test_round_bound_budget_trip_raises(self):
+        from repro.analysis.sync_lower_bound import make_st_system
+        from repro.analysis.sync_tasks import _round_bound_breach
+        from repro.core.valence import ExplorationLimitExceeded
+        from repro.resilience.budget import Budget
+
+        with pytest.raises(ExplorationLimitExceeded):
+            _round_bound_breach(
+                make_st_system(FloodSet(2), 3, 1),
+                binary_consensus(3),
+                rounds=2,
+                budget=Budget(max_states=3),
+            )
+
 
 class TestNegativeControls:
     def test_consensus_task_fails_in_one_round(self):

@@ -85,9 +85,39 @@ class TestSelfSweep:
             "stale baseline entries (the debt was paid — prune them):\n"
             + "\n".join(str(e.to_dict()) for e in unused)
         )
-        # entries are keyed (code, path, symbol): several findings with
-        # the same message in one file share a single entry
-        assert suppressed >= len(baseline.entries) > 0
+        # each entry accepts exactly its count of findings of its shape
+        assert suppressed == sum(e.count for e in baseline.entries) > 0
+
+    def test_one_more_swallow_in_pool_fails_the_gate(
+        self, tmp_path, monkeypatch
+    ):
+        # A copy of pool.py at its repo-relative path passes the gate;
+        # one added `except Exception: pass` makes it fail, reporting
+        # every finding of that shape (which one is new cannot be told).
+        copy = tmp_path / "src" / "repro" / "resilience" / "pool.py"
+        copy.parent.mkdir(parents=True)
+        source = (SRC / "resilience" / "pool.py").read_text()
+        copy.write_text(source)
+        monkeypatch.chdir(tmp_path)
+        baseline = load_baseline(str(BASELINE))
+        rel = "src/repro/resilience/pool.py"
+        kept, suppressed, _ = apply_baseline(lint_paths([rel]), baseline)
+        assert kept == [] and suppressed > 0
+        copy.write_text(
+            source
+            + "\n\ndef _extra():\n    try:\n        pass\n"
+            + "    except Exception:\n        pass\n"
+        )
+        findings = lint_paths([rel])
+        kept, _, _ = apply_baseline(findings, baseline)
+        assert kept
+        assert {f.code for f in kept} == {"RP301"}
+        assert all("except Exception" in f.message for f in kept)
+        assert len(kept) == 1 + next(
+            e.count
+            for e in baseline.entries
+            if e.path == rel and e.symbol.startswith("except Exception")
+        )
 
     def test_full_package_deep_analysis_under_ten_seconds(self, sweep):
         _, elapsed = sweep

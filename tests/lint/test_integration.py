@@ -252,7 +252,7 @@ class _FlickersPastTheFirstRoot(RootedToy):
         self.calls: Counter = Counter()
 
     def initial_state(self, assignment):
-        return self.state("r%d%d" % assignment)
+        return self.state("r%d%d" % tuple(assignment))
 
     def successors(self, state):
         name = self._name(state)
@@ -348,6 +348,53 @@ class TestTaskChecker:
             system.state("x"), Simplex.from_values((0, 0))
         )
         assert report.verdict is not Verdict.ILL_FORMED
+
+    def test_late_nondeterminism_fails_the_witness_replay(self):
+        facet = Simplex.from_values((0, 1))
+        system = _LateFlicker(chain=10)
+        bare = TaskChecker(
+            system, binary_consensus(2), preflight=False
+        ).check(system.state("s0"), facet)
+        assert bare.verdict is Verdict.VALIDITY
+        system = _LateFlicker(chain=10)
+        report = TaskChecker(system, binary_consensus(2)).check(
+            system.state("s0"), facet
+        )
+        assert report.verdict is Verdict.ILL_FORMED
+        [finding] = report.preflight.findings
+        assert finding.code == "RP201"
+        assert "does not replay" in finding.message
+
+    def test_only_the_first_facet_is_sampled(self):
+        # As in the consensus sweep: the facets after the first, whose
+        # roots flicker, are not double-called.
+        system = _FlickersPastTheFirstRoot()
+        report = TaskChecker(system, binary_consensus(2)).check_all(system)
+        assert report.verdict is Verdict.SATISFIED
+        flickering = TaskChecker(system, binary_consensus(2)).check(
+            system.state("r10"), Simplex.from_values((1, 0))
+        )
+        assert [f.code for f in flickering.preflight.findings] == ["RP201"]
+
+    def test_split_decisions_of_inputs_replay_as_a_task_violation(
+        self, quorum_permutation
+    ):
+        # Every decided value is an input, so by the consensus rules the
+        # final state shows no VALIDITY violation; the replay judges it
+        # by Δ-membership, the task checker's own predicate.
+        layering = quorum_permutation
+        report = TaskChecker(layering, binary_consensus(3)).check_all(
+            layering.model
+        )
+        assert report.verdict is Verdict.VALIDITY
+        final = report.execution.final
+        failed = layering.failed_at(final)
+        values = {
+            v for i, v in layering.decisions(final).items() if i not in failed
+        }
+        assert len(values) > 1 and values <= set(
+            report.input_facet.value_of(i) for i in range(3)
+        )
 
 
 class TestExplorers:

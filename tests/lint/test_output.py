@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -96,7 +97,7 @@ class TestBaseline:
         baseline = load_baseline(str(baseline_path))
         # paths differ between the two trees; rewrite them to match
         entries = [
-            type(e)(e.code, moved[0].path, e.symbol)
+            dataclasses.replace(e, path=moved[0].path)
             for e in baseline.entries
         ]
         baseline.entries = entries
@@ -129,3 +130,23 @@ class TestBaseline:
             load_baseline(str(bad))
         with pytest.raises(LintError):
             load_baseline(str(tmp_path / "missing.json"))
+
+    def test_count_less_baseline_is_refused(self, tmp_path):
+        # the version-1 format had no counts: one entry hid any number
+        # of findings of its shape, so it is not read at all
+        old = tmp_path / "old.json"
+        old.write_text(
+            '{"version": 1, "suppressions": [{"code": "RP401", '
+            '"path": "x.py", "symbol": "s"}]}'
+        )
+        with pytest.raises(LintError, match="--write-baseline"):
+            load_baseline(str(old))
+
+    def test_findings_beyond_the_count_all_gate(self, tmp_path, findings):
+        baseline_path = tmp_path / "baseline.json"
+        write_baseline(str(baseline_path), findings)
+        baseline = load_baseline(str(baseline_path))
+        assert [e.count for e in baseline.entries] == [1]
+        kept, suppressed, unused = apply_baseline(findings * 2, baseline)
+        assert kept == findings * 2
+        assert suppressed == 0 and unused == []

@@ -15,6 +15,9 @@ from repro.resilience.budget import (
     LIMIT_TIME,
     merge_stats,
 )
+from repro.tasks.catalog import binary_consensus
+from repro.tasks.checker import TaskChecker
+from repro.tasks.simplex import Simplex
 from tests.conftest import ToySystem
 
 
@@ -315,3 +318,29 @@ class TestKeyboardInterrupt:
             ConsensusChecker(sys_, strict=True).check(
                 sys_.state("x"), inputs=(0, 0)
             )
+
+
+class TestStrictTaskChecker:
+    """A SATISFIED task report is a solvability claim, so the task
+    checker raises where the consensus checker would degrade."""
+
+    def test_budget_trip_raises(self):
+        sys_ = _long_chain()
+        checker = TaskChecker(sys_, binary_consensus(2), max_states=10)
+        with pytest.raises(ExplorationLimitExceeded):
+            checker.check(sys_.state("s0"), Simplex.from_values((0, 0)))
+
+    @pytest.mark.parametrize("preflight", [True, False])
+    def test_interrupt_propagates(self, preflight):
+        edges = {f"s{i}": [("n", f"s{i+1}")] for i in range(20)}
+        edges["s20"] = [("s", "s20")]
+        sys_ = _InterruptingSystem(
+            edges=edges,
+            decisions={"s20": {0: 0, 1: 0}},
+            interrupt_after=5,
+        )
+        checker = TaskChecker(
+            sys_, binary_consensus(2), preflight=preflight
+        )
+        with pytest.raises(KeyboardInterrupt):
+            checker.check(sys_.state("s0"), Simplex.from_values((0, 0)))
