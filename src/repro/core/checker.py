@@ -509,7 +509,7 @@ class ConsensusChecker:
 
         try:
             lasso = self._find_undecided_lasso(
-                initial_state, edges, terminal, facts, meter
+                initial_state, parent, edges, terminal, facts, meter
             )
         except KeyboardInterrupt:
             if self._strict:
@@ -657,6 +657,7 @@ class ConsensusChecker:
     def _find_undecided_lasso(
         self,
         initial_state: GlobalState,
+        parent: dict,
         edges: dict[GlobalState, list[tuple[Hashable, GlobalState]]],
         terminal: set[GlobalState],
         facts: StateFacts,
@@ -673,7 +674,8 @@ class ConsensusChecker:
         so restricting to ``i``-undecided states loses nothing; and the
         per-process decomposition is complete: any violating run starves
         some specific nonfaulty process.  The prefix from the initial
-        state to the cycle may use arbitrary edges.
+        state to the cycle may use arbitrary edges: it is the search's BFS
+        path to the cycle's first state, read off *parent*.
 
         Returns the ``(prefix, cycle)`` pair, None when no process can be
         starved, or the sentinel string ``"tripped"`` when the wall-clock
@@ -703,31 +705,7 @@ class ConsensusChecker:
                     restricted[state] = kept
             cycle = _find_cycle(restricted)
             if cycle is not None:
-                prefix = self._prefix_to(initial_state, cycle.initial, edges)
-                if prefix is not None:
-                    return prefix, cycle
-        return None
-
-    def _prefix_to(
-        self,
-        initial_state: GlobalState,
-        target: GlobalState,
-        edges: dict[GlobalState, list[tuple[Hashable, GlobalState]]],
-    ) -> Optional[Execution]:
-        """BFS a path from the initial state to *target* in the full graph."""
-        if initial_state == target:
-            return Execution((initial_state,), ())
-        parent: dict[GlobalState, tuple] = {initial_state: None}
-        queue: deque[GlobalState] = deque([initial_state])
-        while queue:
-            state = queue.popleft()
-            for action, child in edges.get(state, ()):
-                if child in parent:
-                    continue
-                parent[child] = (state, action)
-                if child == target:
-                    return _path_to(child, parent)
-                queue.append(child)
+                return _path_to(cycle.initial, parent), cycle
         return None
 
 

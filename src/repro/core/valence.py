@@ -33,20 +33,23 @@ each cycle's actions through the ``nonfaulty_under`` hooks) lives in
 :class:`repro.core.checker.ConsensusChecker`.  Divergence is a
 first-class result here, not an error.
 
-The computation explores the reachable subgraph (stopping at *terminal*
-states — all non-failed decided — and at already-memoized states), runs
-Tarjan's SCC algorithm, and folds values/divergence over the condensation
-in reverse topological order.  The SCC pass is what makes the result exact
-in the presence of cycles: a naive memoized DFS would undercount the
-values reachable from states inside a cycle.
+The computation builds the reachable subgraph with the shared budgeted
+walk (:func:`repro.core.graph.walk`), stopping at *terminal* states — all
+non-failed decided — and at already-memoized states, and folds
+values/divergence over the condensation that
+:func:`repro.core.graph.sccs` emits in reverse topological order.  The
+SCC pass is what makes the result exact in the presence of cycles: a
+naive memoized DFS would undercount the values reachable from states
+inside a cycle.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
+from repro.core.graph import sccs, walk
 from repro.core.state import GlobalState
 from repro.resilience.budget import Budget, DEFAULT_MAX_STATES
 
@@ -129,11 +132,6 @@ class ValenceResult:
     def shares_valence_with(self, other: "ValenceResult") -> bool:
         """Definition 3.1's ``~v``: some value both states are valent for."""
         return bool(self.values & other.values)
-
-
-#: The explored subgraph: each expanded state's own values and its
-#: distinct children.
-_Subgraph = dict[GlobalState, tuple[frozenset, tuple[GlobalState, ...]]]
 
 
 class ValenceAnalyzer:
@@ -234,149 +232,73 @@ class ValenceAnalyzer:
 
     # -- the SCC/condensation pass ---------------------------------------------
     def _analyze(self, root: GlobalState) -> ValenceResult:
-        succ, tripped, seen = self._explore(root)
-        if tripped is not None:
+        memo = self._memo
+        own_of: dict[GlobalState, frozenset] = {}
+
+        def sink(state: GlobalState) -> bool:
+            # Each state's failed set and decisions are read once, here.
+            if state in memo:
+                return True
+            own, terminal = self._read(state)
+            if terminal:
+                memo[state] = ValenceResult(own, False)
+                return True
+            own_of[state] = own
+            return False
+
+        graph = walk(self._system, (root,), self._meter, sink)
+        if graph.tripped is not None:
             if self._strict:
                 raise ExplorationLimitExceeded(
-                    f"valence budget exhausted ({tripped}) after "
+                    f"valence budget exhausted ({graph.tripped}) after "
                     f"{self._meter.states} states; is the protocol "
                     "finite-state?"
                 )
             values: set = set()
-            for state in seen:
-                memoed = self._memo.get(state)
+            for state in graph.depth:
+                memoed = memo.get(state)
                 if memoed is not None:
                     values |= memoed.values
                 else:
                     values |= self.own_values(state)
             return ValenceResult(frozenset(values), False, complete=False)
-        self._tarjan_fold(root, succ)
-        return self._memo[root]
-
-    def _explore(
-        self, root: GlobalState
-    ) -> tuple[_Subgraph, Optional[str], dict[GlobalState, GlobalState]]:
-        """Build the reachable subgraph, stopping at terminal/memoized
-        states.  Returns ``(succ, tripped_limit, seen)`` — ``tripped``
-        is None when the subgraph was explored completely.  Each state's
-        decisions are read once, here.
-
-        ``seen`` maps each state met to the first object met for it, and
-        ``succ`` lists children as those objects, so the Tarjan fold's
-        lookups match by identity instead of comparing states."""
-        meter = self._meter
-        succ: _Subgraph = {}
-        stack = [root]
-        seen = {root: root}
-        meter.charge_state(root)
-        while stack:
-            state = stack.pop()
-            if state in self._memo:
-                continue
-            own, terminal = self._read(state)
-            if terminal:
-                self._memo[state] = ValenceResult(own, False)
-                continue
-            children = []
-            child_seen = set()
-            for _, child in self._system.successors(state):
-                tripped = meter.charge_edge()
-                if tripped is not None:
-                    # Propagate the trip at the charge site: waiting for
-                    # the every-256-states poll would let a single
-                    # high-degree expansion overshoot the edge budget by
-                    # an entire layer.
-                    return succ, tripped, seen
-                child = seen.get(child, child)
-                if child not in child_seen:
-                    child_seen.add(child)
-                    children.append(child)
-            if not children:
+        children: dict[GlobalState, tuple[GlobalState, ...]] = {}
+        for state, pairs in graph.succ.items():
+            if not pairs:
                 raise AssertionError(
                     "successor functions are total: a non-terminal state "
                     "must have successors"
                 )
-            succ[state] = (own, tuple(children))
-            tripped = meter.poll() if (len(succ) & 0xFF) == 0 else None
-            for child in children:
-                if child not in seen:
-                    seen[child] = child
-                    tripped = meter.charge_state(child) or tripped
-                    stack.append(child)
-            if tripped is not None:
-                return succ, tripped, seen
-        return succ, None, seen
-
-    def _tarjan_fold(self, root: GlobalState, succ: _Subgraph) -> None:
-        """Iterative Tarjan; fold values/divergence over the condensation.
-
-        Tarjan emits each SCC only after every SCC reachable from it, so
-        results for cross-SCC successors are always finalized when an SCC
-        is folded.  All members of an SCC share one result: the union of
-        their own values and of their external successors' values; they
-        diverge iff the SCC is cyclic (size > 1 or a self-loop — an
-        undecided infinite loop) or any external successor diverges.
-        """
-        if root in self._memo:
-            return
-        index: dict[GlobalState, int] = {}
-        lowlink: dict[GlobalState, int] = {}
-        on_stack: set[GlobalState] = set()
-        scc_stack: list[GlobalState] = []
-        counter = 0
-
-        def push(state: GlobalState) -> None:
-            nonlocal counter
-            index[state] = lowlink[state] = counter
-            counter += 1
-            scc_stack.append(state)
-            on_stack.add(state)
-            work.append((state, iter(succ[state][1])))
-
-        work: list[tuple[GlobalState, "object"]] = []
-        push(root)
-        while work:
-            state, children = work[-1]
-            advanced = False
-            for child in children:
-                if child in self._memo:
-                    continue
-                if child not in index:
-                    push(child)
-                    advanced = True
-                    break
-                if child in on_stack:
-                    lowlink[state] = min(lowlink[state], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[state])
-            if lowlink[state] == index[state]:
-                component = []
-                while True:
-                    member = scc_stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == state:
-                        break
-                self._fold_component(component, succ)
+            children[state] = tuple(dict.fromkeys(child for _, child in pairs))
+        for component in sccs((root,), children):
+            self._fold_component(component, own_of, children)
+        return memo[root]
 
     def _fold_component(
-        self, component: list[GlobalState], succ: _Subgraph
+        self,
+        component: list[GlobalState],
+        own_of: dict[GlobalState, frozenset],
+        children: dict[GlobalState, tuple[GlobalState, ...]],
     ) -> None:
+        """Give every member of one SCC the same result.
+
+        :func:`~repro.core.graph.sccs` emits each SCC after every SCC
+        reachable from it, so the results of its external successors are
+        already memoized.  The result is the union of the members' own
+        values and of their external successors' values; the members
+        diverge iff the SCC is cyclic (size > 1 or a self-loop: an
+        undecided infinite loop) or any external successor diverges.
+        """
         members = set(component)
         values: set = set()
         # A multi-state SCC is a cycle of non-terminal states; so is a
         # self-loop.  Either way an infinite extension can stay undecided.
         diverges = len(component) > 1
         for state in component:
-            own, children = succ[state]
-            values |= own
-            for child in children:
+            values |= own_of[state]
+            for child in children[state]:
                 if child in members:
-                    if child == state:
+                    if child is state:
                         diverges = True
                     continue
                 child_result = self._memo[child]

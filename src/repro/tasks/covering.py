@@ -9,24 +9,24 @@ connected with respect to **every** covering.
 
 Computing this needs the set of *run outcomes* from a state: the decided
 simplexes of the maximal fair runs extending it.  :class:`OutcomeAnalyzer`
-computes them over a finite-state layered system in three passes:
+computes them over a finite-state layered system with the shared state
+graph (:mod:`repro.core.graph`): one walk and three uses of its SCC pass.
 
-1. explore the reachable graph;
-2. assign **base outcomes**:
-
-   * every *terminal* state (all non-failed decided) contributes the
-     decision simplex of its non-failed processes;
-   * for every candidate nonfaulty set ``N`` of size ``>= n-1`` (the
-     paper's layerings starve at most one process per layer, so every
-     fair run's nonfaulty set has at least ``n-1`` members), every cyclic
-     SCC of the subgraph restricted to ``N``-preserving edges contributes
-     either the decision simplex of its exact loop-nonfaulty set ``M``
-     (when all of ``M`` decided — a *settled* starvation loop) or a
-     divergence flag (some nonfaulty process looping undecided — a
-     decision violation);
-
-3. propagate base outcomes and divergence backwards over the
-   condensation of the full graph (Tarjan, reverse topological order).
+1. :func:`~repro.core.graph.walk` builds the reachable graph, stopping at
+   already-memoized states and at *terminal* states (all non-failed
+   decided); each terminal state gets its **base outcome**, the decision
+   simplex of its non-failed processes;
+2. for every candidate nonfaulty set ``N`` of size ``>= n-1`` (the
+   paper's layerings starve at most one process per layer, so every
+   fair run's nonfaulty set has at least ``n-1`` members), every cyclic
+   SCC of the subgraph restricted to ``N``-preserving edges adds either
+   the decision simplex of its exact loop-nonfaulty set ``M`` (when all
+   of ``M`` decided — a *settled* starvation loop) to its members' base
+   outcomes, or a divergence flag (some nonfaulty process looping
+   undecided — a decision violation);
+3. base outcomes and divergence propagate backwards over the
+   condensation of the full graph, which :func:`~repro.core.graph.sccs`
+   emits in reverse topological order.
 
 Exactness note: runs that *alternate* starvation targets forever are
 covered by the candidate-set passes only up to a face of their outcome;
@@ -47,6 +47,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Union
 
+from repro.core.graph import sccs, walk
 from repro.core.state import GlobalState
 from repro.core.valence import ExplorationLimitExceeded
 from repro.resilience.budget import Budget, DEFAULT_MAX_STATES
@@ -129,243 +130,111 @@ class OutcomeAnalyzer:
         self._analyze(state)
         return self._memo[state]
 
-    # -- helpers ------------------------------------------------------------
-    def _decided_simplex(self, state: GlobalState, members) -> Simplex:
-        decisions = self._system.decisions(state)
-        return Simplex((i, decisions[i]) for i in members if i in decisions)
-
-    def _is_terminal(self, state: GlobalState) -> bool:
-        failed = self._system.failed_at(state)
-        decided = self._system.decisions(state)
-        return all(i in decided for i in range(state.n) if i not in failed)
-
-    # -- the three passes -------------------------------------------------------
+    # -- the walk, the loop passes, the propagation ---------------------
     def _analyze(self, root: GlobalState) -> None:
-        succ, actions = self._explore(root)
-        base_out, base_div = self._base_outcomes(root.n, succ, actions)
-        self._propagate(root, succ, base_out, base_div)
-
-    def _explore(self, root: GlobalState):
-        meter = self._meter
-        succ: dict[GlobalState, tuple] = {}
-        actions: dict[tuple[GlobalState, GlobalState], list] = {}
-        stack = [root]
-        seen = {root}
-        tripped = meter.charge_state(root)
-        while stack and tripped is None:
-            state = stack.pop()
-            if state in self._memo or self._is_terminal(state):
-                succ.setdefault(state, ())
-                continue
-            children = []
-            child_seen = set()
-            for action, child in self._system.successors(state):
-                meter.charge_edge()
-                actions.setdefault((state, child), []).append(action)
-                if child not in child_seen:
-                    child_seen.add(child)
-                    children.append(child)
-            succ[state] = tuple(children)
-            tripped = meter.poll() if (len(succ) & 0xFF) == 0 else None
-            for child in children:
-                if child not in seen:
-                    seen.add(child)
-                    tripped = meter.charge_state(child) or tripped
-                    stack.append(child)
-        if tripped is not None:
-            raise ExplorationLimitExceeded(
-                f"outcome budget exhausted ({tripped}) after "
-                f"{meter.states} states"
-            )
-        return succ, actions
-
-    def _base_outcomes(self, n: int, succ, actions):
-        """Pass 2: terminal and settled-loop outcomes, divergence flags."""
-        base_out: dict[GlobalState, set] = {}
-        base_div: set[GlobalState] = set()
         system = self._system
-        for state in succ:
-            if state in self._memo:
-                cached = self._memo[state]
-                base_out.setdefault(state, set()).update(cached.outcomes)
-                if cached.diverges:
-                    base_div.add(state)
-            elif self._is_terminal(state):
-                failed = system.failed_at(state)
-                members = [i for i in range(n) if i not in failed]
-                base_out.setdefault(state, set()).add(
-                    self._decided_simplex(state, members)
-                )
+        memo = self._memo
+        base_out: dict[GlobalState, set] = {}
+        failed_of: dict[GlobalState, frozenset] = {}
+
+        def sink(state: GlobalState) -> bool:
+            if state in memo:
+                return True
+            failed = system.failed_at(state)
+            decided = system.decisions(state)
+            members = [i for i in range(state.n) if i not in failed]
+            if all(i in decided for i in members):
+                base_out[state] = {Simplex((i, decided[i]) for i in members)}
+                return True
+            failed_of[state] = failed
+            return False
+
+        graph = walk(system, (root,), self._meter, sink)
+        if graph.tripped is not None:
+            raise ExplorationLimitExceeded(
+                f"outcome budget exhausted ({graph.tripped}) after "
+                f"{self._meter.states} states"
+            )
+        base_div: set[GlobalState] = set()
+        n = root.n
         candidates = [frozenset(range(n))] + [
             frozenset(range(n)) - {j} for j in range(n)
         ]
         for target in candidates:
-            self._loop_pass(target, succ, actions, base_out, base_div)
-        return base_out, base_div
+            self._loop_pass(target, graph, failed_of, base_out, base_div)
+        self._propagate(root, graph, base_out, base_div)
 
-    def _loop_pass(self, target, succ, actions, base_out, base_div) -> None:
-        """Find cyclic SCCs of the target-preserving subgraph."""
+    def _loop_pass(self, target, graph, failed_of, base_out, base_div) -> None:
+        """Pass 2 for one candidate nonfaulty set: the cyclic SCCs of the
+        target-preserving subgraph of the expanded states."""
         system = self._system
-        sub: dict[GlobalState, list[GlobalState]] = {}
-        for state, children in succ.items():
-            if state in self._memo or target & system.failed_at(state):
+        # state -> {child: the largest nonfaulty set, over the actions
+        # from state to child, that contains the target}
+        sub: dict[GlobalState, dict[GlobalState, frozenset]] = {}
+        for state, pairs in graph.succ.items():
+            if target & failed_of[state]:
                 continue
-            kept = []
-            for child in children:
-                if child in self._memo or target & system.failed_at(child):
+            kept: dict[GlobalState, frozenset] = {}
+            for action, child in pairs:
+                failed = failed_of.get(child)
+                if failed is None or target & failed:
                     continue
-                if any(
-                    target <= system.nonfaulty_under(a)
-                    for a in actions[(state, child)]
+                nonfaulty = system.nonfaulty_under(action)
+                if target <= nonfaulty and len(nonfaulty) > len(
+                    kept.get(child, ())
                 ):
-                    kept.append(child)
+                    kept[child] = nonfaulty
             if kept:
                 sub[state] = kept
-        for component in _cyclic_sccs(sub):
+        for component in sccs(sub, sub):
+            first = component[0]
+            if len(component) == 1 and first not in sub[first]:
+                continue
+            members = set(component)
+            # The loop's exact nonfaulty set intersects over the best
+            # available action per internal edge.
             loop_nonfaulty = set(target)
             for state in component:
-                for child in sub.get(state, ()):
-                    if child in component:
-                        # The loop's exact nonfaulty set intersects over
-                        # the best available action per internal edge.
-                        best = frozenset()
-                        for a in actions[(state, child)]:
-                            nf = system.nonfaulty_under(a)
-                            if target <= nf and len(nf) > len(best):
-                                best = nf
+                for child, best in sub[state].items():
+                    if child in members:
                         loop_nonfaulty &= best
-                loop_nonfaulty -= system.failed_at(state)
-            any_member = next(iter(component))
-            decisions = self._system.decisions(any_member)
-            undecided = [i for i in loop_nonfaulty if i not in decisions]
-            if undecided:
+                loop_nonfaulty -= failed_of[state]
+            decisions = system.decisions(first)
+            if any(i not in decisions for i in loop_nonfaulty):
                 base_div.update(component)
             else:
-                simplex = self._decided_simplex(
-                    any_member, sorted(loop_nonfaulty)
+                simplex = Simplex(
+                    (i, decisions[i]) for i in sorted(loop_nonfaulty)
                 )
                 for state in component:
                     base_out.setdefault(state, set()).add(simplex)
 
-    def _propagate(self, root, succ, base_out, base_div) -> None:
+    def _propagate(self, root, graph, base_out, base_div) -> None:
         """Pass 3: fold bases backwards over the full-graph condensation."""
-        index: dict[GlobalState, int] = {}
-        lowlink: dict[GlobalState, int] = {}
-        on_stack: set[GlobalState] = set()
-        scc_stack: list[GlobalState] = []
-        counter = 0
-        work: list[tuple[GlobalState, object]] = []
-        results: dict[GlobalState, OutcomeResult] = {}
-
-        def push(state: GlobalState) -> None:
-            nonlocal counter
-            index[state] = lowlink[state] = counter
-            counter += 1
-            scc_stack.append(state)
-            on_stack.add(state)
-            work.append((state, iter(succ.get(state, ()))))
-
-        if root in self._memo:
-            return
-        push(root)
-        while work:
-            state, children = work[-1]
-            advanced = False
-            for child in children:
-                if child in results or child in self._memo:
-                    continue
-                if child not in index:
-                    push(child)
-                    advanced = True
-                    break
-                if child in on_stack:
-                    lowlink[state] = min(lowlink[state], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[state])
-            if lowlink[state] == index[state]:
-                component = []
-                while True:
-                    member = scc_stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == state:
-                        break
-                outcomes: set = set()
-                diverges = False
-                members = set(component)
-                for m in component:
-                    outcomes |= base_out.get(m, set())
-                    diverges = diverges or m in base_div
-                    for child in succ.get(m, ()):
-                        if child in members:
-                            continue
-                        child_result = results.get(child) or self._memo[child]
-                        outcomes |= child_result.outcomes
-                        diverges = diverges or child_result.diverges
-                result = OutcomeResult(frozenset(outcomes), diverges)
-                for m in component:
-                    results[m] = result
-        self._memo.update(results)
-
-
-def _cyclic_sccs(edges: dict[GlobalState, list[GlobalState]]):
-    """SCCs of an explicit graph that contain a cycle (size > 1 or a
-    self-loop), via iterative Tarjan."""
-    index: dict[GlobalState, int] = {}
-    lowlink: dict[GlobalState, int] = {}
-    on_stack: set[GlobalState] = set()
-    scc_stack: list[GlobalState] = []
-    counter = 0
-    out: list[set[GlobalState]] = []
-    for root in list(edges):
-        if root in index:
-            continue
-        work: list[tuple[GlobalState, object]] = []
-
-        def push(state: GlobalState) -> None:
-            nonlocal counter
-            index[state] = lowlink[state] = counter
-            counter += 1
-            scc_stack.append(state)
-            on_stack.add(state)
-            work.append((state, iter(edges.get(state, ()))))
-
-        push(root)
-        while work:
-            state, children = work[-1]
-            advanced = False
-            for child in children:
-                if child not in edges and child not in index:
-                    continue
-                if child not in index:
-                    push(child)
-                    advanced = True
-                    break
-                if child in on_stack:
-                    lowlink[state] = min(lowlink[state], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[state])
-            if lowlink[state] == index[state]:
-                component = set()
-                while True:
-                    member = scc_stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == state:
-                        break
-                if len(component) > 1 or any(
-                    state in edges.get(state, ()) for state in component
-                ):
-                    out.append(component)
-    return out
+        memo = self._memo
+        children = {
+            state: tuple(
+                dict.fromkeys(child for _, child in graph.succ.get(state, ()))
+            )
+            for state in graph.depth
+            if state not in memo
+        }
+        for component in sccs((root,), children):
+            members = set(component)
+            outcomes: set = set()
+            diverges = False
+            for state in component:
+                outcomes |= base_out.get(state, set())
+                diverges = diverges or state in base_div
+                for child in children[state]:
+                    if child in members:
+                        continue
+                    child_result = memo[child]
+                    outcomes |= child_result.outcomes
+                    diverges = diverges or child_result.diverges
+            result = OutcomeResult(frozenset(outcomes), diverges)
+            for state in component:
+                memo[state] = result
 
 
 # -- covering enumeration and always-valence-connectivity --------------------

@@ -154,9 +154,12 @@ class TestLimits:
 
     def test_incomplete_bivalence_is_sound(self, toy_diamond):
         # Values already observed certify bivalence even when the budget
-        # trips (lower-bound semantics).
-        full = ValenceAnalyzer(toy_diamond).valence(toy_diamond.state("x"))
-        assert full.complete and full.bivalent
+        # trips (lower-bound semantics): the diamond's fifth state trips a
+        # budget of four, and the states met by then decide both values.
+        an = ValenceAnalyzer(toy_diamond, max_states=4)
+        result = an.valence(toy_diamond.state("x"))
+        assert result == ValenceResult(frozenset({0, 1}), False, complete=False)
+        assert result.bivalent
 
     def test_cross_query_reuse(self, toy_diamond):
         an = ValenceAnalyzer(toy_diamond)

@@ -2,8 +2,12 @@
 
 The ValenceAnalyzer (Section 3 valence over decision *values*) and the
 OutcomeAnalyzer (Section 7 generalized valence over decision *simplexes*)
-are independent implementations over the same layered systems; for
-consensus-style protocols their results must cohere:
+fold different contributions over the same state graph: both build it
+with ``repro.core.graph.walk`` and read its components from
+``repro.core.graph.sccs``, so this file checks the two folds against
+each other, not the shared walk (``tests/property/reference.py`` is the
+independent check of valence and of the SCC pass).  For consensus-style
+protocols their results must cohere:
 
 * every value the valence analyzer reaches appears in some outcome
   simplex, and vice versa;

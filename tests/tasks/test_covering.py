@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.core.valence import ExplorationLimitExceeded
 from repro.layerings.permutation import PermutationLayering
 from repro.models.async_mp import AsyncMessagePassingModel
 from repro.protocols.candidates import QuorumDecide
 from repro.protocols.tasks import EpsilonAgreementProtocol
+from repro.resilience.budget import Budget
 from repro.tasks.complex import Complex
 from repro.tasks.covering import (
     Covering,
@@ -16,6 +18,7 @@ from repro.tasks.covering import (
     valence_graph_for_covering,
 )
 from repro.tasks.simplex import Simplex
+from tests.conftest import ToySystem
 
 
 def sx(values):
@@ -105,6 +108,19 @@ class TestOutcomeAnalyzer:
         r1 = analyzer.outcome(model.initial_state((0, 1, 1)))
         r2 = analyzer.outcome(model.initial_state((0, 1, 1)))
         assert r1 is r2
+
+    def test_edge_budget_trips_within_one_expansion(self):
+        # One state with 40 successors, each deciding 0: a budget of 10
+        # edges must stop the walk inside that state's expansion.
+        edges = {"x": [(f"a{i}", f"c{i}") for i in range(40)]}
+        decisions = {}
+        for i in range(40):
+            edges[f"c{i}"] = [("s", f"c{i}")]
+            decisions[f"c{i}"] = {0: 0, 1: 0}
+        system = ToySystem(edges=edges, decisions=decisions)
+        analyzer = OutcomeAnalyzer(system, max_states=Budget(max_edges=10))
+        with pytest.raises(ExplorationLimitExceeded, match="edges"):
+            analyzer.outcome(system.state("x"))
 
 
 class TestAlwaysValenceConnected:
