@@ -49,7 +49,8 @@ Every violation carries a replayable witness: the exact sequence of layer
 actions from an initial state.  Replaying it through the layering
 (:func:`replay_witness`) reproduces the violation — with the contract
 checks on, the checker replays every refuting witness through the
-uncached system before reporting it, and the fault-injection harness
+uncached system, run without the search's protocol tables, before
+reporting it, and the fault-injection harness
 (:mod:`repro.resilience.mutation`) uses the same replay to validate the
 checker itself.
 """
@@ -208,9 +209,11 @@ class ConsensusChecker:
             verdict that rests on it; the determinism double-call and
             the per-primitive embedding run on the first states the
             search expands in a sweep's first assignment, against the
-            *uncached* system.  Every refuting witness is replayed
-            through the uncached system before it is reported; one that
-            does not replay is ILL_FORMED (RP201).  Default on;
+            *uncached* system without the search's protocol tables
+            (:func:`~repro.lint.contracts.independent_view`).  Every
+            refuting witness is replayed through that same view before
+            it is reported; one that does not replay is ILL_FORMED
+            (RP201).  Default on;
             ``preflight=False`` runs the bare search.
     """
 
@@ -382,8 +385,9 @@ class ConsensusChecker:
             # component surfaces first, in the search and its cache alike.
             guard.unhashable(exc)
             report = None
-        # The post-condition: a refutation the uncached system cannot
-        # replay rests on successors() that changed since the search.
+        # The post-condition: a refutation the guard's independent view
+        # cannot replay rests on successors() that changed since the
+        # search.
         gap = report is not None and report.refuted and _witness_gap(
             guard.system, report, self._state_problem
         )
@@ -1046,6 +1050,10 @@ def run_campaign(
 def replay_witness(system, report: ConsensusReport) -> bool:
     """Replay a violation witness through the system; True if it checks out.
 
+    The replay calls the system's independent view
+    (:func:`~repro.lint.contracts.independent_view`), so it does not
+    read back what the search's cache or protocol tables remember.
+
     Safety violations (AGREEMENT / VALIDITY / WRITE_ONCE): every
     transition of the execution must be a real successor edge, and the
     final state must exhibit the reported problem.  Decision violations:
@@ -1053,9 +1061,13 @@ def replay_witness(system, report: ConsensusReport) -> bool:
     cycle must close, and some process must be non-failed, undecided and
     scheduled-nonfaulty through the whole cycle.
     """
+    from repro.lint.contracts import independent_view
+
     return (
         report.execution is not None
-        and _witness_gap(system, report, ConsensusChecker._state_problem)
+        and _witness_gap(
+            independent_view(system), report, ConsensusChecker._state_problem
+        )
         is None
     )
 

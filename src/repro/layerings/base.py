@@ -32,7 +32,11 @@ asynchronous models step each distinct prefix of the expansions once.
 The layerings of this library build their layers in their constructors,
 keyed by what the layer depends on (:meth:`Layering.layer_key`):
 nothing for ``S^per``, ``S^mp``, ``S^rw``, IIS and ``S_1``, the failed
-set for ``S^t``.
+set for ``S^t``.  Each layering also builds one set of protocol tables
+(:class:`~repro.models.base.ProtocolTables`) and passes it to every run,
+so the asynchronous models call the protocol once per distinct input
+and build each distinct endpoint once, across all its states.  The
+contract checks call :meth:`Layering.cold` instead, a copy without them.
 
 Layerings implement the :class:`SuccessorSystem` interface consumed by the
 analyzers in :mod:`repro.core` (valence, connectivity, bivalence): they are
@@ -41,14 +45,15 @@ the submodels on which all of the paper's round-by-round analysis runs.
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 from collections.abc import Hashable, Iterable, Mapping, Sequence
 from types import MappingProxyType
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, Optional
 from typing import Protocol as TypingProtocol
 
 from repro.core.state import GlobalState
-from repro.models.base import Model
+from repro.models.base import Model, ProtocolTables
 
 
 class SuccessorSystem(TypingProtocol):
@@ -94,6 +99,10 @@ class Layering(ABC):
         # layer_key -> the compiled layer of every state with that key;
         # filled by the constructors (_compile_layers), read-only after.
         self._layers: dict[Hashable, CompiledLayer] = {}
+        # What the model's folds learned about the protocol, kept across
+        # the states of this layering; None runs every fold with tables
+        # of its own call (see cold).
+        self._tables: Optional[ProtocolTables] = ProtocolTables()
 
     @property
     def model(self) -> Model:
@@ -150,6 +159,29 @@ class Layering(ABC):
         """The layers built in the constructor, by :meth:`layer_key`."""
         return MappingProxyType(self._layers)
 
+    def cold(self) -> "Layering":
+        """A copy of this layering that runs each :meth:`successors` call
+        with protocol tables of that call alone.
+
+        It shares the compiled layers, not the tables.  This is the
+        system the contract checks call: a second ``successors`` call,
+        or a witness replay, that looked up the search's tables would
+        pass whatever the protocol does.
+        """
+        twin = copy.copy(self)
+        twin._tables = None
+        return twin
+
+    # -- pickling: the tables stay in their process --------------------------
+    def __getstate__(self) -> dict:
+        state = dict(vars(self))
+        state.pop("_tables", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self._tables = ProtocolTables()
+
     # -- SuccessorSystem ---------------------------------------------------
     def successors(
         self, state: GlobalState
@@ -160,11 +192,18 @@ class Layering(ABC):
         compiled at *state* now) in one :meth:`Model.run` call, so it can
         share work across the layer (one round per state in the round
         models, one step per distinct prefix in the asynchronous ones).
+        It runs with this layering's protocol tables, so the asynchronous
+        models also share protocol calls and endpoints across states.
         """
         layer = self._layers.get(self.layer_key(state))
         if layer is None:
             layer = self.compile_layer(state)
-        return list(zip(layer.actions, self._model.run(state, layer.program)))
+        return list(
+            zip(
+                layer.actions,
+                self._model.run(state, layer.program, self._tables),
+            )
+        )
 
     def failed_at(self, state: GlobalState) -> frozenset[int]:
         """Delegates to the underlying model's failure bookkeeping."""

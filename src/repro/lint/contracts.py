@@ -41,10 +41,12 @@ carrying a :class:`ContractWitness` — the concrete ``(state, action,
 child)`` edge exhibiting the violation, in the style of the checkers'
 counterexample runs.
 
-Checks read the *uncached* system where a second call matters (a
-memoized successor function would trivially pass the determinism
-check); :func:`preflight_once` memoizes a clean probe per system object
-so repeated engine invocations pay once.
+Checks read an independent view of the system where a second call
+matters (:func:`independent_view`: the uncached base, and for a
+layering a copy without its protocol tables; a memoized successor
+function would trivially pass the determinism check);
+:func:`preflight_once` memoizes a clean probe per system object so
+repeated engine invocations pay once.
 """
 
 from __future__ import annotations
@@ -172,6 +174,22 @@ class IllFormedSystemError(Exception):
             self.report = None
 
 
+def independent_view(system):
+    """The system the contract checks and witness replays call.
+
+    The uncached base of *system*: a memoizing wrapper returns the same
+    list object twice by construction, which would vacuously pass the
+    determinism check it exists to perform.  For a layering, a copy that
+    runs each ``successors`` call with protocol tables of that call
+    alone (:meth:`~repro.layerings.base.Layering.cold`), for the same
+    reason: the layering's own tables would answer from the search's
+    memo.
+    """
+    base = getattr(system, "uncached", system)
+    cold = getattr(base, "cold", None)
+    return base if cold is None else cold()
+
+
 class ContractGuard:
     """The RP2xx checks, run on the states a search expands.
 
@@ -193,10 +211,7 @@ class ContractGuard:
         determinism_samples: int = DEFAULT_DETERMINISM_SAMPLES,
         embedding_samples: int = DEFAULT_EMBEDDING_SAMPLES,
     ) -> None:
-        # Re-call the uncached base: a memoizing wrapper returns the same
-        # list object twice by construction, which would vacuously pass
-        # the determinism check it exists to perform.
-        self.system = getattr(system, "uncached", system)
+        self.system = independent_view(system)
         self.facts = StateFacts(self.system) if facts is None else facts
         self.codes = codes
         self.determinism_samples = determinism_samples

@@ -44,12 +44,13 @@ so the model displays no finite failure.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Sequence
+from typing import Optional
 
 from repro.core.state import GlobalState
 from repro.models.base import (
-    UNSEEN,
     Model,
     PrefixProgram,
+    ProtocolTables,
     prefix_fold,
     prefix_program,
 )
@@ -155,96 +156,111 @@ class AsyncMessagePassingModel(Model):
         return prefix_program(expansions)
 
     def run(
-        self, state: GlobalState, program: PrefixProgram
+        self,
+        state: GlobalState,
+        program: PrefixProgram,
+        tables: Optional[ProtocolTables] = None,
     ) -> list[GlobalState]:
-        """Fold stage/recv/flush primitives on scratch locals and bag.
+        """Fold stage/recv/flush primitives on scratch ids and bag.
 
         All expansions are folded along their shared prefixes
-        (:func:`repro.models.base.prefix_fold`).  Within this call each
-        process's ``outgoing`` runs once per local state it stages from,
-        and its ``transition`` once per local state and delivery.
+        (:func:`repro.models.base.prefix_fold`).  For as long as *tables*
+        live, each process's ``outgoing`` runs once per local state it
+        stages from, and its ``transition`` once per local state and
+        delivery.
+        """
+        return prefix_fold(
+            state, program, self.bag(state), self._fold,
+            lambda bag: mp_env(tuple(sorted(bag.items()))), tables,
+        )
+
+    def _fold(
+        self, tables: ProtocolTables, ids_in: Sequence, bag_in: dict,
+        actions: Sequence[tuple],
+    ) -> tuple[list, dict]:
+        """:func:`prefix_fold`'s fold: *actions* from scratch ids and bag.
+
+        ``tables.phase`` maps a local id to the id its stage (its
+        outbox empty) or its flush (its outbox full) leads to, and
+        ``tables.step`` a local id and delivery to the id after
+        ``transition``.
         """
         n, protocol = self.n, self._protocol
-        # (i, proto_local) -> staged outbox; (i, proto_local, delivered)
-        # -> next proto_local.  Locals of this call, like the scratch.
-        staged: dict[tuple, tuple] = {}
-        received: dict[tuple, Hashable] = {}
-
-        def fold(
-            locals_in: Sequence, bag_in: dict, actions: Sequence[tuple]
-        ) -> tuple[list, dict]:
-            locals_, bag = list(locals_in), dict(bag_in)
-            for action in actions:
-                kind, i = action
-                if kind == "stage":
-                    _, proto_local, outbox = locals_[i]
-                    if outbox is not NO_OUTBOX:
+        locals_, phase, step = tables.locals, tables.phase, tables.step
+        ids, bag = list(ids_in), dict(bag_in)
+        for action in actions:
+            kind, i = action
+            if kind == "stage":
+                local_id = ids[i]
+                _, proto_local, outbox = locals_[local_id]
+                if outbox is not NO_OUTBOX:
+                    raise ValueError(
+                        f"process {i} already has staged messages"
+                    )
+                next_id = phase.get(local_id)
+                if next_id is None:
+                    outgoing = protocol.outgoing(i, n, proto_local)
+                    if i in outgoing:
                         raise ValueError(
-                            f"process {i} already has staged messages"
+                            f"process {i} attempted a self-message"
                         )
-                    key = (i, proto_local)
-                    messages = staged.get(key)
-                    if messages is None:
-                        outgoing = protocol.outgoing(i, n, proto_local)
-                        if i in outgoing:
-                            raise ValueError(
-                                f"process {i} attempted a self-message"
-                            )
-                        messages = staged[key] = tuple(
-                            sorted(outgoing.items())
-                        )
-                    locals_[i] = ("amp", proto_local, messages)
-                elif kind == "recv":
-                    _, proto_local, outbox = locals_[i]
-                    # Senders in ascending order, as in the canonical bag.
-                    delivered = []
-                    for sender in range(n):
-                        payloads = bag.pop((sender, i), None)
-                        if payloads is not None:
-                            delivered.append((sender, payloads))
-                    key = (i, proto_local, tuple(delivered))
-                    new_proto = received.get(key, UNSEEN)
-                    if new_proto is UNSEEN:
-                        new_proto = received[key] = protocol.transition(
-                            i, n, proto_local,
-                            {
-                                sender: MessageBatch(payloads)
-                                for sender, payloads in delivered
-                            },
-                        )
-                    locals_[i] = ("amp", new_proto, outbox)
-                elif kind == "flush":
-                    _, proto_local, outbox = locals_[i]
-                    if outbox is NO_OUTBOX:
-                        raise ValueError(
-                            f"process {i} has no staged messages to flush"
-                        )
-                    for dest, payload in outbox:
-                        channel = (i, dest)
-                        queue = bag.get(channel, ())
-                        # Idempotent channel compression: consecutive
-                        # identical undelivered payloads collapse into
-                        # one.  Without this, a protocol that keeps
-                        # gossiping a stabilized value at a never-scheduled
-                        # process grows the channel without bound and no
-                        # exhaustive analysis terminates.  The quotient is
-                        # faithful for the monotone-emission protocols
-                        # this library ships (a sender's successive
-                        # payloads change only when its state does), and
-                        # it only ever merges *adjacent equal* messages,
-                        # so FIFO order and message distinctness are
-                        # preserved.
-                        if not (queue and queue[-1] == payload):
-                            bag[channel] = queue + (payload,)
-                    locals_[i] = ("amp", proto_local, NO_OUTBOX)
-                else:
-                    raise ValueError(f"unknown async-MP action {action!r}")
-            return locals_, bag
-
-        return prefix_fold(
-            state, program, self.bag(state), fold,
-            lambda bag: mp_env(tuple(sorted(bag.items()))),
-        )
+                    next_id = phase[local_id] = tables.intern(
+                        i, ("amp", proto_local, tuple(sorted(outgoing.items())))
+                    )
+            elif kind == "recv":
+                local_id = ids[i]
+                _, proto_local, outbox = locals_[local_id]
+                # Senders in ascending order, as in the canonical bag.
+                delivered = []
+                for sender in range(n):
+                    payloads = bag.pop((sender, i), None)
+                    if payloads is not None:
+                        delivered.append((sender, payloads))
+                key = (local_id, tuple(delivered))
+                next_id = step.get(key)
+                if next_id is None:
+                    new_proto = protocol.transition(
+                        i, n, proto_local,
+                        {
+                            sender: MessageBatch(payloads)
+                            for sender, payloads in delivered
+                        },
+                    )
+                    next_id = step[key] = tables.intern(
+                        i, ("amp", new_proto, outbox)
+                    )
+            elif kind == "flush":
+                local_id = ids[i]
+                _, proto_local, outbox = locals_[local_id]
+                if outbox is NO_OUTBOX:
+                    raise ValueError(
+                        f"process {i} has no staged messages to flush"
+                    )
+                for dest, payload in outbox:
+                    channel = (i, dest)
+                    queue = bag.get(channel, ())
+                    # Idempotent channel compression: consecutive
+                    # identical undelivered payloads collapse into one.
+                    # Without this, a protocol that keeps gossiping a
+                    # stabilized value at a never-scheduled process grows
+                    # the channel without bound and no exhaustive
+                    # analysis terminates.  The quotient is faithful for
+                    # the monotone-emission protocols this library ships
+                    # (a sender's successive payloads change only when
+                    # its state does), and it only ever merges *adjacent
+                    # equal* messages, so FIFO order and message
+                    # distinctness are preserved.
+                    if not (queue and queue[-1] == payload):
+                        bag[channel] = queue + (payload,)
+                next_id = phase.get(local_id)
+                if next_id is None:
+                    next_id = phase[local_id] = tables.intern(
+                        i, ("amp", proto_local, NO_OUTBOX)
+                    )
+            else:
+                raise ValueError(f"unknown async-MP action {action!r}")
+            ids[i] = next_id
+        return ids, bag
 
     def local_phase(self, state: GlobalState, i: int) -> GlobalState:
         """One complete sequential local phase of *i* (Section 5.1)."""

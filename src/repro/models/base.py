@@ -90,7 +90,12 @@ class Model(ABC):
         """
         return tuple(tuple(expansion) for expansion in expansions)
 
-    def run(self, state: GlobalState, program: Any) -> list[GlobalState]:
+    def run(
+        self,
+        state: GlobalState,
+        program: Any,
+        tables: Optional["ProtocolTables"] = None,
+    ) -> list[GlobalState]:
         """The endpoint of each compiled expansion, every one from *state*.
 
         The default folds each expansion through :meth:`apply_many`.
@@ -98,7 +103,20 @@ class Model(ABC):
         share work across the layer: the round models compute one
         synchronous round per state (:func:`synchronous_round`), and the
         asynchronous models step each distinct prefix once
-        (:func:`prefix_fold`).  A program never changes when it runs.
+        (:func:`prefix_fold`).
+
+        *tables* (:class:`ProtocolTables`) carry work across states.
+        :meth:`repro.layerings.base.Layering.successors` passes the
+        layering's own, built empty with it and kept as long as it
+        lives, and the :func:`prefix_fold` models read and fill them:
+        each protocol call runs once per distinct input, and equal
+        endpoints are one object.  With None, the default of
+        :meth:`apply`, :meth:`apply_many` and :meth:`apply_each`, the
+        tables are of this call alone, so the per-primitive path that
+        RP202 compares against stays independent of any search, and so
+        does :meth:`repro.layerings.base.Layering.cold`, the view the
+        contract checks call.  The round models keep their memos in the
+        call and ignore *tables*.  The program itself is read only.
         """
         return [self.apply_many(state, expansion) for expansion in program]
 
@@ -106,7 +124,7 @@ class Model(ABC):
         self, state: GlobalState, expansions: Iterable[Iterable[Hashable]]
     ) -> list[GlobalState]:
         """The endpoint of each expansion, every one folded from *state*:
-        :meth:`compile`, then :meth:`run`."""
+        :meth:`compile`, then :meth:`run` with tables of this call."""
         return self.run(state, self.compile(expansions))
 
     @abstractmethod
@@ -270,10 +288,6 @@ def synchronous_round(
     ]
 
 
-#: The miss marker of the per-call protocol memos of :func:`prefix_fold`
-#: models (a memoized write value may be None).
-UNSEEN = object()
-
 #: The key under which a :func:`prefix_program` tree node lists the
 #: expansions that end there (no primitive equals it).
 _ENDS = object()
@@ -340,47 +354,111 @@ def prefix_program(expansions: Iterable[Iterable[Hashable]]) -> PrefixProgram:
     return PrefixProgram(count, tuple(steps))
 
 
+class ProtocolTables:
+    """What the :func:`prefix_fold` models learn about a protocol.
+
+    A layering builds one set of tables, empty, in its constructor and
+    hands it to every :meth:`Model.run` it makes
+    (:meth:`repro.layerings.base.Layering.successors`), so whatever one
+    state's fold computed serves every later state of the layering:
+
+    * ``locals`` and ``ids``: each process local state the folds met,
+      and the small int it is interned to, its index in ``locals``.
+      ``ids`` is keyed by ``(process, local)``.  A fold's scratch holds
+      one id per process, never the local states themselves;
+    * ``phase``: local id -> what a primitive that reads no environment
+      gives there (the staged messages of ``outgoing``, the value of
+      ``write_value``), with the id it leads to;
+    * ``step``: ``(local id, delivered)`` -> the id a primitive that
+      reads the environment leads to (``transition`` on a delivery,
+      ``after_reads`` on a collect or scan, one read of a register);
+    * ``endpoints``: ``(sealed environment, ids)`` -> the one
+      :class:`GlobalState` built for that endpoint.
+
+    Each model checks the legality of a primitive on the local state
+    before it looks the primitive up, so a memo never stands in for a
+    check.  Sharing a protocol call across states is sound only for a
+    deterministic protocol, which is what RP201 samples; the contract
+    checks therefore run on a copy of the layering whose tables are of
+    one call alone (:meth:`repro.layerings.base.Layering.cold`).  Tables
+    never cross processes: a pickled layering carries none.
+    """
+
+    __slots__ = ("ids", "locals", "phase", "step", "endpoints")
+
+    def __init__(self) -> None:
+        self.ids: dict[tuple[int, Hashable], int] = {}
+        self.locals: list[Hashable] = []
+        self.phase: dict[int, Any] = {}
+        self.step: dict[tuple[int, Hashable], int] = {}
+        self.endpoints: dict[tuple[Hashable, tuple[int, ...]], GlobalState] = {}
+
+    def intern(self, i: int, local: Hashable) -> int:
+        """The id of process *i*'s local state *local*."""
+        key = (i, local)
+        local_id = self.ids.get(key)
+        if local_id is None:
+            local_id = self.ids[key] = len(self.locals)
+            self.locals.append(local)
+        return local_id
+
+
 def prefix_fold(
     state: GlobalState,
     program: PrefixProgram,
     env: Any,
-    fold: Callable[[Sequence, Any, Sequence], tuple[list, Any]],
+    fold: Callable[[ProtocolTables, Sequence, Any, Sequence], tuple[list, Any]],
     seal: Callable[[Any], Hashable],
+    tables: Optional[ProtocolTables] = None,
 ) -> list[GlobalState]:
     """:meth:`Model.run` for a model whose layers are many primitives.
 
     Runs the steps of *program* (:func:`prefix_program`) from *state*:
 
     * each distinct prefix of the layer's expansions is stepped once;
-    * scratch locals and environment are copied only where expansions
+    * scratch ids and environment are copied only where expansions
       diverge, or where one ends inside another;
-    * the expansions that end at the same prefix, duplicates and the
-      empty expansion included, share one endpoint object.
+    * equal endpoints are one object, built and hashed once for as long
+      as *tables* live: within the layer, duplicates and the empty
+      expansion included, and across every state folded with them.
 
-    *env* is the environment of *state* in the model's scratch form (a
-    message bag as a ``dict``, a register array as a sequence).
-    ``fold(locals_, env, primitives)`` folds a run of primitives from a
-    scratch state, one primitive at a time, checking each as the
+    The scratch of a process is the id of its local state in *tables*
+    (:class:`ProtocolTables`; None: tables of this call alone).  *env*
+    is the environment of *state* in the model's scratch form (a message
+    bag as a ``dict``, a register array as a sequence).
+    ``fold(tables, ids, env, primitives)`` folds a run of primitives
+    from a scratch state, one primitive at a time, checking each as the
     one-primitive path does and raising ``ValueError`` if it is illegal
-    there.  It copies its arguments rather than change them and returns
-    the new scratch ``(locals_, env)``, so every step starts from its
-    source slot's scratch.  ``seal(env)`` turns a scratch environment
-    into the endpoint's environment state.
+    there.  It looks up and files its protocol calls in *tables*, copies
+    its other arguments rather than change them, and returns the new
+    scratch ``(ids, env)``, so every step starts from its source slot's
+    scratch.  ``seal(env)`` turns a scratch environment into the
+    endpoint's environment state.
 
     The steps run in the program's depth-first order.  So an expansion
     that is legal alone never fails here, and one that is illegal alone
     raises the same error here, unless an expansion walked before it
     raises first.
     """
+    if tables is None:
+        tables = ProtocolTables()
+    ids = [tables.intern(i, local) for i, local in enumerate(state.locals)]
+    built, locals_ = tables.endpoints, tables.locals
     endpoints: list = [None] * program.count
-    scratch = [(state.locals, env)]
+    scratch = [(ids, env)]
     for source, primitives, ends in program.steps:
-        locals_, env = scratch[source]
+        ids, env = scratch[source]
         if primitives:
-            locals_, env = fold(locals_, env, primitives)
-        scratch.append((locals_, env))
+            ids, env = fold(tables, ids, env, primitives)
+        scratch.append((ids, env))
         if ends:
-            endpoint = GlobalState(seal(env), tuple(locals_))
+            sealed = seal(env)
+            key = (sealed, tuple(ids))
+            endpoint = built.get(key)
+            if endpoint is None:
+                endpoint = built[key] = GlobalState(
+                    sealed, tuple([locals_[local_id] for local_id in ids])
+                )
             for index in ends:
                 endpoints[index] = endpoint
     return endpoints

@@ -21,10 +21,12 @@ decided process at all) apply in this model.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Sequence
+from typing import Optional
 
 from repro.core.state import GlobalState
 from repro.models.base import (
     Model,
+    ProtocolTables,
     RoundOutcome,
     RoundProgram,
     round_program,
@@ -98,12 +100,16 @@ class MobileModel(Model):
         return round_program(expansions)
 
     def run(
-        self, state: GlobalState, program: RoundProgram
+        self,
+        state: GlobalState,
+        program: RoundProgram,
+        tables: Optional[ProtocolTables] = None,
     ) -> list[GlobalState]:
         """One synchronous round from *state* for every expansion.
 
         Each distinct ``(j, G)`` action is checked and applied once; see
-        :func:`repro.models.base.synchronous_round`.
+        :func:`repro.models.base.synchronous_round`.  The round keeps no
+        tables across states, so *tables* go unused.
         """
         n = self.n
         none_lost: frozenset[int] = frozenset()

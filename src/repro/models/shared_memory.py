@@ -24,12 +24,13 @@ displays no finite failure (Section 3), as in FLP-style analyses.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Sequence
+from typing import Optional
 
 from repro.core.state import GlobalState
 from repro.models.base import (
-    UNSEEN,
     Model,
     PrefixProgram,
+    ProtocolTables,
     prefix_fold,
     prefix_program,
 )
@@ -120,59 +121,70 @@ class SharedMemoryModel(Model):
         return prefix_program(expansions)
 
     def run(
-        self, state: GlobalState, program: PrefixProgram
+        self,
+        state: GlobalState,
+        program: PrefixProgram,
+        tables: Optional[ProtocolTables] = None,
     ) -> list[GlobalState]:
-        """Fold ``step`` primitives on scratch locals and registers.
+        """Fold ``step`` primitives on scratch ids and registers.
 
         All expansions are folded along their shared prefixes
-        (:func:`repro.models.base.prefix_fold`).  Within this call each
-        process's ``write_value`` runs once per local state, and its
-        ``after_reads`` once per local state and collect.
+        (:func:`repro.models.base.prefix_fold`).  For as long as *tables*
+        live, each process's ``write_value`` runs once per local state,
+        and its ``after_reads`` once per local state and collect.
+        """
+        return prefix_fold(
+            state, program, self.registers(state), self._fold, rw_env, tables
+        )
+
+    def _fold(
+        self, tables: ProtocolTables, ids_in: Sequence,
+        registers_in: Sequence, actions: Sequence[tuple],
+    ) -> tuple[list, list]:
+        """:func:`prefix_fold`'s fold: *actions* from scratch ids and
+        registers.
+
+        ``tables.phase`` maps the local id of a phase's start to the
+        value it writes and the id after the write, and ``tables.step``
+        a local id and the value of the register it reads to the id
+        after the read (after ``after_reads``, for the last register).
         """
         n, protocol = self.n, self._protocol
-        # (i, proto_local) -> written value; (i, proto_local, reads) ->
-        # next proto_local.  Locals of this call, like the scratch.
-        written: dict[tuple, Hashable] = {}
-        collected: dict[tuple, Hashable] = {}
-
-        def fold(
-            locals_in: Sequence, registers_in: Sequence,
-            actions: Sequence[tuple],
-        ) -> tuple[list, list]:
-            locals_, registers = list(locals_in), list(registers_in)
-            for action in actions:
-                kind, i = action
-                if kind != "step":
-                    raise ValueError(f"unknown M^rw action {action!r}")
-                _, proto_local, stage, reads = locals_[i]
-                if stage == 0:
-                    key = (i, proto_local)
-                    value = written.get(key, UNSEEN)
-                    if value is UNSEEN:
-                        value = written[key] = protocol.write_value(
-                            i, n, proto_local
-                        )
-                    if value is not None:
-                        registers[i] = value
-                    locals_[i] = _wrapper(proto_local, 1, ())
-                    continue
-                # A read of register ``stage - 1``.
-                new_reads = reads + (registers[stage - 1],)
-                if stage < n:
-                    locals_[i] = _wrapper(proto_local, stage + 1, new_reads)
-                    continue
-                key = (i, proto_local, new_reads)
-                new_proto = collected.get(key, UNSEEN)
-                if new_proto is UNSEEN:
-                    new_proto = collected[key] = protocol.after_reads(
-                        i, n, proto_local, new_reads
+        locals_, phase, step = tables.locals, tables.phase, tables.step
+        ids, registers = list(ids_in), list(registers_in)
+        for action in actions:
+            kind, i = action
+            if kind != "step":
+                raise ValueError(f"unknown M^rw action {action!r}")
+            local_id = ids[i]
+            _, proto_local, stage, reads = locals_[local_id]
+            if stage == 0:
+                entry = phase.get(local_id)
+                if entry is None:
+                    entry = phase[local_id] = (
+                        protocol.write_value(i, n, proto_local),
+                        tables.intern(i, _wrapper(proto_local, 1, ())),
                     )
-                locals_[i] = _wrapper(new_proto, 0, ())
-            return locals_, registers
-
-        return prefix_fold(
-            state, program, self.registers(state), fold, rw_env
-        )
+                value, ids[i] = entry
+                if value is not None:
+                    registers[i] = value
+                continue
+            # A read of register ``stage - 1``.
+            read = registers[stage - 1]
+            key = (local_id, read)
+            next_id = step.get(key)
+            if next_id is None:
+                new_reads = reads + (read,)
+                if stage < n:
+                    next_local = _wrapper(proto_local, stage + 1, new_reads)
+                else:
+                    next_local = _wrapper(
+                        protocol.after_reads(i, n, proto_local, new_reads),
+                        0, (),
+                    )
+                next_id = step[key] = tables.intern(i, next_local)
+            ids[i] = next_id
+        return ids, registers
 
     def failed_at(self, state: GlobalState) -> frozenset[int]:
         """``M^rw`` displays no finite failure."""

@@ -28,12 +28,13 @@ The model displays no finite failure (crashes are scheduling phenomena).
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Sequence
+from typing import Optional
 
 from repro.core.state import GlobalState
 from repro.models.base import (
-    UNSEEN,
     Model,
     PrefixProgram,
+    ProtocolTables,
     prefix_fold,
     prefix_program,
 )
@@ -116,59 +117,72 @@ class SnapshotMemoryModel(Model):
         return prefix_program(expansions)
 
     def run(
-        self, state: GlobalState, program: PrefixProgram
+        self,
+        state: GlobalState,
+        program: PrefixProgram,
+        tables: Optional[ProtocolTables] = None,
     ) -> list[GlobalState]:
-        """Fold update/scan primitives on scratch locals and cells.
+        """Fold update/scan primitives on scratch ids and cells.
 
         All expansions are folded along their shared prefixes
-        (:func:`repro.models.base.prefix_fold`).  Within this call each
-        process's ``write_value`` runs once per local state, and its
-        ``after_reads`` once per local state and scan.
+        (:func:`repro.models.base.prefix_fold`).  For as long as *tables*
+        live, each process's ``write_value`` runs once per local state,
+        and its ``after_reads`` once per local state and scan.
+        """
+        return prefix_fold(
+            state, program, self.cells(state), self._fold, snapshot_env,
+            tables,
+        )
+
+    def _fold(
+        self, tables: ProtocolTables, ids_in: Sequence, cells_in: Sequence,
+        actions: Sequence[tuple],
+    ) -> tuple[list, list]:
+        """:func:`prefix_fold`'s fold: *actions* from scratch ids and cells.
+
+        ``tables.phase`` maps the local id before an update to the value
+        written and the id after it, and ``tables.step`` a local id and
+        scan to the id after ``after_reads``.
         """
         n, protocol = self.n, self._protocol
-        # (i, proto_local) -> written value; (i, proto_local, cells) ->
-        # next proto_local.  Locals of this call, like the scratch.
-        written: dict[tuple, Hashable] = {}
-        scanned: dict[tuple, Hashable] = {}
-
-        def fold(
-            locals_in: Sequence, cells_in: Sequence, actions: Sequence[tuple]
-        ) -> tuple[list, list]:
-            locals_, cells = list(locals_in), list(cells_in)
-            for action in actions:
-                kind, i = action
-                _, proto_local, pending = locals_[i]
-                if kind != pending:
-                    raise ValueError(
-                        f"process {i} must {pending} next, cannot {kind}"
+        locals_, phase, step = tables.locals, tables.phase, tables.step
+        ids, cells = list(ids_in), list(cells_in)
+        for action in actions:
+            kind, i = action
+            local_id = ids[i]
+            _, proto_local, pending = locals_[local_id]
+            if kind != pending:
+                raise ValueError(
+                    f"process {i} must {pending} next, cannot {kind}"
+                )
+            if kind == "update":
+                entry = phase.get(local_id)
+                if entry is None:
+                    entry = phase[local_id] = (
+                        protocol.write_value(i, n, proto_local),
+                        tables.intern(i, ("sn", proto_local, "scan")),
                     )
-                if kind == "update":
-                    key = (i, proto_local)
-                    value = written.get(key, UNSEEN)
-                    if value is UNSEEN:
-                        value = written[key] = protocol.write_value(
-                            i, n, proto_local
-                        )
-                    if value is not None:
-                        cells[i] = value
-                    locals_[i] = ("sn", proto_local, "scan")
-                elif kind == "scan":
-                    key = (i, proto_local, tuple(cells))
-                    new_proto = scanned.get(key, UNSEEN)
-                    if new_proto is UNSEEN:
-                        new_proto = scanned[key] = protocol.after_reads(
-                            i, n, proto_local, key[2]
-                        )
-                    locals_[i] = ("sn", new_proto, "update")
-                else:
-                    raise ValueError(
-                        f"unknown snapshot-model action {action!r}"
+                value, ids[i] = entry
+                if value is not None:
+                    cells[i] = value
+            elif kind == "scan":
+                key = (local_id, tuple(cells))
+                next_id = step.get(key)
+                if next_id is None:
+                    next_id = step[key] = tables.intern(
+                        i,
+                        (
+                            "sn",
+                            protocol.after_reads(i, n, proto_local, key[1]),
+                            "update",
+                        ),
                     )
-            return locals_, cells
-
-        return prefix_fold(
-            state, program, self.cells(state), fold, snapshot_env
-        )
+                ids[i] = next_id
+            else:
+                raise ValueError(
+                    f"unknown snapshot-model action {action!r}"
+                )
+        return ids, cells
 
     def failed_at(self, state: GlobalState) -> frozenset[int]:
         """Snapshot memory displays no finite failure."""

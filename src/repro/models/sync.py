@@ -26,11 +26,13 @@ within ``t``.  The empty set is the failure-free round.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Sequence
+from typing import Optional
 from itertools import combinations
 
 from repro.core.state import GlobalState
 from repro.models.base import (
     Model,
+    ProtocolTables,
     RoundOutcome,
     RoundProgram,
     round_program,
@@ -152,12 +154,16 @@ class SynchronousModel(Model):
         return round_program(expansions)
 
     def run(
-        self, state: GlobalState, program: RoundProgram
+        self,
+        state: GlobalState,
+        program: RoundProgram,
+        tables: Optional[ProtocolTables] = None,
     ) -> list[GlobalState]:
         """One synchronous round from *state* for every expansion.
 
         Each distinct new-failures action is checked and applied once;
-        see :func:`repro.models.base.synchronous_round`.
+        see :func:`repro.models.base.synchronous_round`.  The round
+        keeps no tables across states, so *tables* go unused.
         """
         failed = self._failed(state)
 

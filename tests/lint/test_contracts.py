@@ -92,9 +92,9 @@ class _DropsInBatch(SynchronousModel):
     """Loses process 0's message to process 1 in the failure-free round,
     but only when a whole layer is batched: ``apply`` is still right."""
 
-    def run(self, state, program):
+    def run(self, state, program, tables=None):
         expansions = [expansion for _, expansion in program.picks]
-        children = super().run(state, program)
+        children = super().run(state, program, tables)
         if len(expansions) == 1 or self.failed_at(state):
             return children
         protocol, n = self.protocol, self.n
