@@ -563,222 +563,115 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return run_serve(config)
 
 
-def _cmd_chaos_serve(args: argparse.Namespace, modes: tuple) -> int:
-    """The ``repro chaos --serve`` branch: torture the job server."""
-    from repro.resilience.chaos import MODE_EXIT, MODE_KILL
-    from repro.serve.chaos import default_battery, serve_chaos_sweep
+def _cmd_chaos(args: argparse.Namespace) -> int:
+    """``repro chaos``: kill a target at every reachable crashpoint.
 
-    bad = [m for m in modes if m not in (MODE_KILL, MODE_EXIT)]
-    if bad:
-        log.error(
-            "chaos --serve: only process-death modes apply (kill, exit), "
-            "not %s",
-            ",".join(bad),
-        )
-        return EXIT_INCONCLUSIVE
-    points = args.points.split(",") if args.points else None
+    The default target is the campaign argv after ``--``: kill a fresh
+    run at each selected (point, hit, mode), resume it from the on-disk
+    checkpoint, and require stdout byte-identical to an uninterrupted
+    baseline.  ``--serve`` kills the job server instead and requires,
+    after a restart, that no acknowledged job is lost, none runs twice,
+    and stored verdicts byte-match an uninterrupted cycle.  ``--net``
+    wraps a server in the fault-injecting proxy, sweeps every fault
+    class x protocol phase, and holds each cell to the same store
+    contract plus dedupe-answered resubmission.
 
-    def progress(result) -> None:
-        log.info(
-            "chaos %s:%d:%s %s%s",
-            result.point,
-            result.hit,
-            result.mode,
-            "ok" if result.ok else "FAIL",
-            f" ({result.detail})" if result.detail else "",
-        )
-
-    sweep = serve_chaos_sweep(
-        battery=default_battery(args.jobs),
-        workdir=args.workdir,
-        modes=modes,
-        max_hits_per_point=args.max_hits,
-        points=points,
-        seed=args.seed,
-        timeout=args.run_timeout,
-        isolation=args.serve_isolation,
-        on_result=progress,
-    )
-    print("== Chaos sweep over `repro serve` ==\n")
-    rows = [
-        [r.point, r.hit, r.mode, r.killed, r.recovered, r.consistent,
-         r.detail]
-        for r in sweep.results
-    ]
-    print(
-        render_table(
-            ["crashpoint", "hit", "mode", "killed", "recovered",
-             "consistent", "detail"],
-            rows,
-        )
-    )
-    print("\n" + sweep.describe())
-    if not sweep.results:
-        log.warning("no server crashpoints were reachable — nothing tested")
-        return EXIT_INCONCLUSIVE
-    if sweep.ok:
-        print(
-            "every kill/restart cycle recovered: none lost, none "
-            "duplicated, stored verdicts byte-identical"
-        )
-        return EXIT_OK
-    print("UNEXPECTED: some kill/restart cycle lost or corrupted a job!")
-    return EXIT_UNEXPECTED
-
-
-def _cmd_chaos_net(args: argparse.Namespace) -> int:
-    """The ``repro chaos --net`` branch: torture the wire, not the disk.
-
-    Wraps a real server in the fault-injecting proxy and sweeps every
-    fault class x protocol phase, driving the battery through the
-    resilient streaming client.  Exit 0: every cell completed with the
-    clean-network store bytes and dedupe-answered resubmission; 1: some
-    cell lost, duplicated, or diverged; EX_UNAVAILABLE (69): the clean
-    baseline itself never came up — the server is unreachable even
-    without faults, so the sweep has nothing to measure.
+    Exit 0: every cycle held; 1: some cycle broke the contract; 2:
+    nothing tested or a usage error; EX_UNAVAILABLE (69): the ``--net``
+    clean-network baseline never served.
     """
-    from repro.serve.chaos import default_battery
-    from repro.serve.netchaos import netchaos_sweep
-
-    faults = args.net_faults.split(",") if args.net_faults else None
-    phases = args.net_phases.split(",") if args.net_phases else None
+    from repro.resilience.chaos import CampaignTarget, ChaosSweep, chaos_sweep
+    from repro.serve.chaos import ServerTarget, default_battery
+    from repro.serve.netchaos import NetChaosSweep, netchaos_sweep
 
     def progress(result) -> None:
-        log.info(
-            "netchaos %s@%s %s (injected=%d reconnects=%d)%s",
-            result.fault,
-            result.phase,
-            "ok" if result.ok else "FAIL",
-            result.injected,
-            result.reconnects,
-            f" ({result.detail})" if result.detail else "",
-        )
+        log.info("chaos %s", result.describe())
+
+    sweep: ChaosSweep | NetChaosSweep
+    target: CampaignTarget | ServerTarget
 
     try:
-        sweep = netchaos_sweep(
-            battery=default_battery(args.jobs),
-            workdir=args.workdir,
-            faults=faults,
-            phases=phases,
-            seed=args.seed,
-            run_timeout=args.run_timeout,
-            on_result=progress,
-        )
+        if args.net:
+            sweep = netchaos_sweep(
+                battery=default_battery(args.jobs),
+                workdir=args.workdir,
+                faults=args.net_faults.split(",") if args.net_faults else None,
+                phases=args.net_phases.split(",") if args.net_phases else None,
+                seed=args.seed,
+                run_timeout=args.run_timeout,
+                on_result=progress,
+            )
+            title = "Network chaos sweep over `repro serve`"
+            cycle = "fault cell"
+            promise = (
+                "held the contract: none lost, none duplicated, stores "
+                "byte-identical, resubmission deduped"
+            )
+            headers = ["fault", "phase", "completed", "consistent",
+                       "deduped", "injected", "reconnects", "detail"]
+            rows = [
+                [r.fault, r.phase, r.completed, r.consistent, r.deduped,
+                 r.injected, r.reconnects, r.detail]
+                for r in sweep.results
+            ]
+        else:
+            if args.serve:
+                target = ServerTarget(
+                    default_battery(args.jobs), args.run_timeout,
+                    args.serve_isolation,
+                )
+                title = "Chaos sweep over `repro serve`"
+                promise = (
+                    "recovered: none lost, none duplicated, stored "
+                    "verdicts byte-identical"
+                )
+            else:
+                argv = list(args.argv)
+                if argv and argv[0] == "--":
+                    argv = argv[1:]
+                if not argv:
+                    log.error(
+                        "chaos: pass the campaign argv after --, e.g. "
+                        "repro chaos -- impossibility --protocol quorum "
+                        "--n 3"
+                    )
+                    return EXIT_INCONCLUSIVE
+                target = CampaignTarget(argv, args.run_timeout)
+                title = f"Chaos sweep over `repro {' '.join(argv)}`"
+                promise = "reproduced the baseline byte-for-byte"
+            sweep = chaos_sweep(
+                target,
+                workdir=args.workdir,
+                modes=tuple(m for m in args.modes.split(",") if m),
+                max_hits_per_point=args.max_hits,
+                points=args.points.split(",") if args.points else None,
+                seed=args.seed,
+                on_result=progress,
+            )
+            cycle = f"{target.cycle} cycle"
+            headers = ["crashpoint", "hit", "mode", "killed",
+                       *target.columns, "detail"]
+            rows = [
+                [r.point, r.hit, r.mode, r.killed, r.recovered, r.matched,
+                 r.detail]
+                for r in sweep.results
+            ]
     except ValueError as exc:
-        log.error("chaos --net: %s", exc)
+        log.error("chaos: %s", exc)
         return EXIT_INCONCLUSIVE
-    print("== Network chaos sweep over `repro serve` ==\n")
-    rows = [
-        [r.fault, r.phase, r.completed, r.consistent, r.deduped,
-         r.injected, r.reconnects, r.detail]
-        for r in sweep.results
-    ]
-    print(
-        render_table(
-            ["fault", "phase", "completed", "consistent", "deduped",
-             "injected", "reconnects", "detail"],
-            rows,
-        )
-    )
+    print(f"== {title} ==\n")
+    print(render_table(headers, rows))
     print("\n" + sweep.describe())
-    if sweep.error:
+    if getattr(sweep, "error", ""):
         print("UNAVAILABLE: the clean-network baseline never served")
         return EXIT_SERVER_UNREACHABLE
     if not sweep.results:
-        log.warning("no fault cells selected — nothing tested")
+        log.warning("no %s ran — nothing tested", cycle)
         return EXIT_INCONCLUSIVE
     if sweep.ok:
-        print(
-            "every fault cell held the contract: none lost, none "
-            "duplicated, stores byte-identical, resubmission deduped"
-        )
+        print(f"every {cycle} {promise}")
         return EXIT_OK
-    print("UNEXPECTED: some network fault lost or corrupted a job!")
-    return EXIT_UNEXPECTED
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    """``repro chaos``: kill/resume sweep over every reachable crashpoint.
-
-    Runs the given campaign argv uninterrupted to capture baseline
-    stdout, enumerates the crashpoints that run reaches, then for each
-    selected (point, hit, mode) kills a fresh run at that exact moment,
-    resumes it from the on-disk checkpoint, and verifies the resumed
-    output is byte-identical to the baseline.  Exit 0: every cycle
-    identical; 1: at least one diverged; 2: nothing reachable/usage.
-
-    With ``--serve`` the target is the job server instead: kill it at
-    every server crashpoint, restart, and require that no acknowledged
-    job is lost, none runs twice, and stored verdicts byte-match an
-    uninterrupted cycle.
-    """
-    from repro.resilience.chaos import MODE_STALL, _MODES, chaos_sweep
-
-    modes = tuple(m for m in args.modes.split(",") if m)
-    bad = [m for m in modes if m not in _MODES or m == MODE_STALL]
-    if bad or not modes:
-        log.error(
-            "chaos: bad --modes %r (choose from kill, exit, raise)",
-            args.modes,
-        )
-        return EXIT_INCONCLUSIVE
-    if args.net:
-        return _cmd_chaos_net(args)
-    if args.serve:
-        return _cmd_chaos_serve(args, modes)
-    argv = list(args.argv)
-    if argv and argv[0] == "--":
-        argv = argv[1:]
-    if not argv:
-        log.error(
-            "chaos: pass the campaign argv after --, e.g. "
-            "repro chaos -- impossibility --protocol quorum --n 3"
-        )
-        return EXIT_INCONCLUSIVE
-    points = args.points.split(",") if args.points else None
-
-    def progress(result) -> None:
-        log.info(
-            "chaos %s:%d:%s %s%s",
-            result.point,
-            result.hit,
-            result.mode,
-            "ok" if result.ok else "FAIL",
-            f" ({result.detail})" if result.detail else "",
-        )
-
-    sweep = chaos_sweep(
-        argv,
-        workdir=args.workdir,
-        modes=modes,
-        max_hits_per_point=args.max_hits,
-        points=points,
-        seed=args.seed,
-        timeout=args.run_timeout,
-        on_result=progress,
-    )
-    print(f"== Chaos sweep over `repro {' '.join(argv)}` ==\n")
-    rows = [
-        [r.point, r.hit, r.mode, r.killed, r.resumed, r.identical, r.detail]
-        for r in sweep.results
-    ]
-    print(
-        render_table(
-            ["crashpoint", "hit", "mode", "killed", "resumed",
-             "identical", "detail"],
-            rows,
-        )
-    )
-    print("\n" + sweep.describe())
-    if not sweep.results:
-        log.warning(
-            "no crashpoints were reachable for this argv — nothing tested"
-        )
-        return EXIT_INCONCLUSIVE
-    if sweep.ok:
-        print("every kill/resume cycle reproduced the baseline byte-for-byte")
-        return EXIT_OK
-    print("UNEXPECTED: some kill/resume cycle diverged from the baseline!")
+    print(f"UNEXPECTED: not every {cycle} {promise}!")
     return EXIT_UNEXPECTED
 
 
@@ -860,13 +753,6 @@ def _add_budget_flags(parser, suppress: bool = False) -> None:
         help="root states (input assignments) per parallel shard; "
         "smaller shards steal better, the merged verdict is identical "
         "for any value (default 1)",
-    )
-    parser.add_argument(
-        "--steal",
-        action=argparse.BooleanOptionalAction,
-        default=default(None),
-        help="pull-based work stealing between pool workers (default "
-        "on; --no-steal pins shard i to worker i mod N)",
     )
     parser.add_argument(
         "--cache",
@@ -975,7 +861,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         metavar="K",
-        help="kill positions tested per crashpoint (seeded selection)",
+        help="hits picked per crashpoint, K >= 1 (seeded; the first and "
+        "last hits are always taken, so K=1 kills at up to two positions)",
     )
     p.add_argument(
         "--points",
@@ -1244,7 +1131,7 @@ def main(argv: list[str] | None = None) -> int:
         max_states=args.max_states, max_seconds=args.timeout
     )
     args.pool = pool_config_for(
-        args.workers, args.unit_timeout, args.max_retries, args.steal
+        args.workers, args.unit_timeout, args.max_retries
     )
     args.campaign = None
     if args.resume:

@@ -45,6 +45,7 @@ from repro.resilience.budget import (
     merge_stats,
 )
 from repro.resilience.chaos import (
+    CampaignTarget,
     ChaosInjected,
     ChaosResult,
     ChaosSweep,
@@ -97,6 +98,7 @@ __all__ = [
     "BudgetStats",
     "CampaignCheckpoint",
     "CampaignJournal",
+    "CampaignTarget",
     "ChaosInjected",
     "ChaosResult",
     "ChaosSweep",

@@ -1,14 +1,14 @@
-"""Deterministic crashpoint injection and the chaos resume harness.
+"""Deterministic crashpoint injection and the crashpoint sweep.
 
 The paper's verdicts are machine-checked against adversaries that may
 strike between any two steps; this module points the same adversary at
 our *own* recovery machinery.  Named **crashpoints** are compiled into
 the engine's durability-critical seams — checkpoint write/rename,
 journal append/compaction, pool dispatch/merge, campaign unit
-boundaries, budget trips — and a harness re-runs a whole campaign
-killing the process (or raising, or stalling) at each reachable
-crashpoint, then resumes from disk and asserts the final verdicts are
-**byte-identical** to an uninterrupted run.
+boundaries, budget trips, the job server's store and ledger — and a
+sweep re-runs a whole campaign (or server) killing the process at each
+reachable crashpoint, then recovers from disk and asserts the final
+verdicts are **byte-identical** to an uninterrupted run.
 
 Instrumentation contract
 ------------------------
@@ -50,23 +50,23 @@ Three ways, composable:
 Hit counting is per-process and per-name, so a schedule is a pure
 function of the (deterministic) execution.
 
-The harness
------------
+The sweep
+---------
 
-:func:`chaos_sweep` drives a CLI campaign (``python -m repro ...``)
-through the full kill/resume cycle per reachable crashpoint:
+:func:`chaos_sweep` runs one crashpoint sweep over a **target**: a
+checkpointed CLI campaign (:class:`CampaignTarget`) or the job server
+(:class:`repro.serve.chaos.ServerTarget`).  The steps are shared:
 
-1. run the campaign uninterrupted with a checkpoint — the **baseline**
-   stdout bytes;
-2. run again with tracing to enumerate reachable crashpoints;
-3. for each selected (point, hit): fresh checkpoint, run with the kill
-   spec armed, observe the death, then ``--resume`` (or start fresh if
-   the process died before any checkpoint bytes reached disk) and
-   compare stdout byte-for-byte against the baseline.
+1. the target's **baseline** — an uninterrupted run (the campaign's
+   stdout bytes, the server's verdict store);
+2. a traced **census** of the reachable crashpoints;
+3. for each selected (point, hit, mode): arm a fresh run, check that it
+   died, let the target **recover** (``--resume`` for a campaign, an
+   unarmed restart for the server) and compare against the baseline.
 
 Selection is bounded by ``max_hits_per_point`` with a **seeded**
 deterministic sample (first, last, and seeded picks in between), so two
-sweeps over the same build test the same schedule.  Kill runs are traced
+sweeps over the same build test the same schedule.  Armed runs are traced
 too: when one exits without reaching its chosen hit (a pooled run's
 dispatch count depends on timing), it is re-armed at the last hit that
 run did reach, so every kill lands on a position its own run has.
@@ -84,13 +84,15 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from repro.exitcodes import EXIT_CHAOS_KILLED
 
 __all__ = [
+    "CampaignTarget",
     "ChaosInjected",
     "ChaosResult",
+    "ChaosSweep",
     "CrashSpec",
     "active_plan",
     "chaos_sweep",
@@ -150,6 +152,11 @@ def parse_specs(raw: str) -> tuple[CrashSpec, ...]:
             raise ValueError(
                 f"bad crashpoint mode {mode!r} in {chunk!r}: "
                 f"choose from {_MODES}"
+            )
+        if int(hit) < 1:
+            raise ValueError(
+                f"bad crashpoint hit {hit!r} in {chunk!r}: hits count "
+                f"from 1"
             )
         arg = float(parts[3]) if len(parts) == 4 else 0.0
         specs.append(CrashSpec(point, int(hit), mode, arg))
@@ -281,32 +288,37 @@ def active_plan(
         _state = previous
 
 
-# -- the chaos resume harness ------------------------------------------------
+# -- the crashpoint sweep ----------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ChaosResult:
-    """One crashpoint's kill/resume verdict in a chaos sweep."""
+    """One (point, hit, mode) cycle of a sweep: killed, recovered, and
+    matched against the target's baseline."""
 
     point: str
     hit: int
     mode: str
     killed: bool
-    resumed: bool
-    identical: bool
+    recovered: bool
+    matched: bool
     detail: str = ""
 
     @property
     def ok(self) -> bool:
-        return self.killed and self.resumed and self.identical
+        return self.killed and self.recovered and self.matched
+
+    def describe(self) -> str:
+        status = "ok" if self.ok else "FAIL"
+        line = f"[{status}] {self.point}:{self.hit}:{self.mode}"
+        return f"{line} ({self.detail})" if self.detail else line
 
 
 @dataclass
 class ChaosSweep:
     """Everything one :func:`chaos_sweep` run produced."""
 
-    baseline_stdout: bytes
-    baseline_returncode: int
+    target: Any
     reachable: dict = field(default_factory=dict)
     results: list = field(default_factory=list)
 
@@ -317,8 +329,10 @@ class ChaosSweep:
     def describe(self) -> str:
         good = sum(1 for r in self.results if r.ok)
         return (
+            f"{self.target.baseline_note()}"
             f"{len(self.reachable)} reachable crashpoints, "
-            f"{len(self.results)} kill/resume cycles, {good} identical"
+            f"{len(self.results)} {self.target.cycle} cycles, "
+            f"{good} {self.target.columns[1]}"
         )
 
 
@@ -333,34 +347,6 @@ def _src_pythonpath(env: dict) -> str:
     )
     existing = env.get("PYTHONPATH")
     return src if not existing else f"{src}{os.pathsep}{existing}"
-
-
-def _run_cli(
-    argv: list,
-    env_extra: dict,
-    timeout: float,
-    python: str,
-) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env.update(env_extra)
-    env["PYTHONPATH"] = _src_pythonpath(env)
-    proc = subprocess.Popen(
-        [python, "-m", "repro", *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    )
-    try:
-        stdout, stderr = proc.communicate(timeout=timeout)
-    except BaseException:
-        # Timeout, Ctrl-C in the sweep, anything: the child must not
-        # outlive this call as an orphan chewing CPU in the background.
-        proc.kill()
-        proc.wait()
-        raise
-    return subprocess.CompletedProcess(
-        proc.args, proc.returncode, stdout, stderr
-    )
 
 
 def _select_hits(count: int, max_hits: int, point: str, seed: int) -> list:
@@ -390,83 +376,173 @@ def _read_trace(path: str) -> Counter:
     return hits
 
 
+def _died(mode: str, returncode: int) -> bool:
+    """Whether *returncode* is the death an armed *mode* causes."""
+    if mode == MODE_KILL:
+        return returncode == -signal.SIGKILL
+    if mode == MODE_EXIT:
+        return returncode == EXIT_STATUS
+    return returncode != 0  # raise: any failure is the injection
+
+
+#: Unarmed resume runs before a campaign's recovery counts as stuck.
+#: One normally completes; more tolerate campaigns that legitimately
+#: stop early, e.g. budget-limited ones.
+RESUME_HOPS = 8
+
+
+class CampaignTarget:
+    """A ``repro`` CLI campaign as a sweep target.
+
+    The baseline is an uninterrupted run's stdout and exit code; an
+    armed run is killed with a fresh ``--checkpoint``, then recovered by
+    ``--resume`` (or a fresh start when it died before any checkpoint
+    bytes reached disk) and its stdout compared byte-for-byte.
+
+    *argv* is the subcommand argv without checkpoint flags, e.g.
+    ``["impossibility", "--protocol", "quorum", "--n", "3"]``; *timeout*
+    bounds each subprocess.
+    """
+
+    modes = (MODE_KILL, MODE_EXIT, MODE_RAISE)
+    cycle = "kill/resume"
+    columns = ("resumed", "identical")
+
+    def __init__(self, argv: list, timeout: float = 300.0) -> None:
+        self.argv = list(argv)
+        self.timeout = timeout
+        self.baseline: Optional[subprocess.CompletedProcess] = None
+
+    def _run(
+        self, flags: list, env_extra: dict
+    ) -> subprocess.CompletedProcess:
+        env = dict(os.environ)
+        env.update({ENV_SPECS: "", ENV_TRACE: "", ENV_SCOPE: ""})
+        env.update(env_extra)
+        env["PYTHONPATH"] = _src_pythonpath(env)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", *self.argv, *flags],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            stdout, stderr = proc.communicate(timeout=self.timeout)
+        except BaseException:
+            # Timeout, Ctrl-C in the sweep, anything: the child must not
+            # outlive this call as an orphan chewing CPU in the background.
+            proc.kill()
+            proc.wait()
+            raise
+        return subprocess.CompletedProcess(
+            proc.args, proc.returncode, stdout, stderr
+        )
+
+    def baseline_note(self) -> str:
+        return ""
+
+    def run_baseline(self, workdir: str) -> None:
+        ckpt = os.path.join(workdir, "baseline.ckpt")
+        self.baseline = self._run(["--checkpoint", ckpt], {})
+
+    def census(self, workdir: str) -> Counter:
+        trace = os.path.join(workdir, "trace.txt")
+        ckpt = os.path.join(workdir, "census.ckpt")
+        self._run(["--checkpoint", ckpt], {ENV_TRACE: trace})
+        return _read_trace(trace)
+
+    def arm(self, path: str, spec: str, trace: str) -> tuple:
+        ckpt = path + ".ckpt"
+        if os.path.exists(ckpt):
+            os.remove(ckpt)
+        wounded = self._run(
+            ["--checkpoint", ckpt], {ENV_SPECS: spec, ENV_TRACE: trace}
+        )
+        return wounded.returncode, None
+
+    def recover(self, path: str, _armed) -> tuple:
+        assert self.baseline is not None
+        ckpt = path + ".ckpt"
+        for _ in range(RESUME_HOPS):
+            flag = "--resume" if os.path.exists(ckpt) else "--checkpoint"
+            final = self._run([flag, ckpt], {})
+            if final.returncode == self.baseline.returncode:
+                break
+        else:
+            tail = final.stderr[-300:].decode(errors="replace")
+            return False, False, (
+                f"resume never reached the baseline exit code "
+                f"{self.baseline.returncode} (last: {final.returncode}; "
+                f"stderr tail: {tail!r})"
+            )
+        if final.stdout != self.baseline.stdout:
+            return True, False, (
+                f"stdout diverged: baseline {len(self.baseline.stdout)}B, "
+                f"resumed {len(final.stdout)}B"
+            )
+        return True, True, ""
+
+
 def chaos_sweep(
-    argv: list,
+    target,
     workdir: Optional[str] = None,
     modes: tuple = (MODE_KILL,),
     max_hits_per_point: int = 3,
     points: Optional[list] = None,
     seed: int = 0,
-    timeout: float = 300.0,
-    python: str = sys.executable,
-    max_resume_hops: int = 8,
     on_result=None,
 ) -> ChaosSweep:
-    """Kill a campaign at every reachable crashpoint; assert resume parity.
+    """Kill *target* at every reachable crashpoint; require recovery.
+
+    A target (:class:`CampaignTarget`, or the job server's
+    :class:`repro.serve.chaos.ServerTarget`) supplies the steps that
+    differ: ``run_baseline(workdir)``, ``census(workdir)`` (hits per
+    reachable crashpoint), ``arm(path, spec, trace)`` (one armed run,
+    returning its exit code and whatever ``recover`` needs) and
+    ``recover(path, armed)`` (``(recovered, matched, detail)`` against
+    the baseline).  Its ``modes`` are the fault modes it accepts.
 
     Args:
-        argv: the ``repro`` subcommand argv *without* checkpoint flags —
-            e.g. ``["impossibility", "--protocol", "quorum", "--n", "3"]``.
-            The harness appends ``--checkpoint``/``--resume`` itself.
-        workdir: directory for checkpoints and traces (a fresh temporary
-            directory when None).
-        modes: fault modes to inject per selected crashpoint
-            (``kill`` and/or ``raise``; ``stall`` is for interactive
-            shutdown tests, not sweeps).
-        max_hits_per_point: cap on kill positions per crashpoint name
-            (seeded selection; first and last hits always included).
+        target: what to kill.
+        workdir: directory for checkpoints, state and traces (a fresh
+            temporary directory when None).
+        modes: fault modes to inject per selected crashpoint.
+        max_hits_per_point: how many hits of each crashpoint to pick
+            (seeded selection, at least 1).  The first and last hits
+            are always taken, so 1 kills at up to two positions.
         points: restrict to these crashpoint names (None = all reachable).
-        seed: selection seed (also reused for interior-hit sampling).
-        timeout: per-subprocess wall-clock bound.
-        python: interpreter to launch.
-        max_resume_hops: resume attempts before declaring recovery stuck
-            (each hop runs without chaos armed, so one hop normally
-            completes; >1 tolerates campaigns that legitimately stop
-            early, e.g. budget-limited ones).
+        seed: seed for the interior-hit selection.
         on_result: optional callback fired with each
             :class:`ChaosResult` as it lands (progress reporting).
 
-    Returns:
-        A :class:`ChaosSweep` with the baseline, the reachable-point
-        census, and one :class:`ChaosResult` per (point, hit, mode).
+    Raises:
+        ValueError: a mode the target does not accept, no mode, or
+            *max_hits_per_point* below 1.  Raised before any run starts.
     """
+    bad = [mode for mode in modes if mode not in target.modes]
+    if bad or not modes:
+        raise ValueError(
+            f"bad modes {','.join(modes)!r}: a {target.cycle} sweep "
+            f"takes {'/'.join(target.modes)}"
+        )
+    if max_hits_per_point < 1:
+        raise ValueError(
+            f"max hits per crashpoint must be >= 1, not {max_hits_per_point}"
+        )
     own_tmp = None
     if workdir is None:
         own_tmp = tempfile.TemporaryDirectory(prefix="repro-chaos-")
         workdir = own_tmp.name
     try:
-        quiet_env = {ENV_SPECS: "", ENV_TRACE: "", ENV_SCOPE: ""}
-        baseline_ckpt = os.path.join(workdir, "baseline.ckpt")
-        baseline = _run_cli(
-            argv + ["--checkpoint", baseline_ckpt], quiet_env, timeout, python
-        )
-        sweep = ChaosSweep(
-            baseline_stdout=baseline.stdout,
-            baseline_returncode=baseline.returncode,
-        )
-
-        trace_path = os.path.join(workdir, "trace.txt")
-        _run_cli(
-            argv + ["--checkpoint", os.path.join(workdir, "census.ckpt")],
-            {**quiet_env, ENV_TRACE: trace_path},
-            timeout,
-            python,
-        )
-        reachable = _read_trace(trace_path)
-        sweep.reachable = dict(sorted(reachable.items()))
-
-        for point in sorted(reachable):
+        target.run_baseline(workdir)
+        reachable = target.census(workdir)
+        sweep = ChaosSweep(target, dict(sorted(reachable.items())))
+        for point, count in sweep.reachable.items():
             if points is not None and point not in points:
                 continue
-            hits = _select_hits(
-                reachable[point], max_hits_per_point, point, seed
-            )
-            for hit in hits:
+            for hit in _select_hits(count, max_hits_per_point, point, seed):
                 for mode in modes:
-                    result = _kill_and_resume(
-                        argv, workdir, point, hit, mode, sweep,
-                        timeout, python, max_resume_hops,
-                    )
+                    result = _strike(target, workdir, point, hit, mode)
                     sweep.results.append(result)
                     if on_result is not None:
                         on_result(result)
@@ -476,102 +552,45 @@ def chaos_sweep(
             own_tmp.cleanup()
 
 
-def _kill_and_resume(
-    argv: list,
-    workdir: str,
-    point: str,
-    hit: int,
-    mode: str,
-    sweep: ChaosSweep,
-    timeout: float,
-    python: str,
-    max_resume_hops: int,
-) -> ChaosResult:
-    tag = f"{point}.{hit}.{mode}".replace("/", "_")
-    ckpt = os.path.join(workdir, f"chaos-{tag}.ckpt")
-    trace = os.path.join(workdir, f"chaos-{tag}.trace")
-    while True:  # each pass re-arms at a strictly earlier hit
-        spec = f"{point}:{hit}:{mode}"
-        for stale in (ckpt, trace):
-            if os.path.exists(stale):
-                os.remove(stale)
-        try:
-            wounded = _run_cli(
-                argv + ["--checkpoint", ckpt],
-                {ENV_SPECS: spec, ENV_TRACE: trace, ENV_SCOPE: ""},
-                timeout,
-                python,
-            )
-        except subprocess.TimeoutExpired:
-            return ChaosResult(
-                point, hit, mode, killed=False, resumed=False,
-                identical=False,
-                detail=f"kill run exceeded the {timeout:g}s timeout",
-            )
-        if mode == MODE_KILL:
-            killed = wounded.returncode == -signal.SIGKILL
-        elif mode == MODE_EXIT:
-            killed = wounded.returncode == EXIT_STATUS
-        else:  # raise: any abnormal, non-signal failure is the injection
-            killed = wounded.returncode not in (0,)
-        reached = _read_trace(trace)[point]
-        if killed or not 0 < reached < hit:
-            break
-        # This run hit the point fewer times than the census run did (a
-        # pooled run withdraws a decided sweep's unstarted shards, so how
-        # many it dispatches depends on timing): re-arm at the last hit
-        # this run reached.
-        hit = reached
+def _strike(target, workdir: str, point: str, hit: int, mode: str):
+    """One cycle: arm *target* at (point, hit, mode), check the death,
+    recover, and compare against the baseline."""
+    path = os.path.join(workdir, f"chaos-{point}.{hit}.{mode}".replace("/", "_"))
+    trace = path + ".trace"
+    try:
+        while True:  # each pass re-arms at a strictly earlier hit
+            spec = f"{point}:{hit}:{mode}"
+            if os.path.exists(trace):
+                os.remove(trace)
+            returncode, armed = target.arm(path, spec, trace)
+            killed = _died(mode, returncode)
+            reached = _read_trace(trace)[point]
+            if killed or not 0 < reached < hit:
+                break
+            # This run hit the point fewer times than the census run
+            # did (a pooled run withdraws a decided sweep's unstarted
+            # shards, so how many it dispatches depends on timing):
+            # re-arm at the last hit this run reached.
+            hit = reached
+    except subprocess.TimeoutExpired as exc:
+        return ChaosResult(
+            point, hit, mode, killed=False, recovered=False, matched=False,
+            detail=f"kill run exceeded the {exc.timeout:g}s timeout",
+        )
     if not killed:
         return ChaosResult(
-            point, hit, mode, killed=False, resumed=False, identical=False,
+            point, hit, mode, killed=False, recovered=False, matched=False,
             detail=(
                 f"expected the process to die at {spec}, got exit "
-                f"{wounded.returncode}"
+                f"{returncode}"
             ),
         )
-
-    # Resume (or restart when the kill predates any checkpoint bytes).
-    final = None
-    for _ in range(max_resume_hops):
-        if os.path.exists(ckpt):
-            resumed_argv = argv + ["--resume", ckpt]
-        else:
-            resumed_argv = argv + ["--checkpoint", ckpt]
-        try:
-            final = _run_cli(
-                resumed_argv,
-                {ENV_SPECS: "", ENV_TRACE: "", ENV_SCOPE: ""},
-                timeout,
-                python,
-            )
-        except subprocess.TimeoutExpired:
-            return ChaosResult(
-                point, hit, mode, killed=True, resumed=False,
-                identical=False,
-                detail=f"resume run exceeded the {timeout:g}s timeout",
-            )
-        if final.returncode == sweep.baseline_returncode:
-            break
-    if final is None or final.returncode != sweep.baseline_returncode:
-        return ChaosResult(
-            point, hit, mode, killed=True, resumed=False, identical=False,
-            detail=(
-                f"resume never reached the baseline exit code "
-                f"{sweep.baseline_returncode} (last: "
-                f"{None if final is None else final.returncode}; stderr "
-                f"tail: "
-                f"{(final.stderr[-300:].decode(errors='replace') if final else '')!r})"
-            ),
-        )
-    identical = final.stdout == sweep.baseline_stdout
-    detail = ""
-    if not identical:
-        detail = (
-            f"stdout diverged: baseline {len(sweep.baseline_stdout)}B, "
-            f"resumed {len(final.stdout)}B"
-        )
+    try:
+        recovered, matched, detail = target.recover(path, armed)
+    except subprocess.TimeoutExpired as exc:
+        recovered, matched = False, False
+        detail = f"recovery exceeded the {exc.timeout:g}s timeout"
     return ChaosResult(
-        point, hit, mode, killed=True, resumed=True, identical=identical,
+        point, hit, mode, killed=True, recovered=recovered, matched=matched,
         detail=detail,
     )

@@ -56,16 +56,14 @@ Two mechanisms keep the plumbing cheap enough for fine-grained units
   :func:`repro.resilience.wire.dumps`, i.e. ``pickle.HIGHEST_PROTOCOL``,
   never the interpreter's default protocol.
 
-Scheduling is **pull-based with work stealing** by default: pending
+Scheduling is **pull-based with work stealing**: pending
 units sit in a supervisor-side overflow deque and whichever worker goes
 idle first (its ``done`` message is the pull) is handed the next unit —
 a straggler never strands queued work behind it.  The steal arbiter is
 the supervisor rather than a lock in shared memory, deliberately: a
 worker SIGKILLed while holding a shared-deque lock would poison every
 sibling, the exact failure mode the per-worker channels exist to
-prevent.  ``PoolConfig.steal=False`` switches to static round-robin
-assignment (unit *i* waits for worker ``i mod N``), which tests use to
-pin scheduling-independence of merged results.
+prevent.
 
 The workers outlive a run.  :class:`WorkerPool` has an
 ``open()`` → ``run(units, on_complete)`` → ``close()`` lifecycle, and
@@ -154,11 +152,6 @@ class PoolConfig:
         stall_timeout: seconds without a heartbeat after which a busy
             worker is declared hung and killed; None disables stall
             detection.
-        steal: pull-based work stealing (default).  Pending units live
-            in a shared overflow deque and the first worker to go idle
-            takes the next one; ``False`` pins unit *i* to worker
-            ``i mod workers`` (static round-robin), trading load balance
-            for a schedule that is a pure function of the unit order.
         report_sink: optional callable invoked with the final
             :class:`PoolReport` just before :func:`run_units` returns —
             the hook benchmarks use to read ``spawn_seconds`` (pool
@@ -174,7 +167,6 @@ class PoolConfig:
     retry_seed: int = 0
     heartbeat_interval: float = 0.2
     stall_timeout: Optional[float] = 10.0
-    steal: bool = True
     report_sink: Optional[Callable[["PoolReport"], None]] = field(
         default=None, compare=False
     )
@@ -724,34 +716,22 @@ class WorkerPool:
     # -- scheduling ---------------------------------------------------------
     def _dispatch(self) -> None:
         # self._pending is the shared overflow deque: every unit not yet
-        # running sits here, supervisor-side.  With steal=True (default)
-        # the first idle worker pulls the front of the ready list — its
-        # "done" message is the pull request — so a straggler never
-        # strands queued work.  With steal=False unit *i* waits for slot
-        # ``i mod slots``: the schedule becomes a pure function of unit
-        # order, which the parity tests exploit.  Either way nothing is
-        # preloaded into worker queues, so crash reassignment never has
-        # to claw a unit back out of a dead worker's queue.
+        # running sits here, supervisor-side.  The first idle worker
+        # pulls the front of the ready list — its "done" message is the
+        # pull request — so a straggler never strands queued work.
+        # Nothing is preloaded into worker queues, so crash reassignment
+        # never has to claw a unit back out of a dead worker's queue.
         if not self._pending:
             return
         now = time.monotonic()
         ready = [p for p in self._pending if p.not_before <= now]
         ready.sort(key=lambda p: (p.attempt, p.order))
-        slots = len(self._workers)
-        for slot, worker in enumerate(self._workers):
+        for worker in self._workers:
             if not ready:
                 return
             if worker.busy or not worker.process.is_alive():
                 continue
-            if self._config.steal:
-                unit = ready.pop(0)
-            else:
-                unit = next(
-                    (p for p in ready if p.order % slots == slot), None
-                )
-                if unit is None:
-                    continue
-                ready.remove(unit)
+            unit = ready.pop(0)
             self._pending.remove(unit)
             self._dispatched_at.setdefault(unit.key, now)
             crashpoint("pool.dispatch")
@@ -1113,7 +1093,6 @@ def pool_config_for(
     workers: Optional[int],
     unit_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
-    steal: Optional[bool] = None,
 ) -> Optional[PoolConfig]:
     """Build a :class:`PoolConfig` from CLI-style optional knobs.
 
@@ -1128,6 +1107,4 @@ def pool_config_for(
         config = replace(config, unit_timeout=unit_timeout)
     if max_retries is not None:
         config = replace(config, max_retries=max_retries)
-    if steal is not None:
-        config = replace(config, steal=steal)
     return config

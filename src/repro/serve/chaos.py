@@ -1,28 +1,22 @@
-"""``repro chaos --serve``: kill the job server at every durability seam.
+"""The job server as a target of the crashpoint sweep.
 
-The campaign chaos harness (:func:`repro.resilience.chaos.chaos_sweep`)
-proves checkpointed CLI runs survive ``kill -9``; this module points
-the same adversary at the long-running server.  One **cycle** is:
+:func:`repro.resilience.chaos.chaos_sweep` proves checkpointed CLI runs
+survive ``kill -9``; :class:`ServerTarget` points the same sweep at the
+long-running server (``repro chaos --serve``).  One server **cycle** is:
 
-1. start a server subprocess on a fresh state directory;
+1. start a server subprocess on a state directory;
 2. submit a deterministic job battery, waiting for each verdict;
-3. stop the server (SIGTERM) and read the verdict store off disk.
+3. stop the server (SIGTERM).
 
-The sweep first runs an uninterrupted cycle (the **baseline** store
-bytes), then a traced cycle to census reachable crashpoints, then — per
-(point, hit, mode) — an armed cycle that dies mid-flight, a restart
-that recovers, a full battery resubmission (deduped against whatever
-survived), and a graceful drain.  The final store must satisfy, for
-every cycle:
-
-* **none lost** — every job the dead server ACCEPTED is stored;
-* **none duplicated** — exactly one store frame per fingerprint, and at
-  most one completion record per fingerprint in the raw ledger;
-* **byte-identical** — each stored verdict's bytes equal the baseline's.
+The baseline is an uninterrupted cycle's verdict store.  An armed cycle
+dies mid-flight; recovery is an unarmed restart that completes the
+full battery (deduped against whatever survived) and drains.  The
+store must then pass :func:`check_store`: none lost, none duplicated,
+byte-identical to the baseline.
 
 Crashpoints inside the *recovery* path (``serve.recover.*``) cannot be
 reached by killing a fresh server, so the census additionally traces a
-restart after a staged ``serve.complete.gap`` kill, and sweep cycles
+restart after a staged ``serve.complete.gap`` kill, and armed cycles
 for those points arm the restart instead of the first incarnation.
 """
 
@@ -31,13 +25,12 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import shutil
 import signal
 import subprocess
 import sys
-import tempfile
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.resilience.chaos import (
@@ -47,10 +40,8 @@ from repro.resilience.chaos import (
     MODE_EXIT,
     MODE_KILL,
     _read_trace,
-    _select_hits,
     _src_pythonpath,
 )
-from repro.resilience.chaos import EXIT_STATUS as CHAOS_EXIT_STATUS
 from repro.resilience.frames import read_frames
 from repro.resilience.journal import KIND_UNIT
 from repro.resilience.journal import MAGIC as JOURNAL_MAGIC
@@ -59,10 +50,10 @@ from repro.serve.server import ENDPOINT_NAME, LEDGER_NAME, STORE_NAME
 from repro.serve.store import MAGIC as STORE_MAGIC
 
 __all__ = [
-    "ServeChaosResult",
-    "ServeChaosSweep",
+    "ServerTarget",
+    "check_store",
     "default_battery",
-    "serve_chaos_sweep",
+    "store_state",
 ]
 
 #: Points that only execute while a restart is repairing a previous
@@ -72,44 +63,6 @@ RECOVERY_PREFIX = "serve.recover."
 #: The staged first-incarnation kill used to make recovery points
 #: reachable (one verdict stored, its completion record missing).
 _STAGING_SPEC = "serve.complete.gap:1:kill"
-
-
-@dataclass(frozen=True)
-class ServeChaosResult:
-    """One (point, hit, mode) kill/restart cycle's verdict."""
-
-    point: str
-    hit: int
-    mode: str
-    killed: bool
-    recovered: bool
-    consistent: bool
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.killed and self.recovered and self.consistent
-
-
-@dataclass
-class ServeChaosSweep:
-    """Everything one :func:`serve_chaos_sweep` run produced."""
-
-    baseline: dict = field(default_factory=dict)  # fingerprint -> bytes
-    reachable: dict = field(default_factory=dict)
-    results: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.results) and all(r.ok for r in self.results)
-
-    def describe(self) -> str:
-        good = sum(1 for r in self.results if r.ok)
-        return (
-            f"{len(self.baseline)} baseline verdicts, "
-            f"{len(self.reachable)} reachable crashpoints, "
-            f"{len(self.results)} kill/restart cycles, {good} consistent"
-        )
 
 
 def default_battery(jobs: int = 5) -> list[dict]:
@@ -225,32 +178,6 @@ def _submit_battery(
     return acknowledged, None
 
 
-def _cycle(
-    python: str,
-    dirpath: str,
-    battery: list[dict],
-    env_extra: dict,
-    isolation: bool,
-    timeout: float,
-) -> tuple[list[str], Optional[str], int]:
-    """One full server cycle; returns (acks, death detail, returncode)."""
-    proc = _start_server(python, dirpath, env_extra, isolation, timeout)
-    try:
-        acks, death = _submit_battery(dirpath, proc, battery, timeout)
-        if proc.poll() is None:
-            returncode = _stop(proc, timeout)
-        else:
-            returncode = proc.wait(timeout=10)
-        return acks, death, returncode
-    finally:
-        # Never leave a server orphaned — not on timeout, not on Ctrl-C.
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=10)
-        if proc.stderr is not None:
-            proc.stderr.close()
-
-
 def _store_records(dirpath: str) -> dict[str, list[bytes]]:
     """Raw store payloads by fingerprint (lists expose duplicates)."""
     path = os.path.join(dirpath, STORE_NAME)
@@ -278,191 +205,164 @@ def _ledger_done_counts(dirpath: str) -> Counter:
     return counts
 
 
-def _check_consistency(
-    dirpath: str, baseline: dict, acknowledged: list[str]
+
+
+def store_state(dirpath: str) -> tuple[dict[str, list[bytes]], Counter]:
+    """A state directory's store payloads by fingerprint and its ledger's
+    completion counts by fingerprint."""
+    return _store_records(dirpath), _ledger_done_counts(dirpath)
+
+
+def check_store(
+    dirpath: str,
+    baseline: tuple[dict[str, list[bytes]], Counter],
+    acknowledged: tuple = (),
 ) -> tuple[bool, str]:
-    records = _store_records(dirpath)
+    """The durability contract for a recovered state directory.
+
+    Against *baseline* (a :func:`store_state` of a clean run) and the
+    fingerprints a dead server *acknowledged*: every fingerprint is
+    stored once, and only baseline ones; no acknowledged or baseline
+    verdict is lost; stored bytes equal the baseline's; the ledger
+    completes each fingerprint at most once and loses none of the
+    baseline's completions.  Returns ``(ok, problems)``.
+    """
+    records, done = store_state(dirpath)
+    base_records, base_done = baseline
     problems = []
     for fingerprint, payloads in records.items():
         if len(payloads) > 1:
             problems.append(f"{fingerprint[:12]} stored {len(payloads)}x")
+        if fingerprint not in base_records:
+            problems.append(f"unexpected record {fingerprint[:12]}")
     for fingerprint in acknowledged:
         if fingerprint not in records:
             problems.append(f"acknowledged {fingerprint[:12]} lost")
-    for fingerprint, expected in baseline.items():
+    for fingerprint, expected in base_records.items():
         got = records.get(fingerprint)
         if got is None:
-            problems.append(f"baseline {fingerprint[:12]} missing")
-        elif got[0] != expected:
+            problems.append(f"baseline {fingerprint[:12]} lost")
+        elif len(got) == 1 and got != expected:
             problems.append(f"baseline {fingerprint[:12]} bytes diverged")
-    for fingerprint, count in _ledger_done_counts(dirpath).items():
+    for fingerprint, count in done.items():
         if count > 1:
             problems.append(
                 f"{fingerprint[:12]} completed {count}x in the ledger"
             )
+    for fingerprint in base_done:
+        if fingerprint not in done:
+            problems.append(f"ledger lost completion {fingerprint[:12]}")
     return (not problems, "; ".join(problems))
 
 
-def serve_chaos_sweep(
-    battery: Optional[list[dict]] = None,
-    workdir: Optional[str] = None,
-    modes: tuple = (MODE_KILL,),
-    max_hits_per_point: int = 2,
-    points: Optional[list] = None,
-    seed: int = 0,
-    timeout: float = 60.0,
-    python: str = sys.executable,
-    isolation: bool = False,
-    on_result=None,
-) -> ServeChaosSweep:
-    """Kill the server at every reachable crashpoint; assert recovery.
+class ServerTarget:
+    """``repro serve`` as a target of
+    :func:`repro.resilience.chaos.chaos_sweep`.
 
-    Only process-death modes make sense here (``kill``, ``exit``): the
-    sweep's contract is about what a dead server's disk state recovers
-    to.  *isolation* toggles the pool's process isolation inside the
-    server under test (off by default: the durability seams are the
-    target, and serial execution keeps cycles fast and hit counts
-    deterministic).
+    *battery* is the job list each cycle submits (default
+    :func:`default_battery`); *timeout* bounds each job and each drain;
+    *isolation* runs the jobs on the server's pool workers (off by
+    default: the durability seams are the target, and serial execution
+    keeps cycles fast and hit counts deterministic).  Only process
+    deaths apply: the contract is what a dead server's disk recovers to.
     """
-    for mode in modes:
-        if mode not in (MODE_KILL, MODE_EXIT):
-            raise ValueError(
-                f"serve sweeps support kill/exit modes, not {mode!r}"
+
+    modes = (MODE_KILL, MODE_EXIT)
+    cycle = "kill/restart"
+    columns = ("recovered", "consistent")
+
+    def __init__(
+        self,
+        battery: Optional[list[dict]] = None,
+        timeout: float = 60.0,
+        isolation: bool = False,
+    ) -> None:
+        self.battery = default_battery() if battery is None else battery
+        self.timeout = timeout
+        self.isolation = isolation
+        self.baseline: tuple = ({}, Counter())
+
+    def _cycle(
+        self, dirpath: str, env_extra: dict
+    ) -> tuple[list[str], Optional[str], int]:
+        """One full server cycle; returns (acks, death detail, returncode)."""
+        proc = _start_server(
+            sys.executable, dirpath, env_extra, self.isolation, self.timeout
+        )
+        try:
+            acks, death = _submit_battery(
+                dirpath, proc, self.battery, self.timeout
             )
-    if battery is None:
-        battery = default_battery()
-    own_tmp = None
-    if workdir is None:
-        own_tmp = tempfile.TemporaryDirectory(prefix="repro-serve-chaos-")
-        workdir = own_tmp.name
-    try:
-        return _sweep(
-            battery, workdir, modes, max_hits_per_point, points, seed,
-            timeout, python, isolation, on_result,
+            if proc.poll() is None:
+                returncode = _stop(proc, self.timeout)
+            else:
+                returncode = proc.wait(timeout=10)
+            return acks, death, returncode
+        finally:
+            # Never leave a server orphaned — not on timeout, not on Ctrl-C.
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            if proc.stderr is not None:
+                proc.stderr.close()
+
+    def baseline_note(self) -> str:
+        return f"{len(self.baseline[0])} baseline verdicts, "
+
+    def run_baseline(self, workdir: str) -> None:
+        base_dir = os.path.join(workdir, "baseline")
+        os.makedirs(base_dir, exist_ok=True)
+        acks, death, returncode = self._cycle(base_dir, {})
+        if death is not None or len(acks) != len(self.battery):
+            raise RuntimeError(
+                f"baseline server cycle failed ({death or 'short battery'}; "
+                f"exit {returncode})"
+            )
+        self.baseline = store_state(base_dir)
+
+    def census(self, workdir: str) -> Counter:
+        """Trace one cycle, plus one restart after a staged kill so the
+        ``serve.recover.*`` points show up."""
+        census_dir = os.path.join(workdir, "census")
+        recover_dir = os.path.join(workdir, "census-recover")
+        os.makedirs(census_dir, exist_ok=True)
+        os.makedirs(recover_dir, exist_ok=True)
+        trace = os.path.join(workdir, "trace.txt")
+        recover_trace = os.path.join(workdir, "trace-recover.txt")
+        self._cycle(census_dir, {ENV_TRACE: trace})
+        self._cycle(recover_dir, {ENV_SPECS: _STAGING_SPEC})
+        self._cycle(recover_dir, {ENV_TRACE: recover_trace})
+        reachable = _read_trace(trace)
+        for point, count in _read_trace(recover_trace).items():
+            if point.startswith(RECOVERY_PREFIX):
+                reachable[point] = max(reachable[point], count)
+        return reachable
+
+    def arm(self, path: str, spec: str, trace: str) -> tuple:
+        # For recovery points, stage a store/ledger gap first, then arm
+        # the restart that repairs it.
+        shutil.rmtree(path, ignore_errors=True)
+        os.makedirs(path)
+        acknowledged: list[str] = []
+        if spec.startswith(RECOVERY_PREFIX):
+            acks, _death, _code = self._cycle(
+                path, {ENV_SPECS: _STAGING_SPEC}
+            )
+            acknowledged.extend(acks)
+        acks, _death, returncode = self._cycle(
+            path, {ENV_SPECS: spec, ENV_TRACE: trace}
         )
-    finally:
-        if own_tmp is not None:
-            own_tmp.cleanup()
+        return returncode, acknowledged + acks
 
-
-def _sweep(
-    battery, workdir, modes, max_hits_per_point, points, seed,
-    timeout, python, isolation, on_result,
-) -> ServeChaosSweep:
-    sweep = ServeChaosSweep()
-
-    # 1. Baseline: an uninterrupted cycle fixes the expected store bytes.
-    base_dir = os.path.join(workdir, "baseline")
-    os.makedirs(base_dir, exist_ok=True)
-    acks, death, returncode = _cycle(
-        python, base_dir, battery, {}, isolation, timeout
-    )
-    if death is not None or len(acks) != len(battery):
-        raise RuntimeError(
-            f"baseline server cycle failed ({death or 'short battery'}; "
-            f"exit {returncode})"
-        )
-    sweep.baseline = {
-        fp: payloads[0] for fp, payloads in _store_records(base_dir).items()
-    }
-
-    # 2. Census: trace one cycle, plus one staged-recovery restart so
-    #    the serve.recover.* points show up.
-    census_dir = os.path.join(workdir, "census")
-    os.makedirs(census_dir, exist_ok=True)
-    trace = os.path.join(workdir, "trace.txt")
-    _cycle(
-        python, census_dir, battery, {ENV_TRACE: trace}, isolation, timeout
-    )
-    recover_dir = os.path.join(workdir, "census-recover")
-    os.makedirs(recover_dir, exist_ok=True)
-    recover_trace = os.path.join(workdir, "trace-recover.txt")
-    _cycle(
-        python, recover_dir, battery, {ENV_SPECS: _STAGING_SPEC},
-        isolation, timeout,
-    )
-    _cycle(
-        python, recover_dir, battery, {ENV_TRACE: recover_trace},
-        isolation, timeout,
-    )
-    reachable = _read_trace(trace)
-    for point, count in _read_trace(recover_trace).items():
-        if point.startswith(RECOVERY_PREFIX):
-            reachable[point] = max(reachable[point], count)
-    sweep.reachable = dict(sorted(reachable.items()))
-
-    # 3. Kill/restart cycles.
-    for point in sorted(reachable):
-        if points is not None and point not in points:
-            continue
-        hits = _select_hits(
-            reachable[point], max_hits_per_point, point, seed
-        )
-        for hit in hits:
-            for mode in modes:
-                result = _kill_and_recover(
-                    battery, workdir, point, hit, mode, sweep,
-                    timeout, python, isolation,
-                )
-                sweep.results.append(result)
-                if on_result is not None:
-                    on_result(result)
-    return sweep
-
-
-def _kill_and_recover(
-    battery, workdir, point, hit, mode, sweep, timeout, python, isolation,
-) -> ServeChaosResult:
-    tag = f"{point}.{hit}.{mode}".replace("/", "_")
-    dirpath = os.path.join(workdir, f"cycle-{tag}")
-    os.makedirs(dirpath, exist_ok=True)
-    spec = f"{point}:{hit}:{mode}"
-    staged = point.startswith(RECOVERY_PREFIX)
-    acknowledged: list[str] = []
-
-    # Armed incarnation(s): for recovery points, stage a store/ledger
-    # gap first, then arm the restart that repairs it.
-    first_env = {ENV_SPECS: _STAGING_SPEC if staged else spec}
-    acks, death, returncode = _cycle(
-        python, dirpath, battery, first_env, isolation, timeout
-    )
-    acknowledged.extend(acks)
-    if staged:
-        acks, death, returncode = _cycle(
-            python, dirpath, battery, {ENV_SPECS: spec}, isolation, timeout
-        )
-        acknowledged.extend(acks)
-    expected = (
-        -signal.SIGKILL if mode == MODE_KILL else CHAOS_EXIT_STATUS
-    )
-    if returncode != expected:
-        return ServeChaosResult(
-            point, hit, mode, killed=False, recovered=False,
-            consistent=False,
-            detail=(
-                f"expected the server to die at {spec}, got exit "
-                f"{returncode} (death={death!r})"
-            ),
-        )
-
-    # Unarmed restart: recover, complete the full battery, drain.
-    acks, death, returncode = _cycle(
-        python, dirpath, battery, {}, isolation, timeout
-    )
-    acknowledged.extend(acks)
-    if death is not None or len(acks) != len(battery):
-        return ServeChaosResult(
-            point, hit, mode, killed=True, recovered=False,
-            consistent=False,
-            detail=(
+    def recover(self, path: str, acknowledged: list[str]) -> tuple:
+        # Unarmed restart: recover, complete the full battery, drain.
+        acks, death, returncode = self._cycle(path, {})
+        if death is not None or len(acks) != len(self.battery):
+            return False, False, (
                 f"restart failed to complete the battery "
                 f"({death or 'short battery'}; exit {returncode})"
-            ),
+            )
+        consistent, detail = check_store(
+            path, self.baseline, tuple(acknowledged + acks)
         )
-    consistent, detail = _check_consistency(
-        dirpath, sweep.baseline, acknowledged
-    )
-    return ServeChaosResult(
-        point, hit, mode, killed=True, recovered=True,
-        consistent=consistent, detail=detail,
-    )
+        return True, consistent, detail

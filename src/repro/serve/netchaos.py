@@ -38,8 +38,9 @@ every (fault kind × phase) cell it boots a fresh server, wraps it in a
 proxy armed with that fault, drives the standard battery through a
 :class:`~repro.serve.client.ResilientClient`, resubmits the battery to
 prove dedupe answers it without re-execution, then drains the server
-and asserts the PR 6 durability contract against a clean-network
-baseline: none lost, none twice, byte-identical stores.
+and checks the store with :func:`repro.serve.chaos.check_store`
+against a clean-network baseline: none lost, none twice,
+byte-identical stores.
 """
 
 from __future__ import annotations
@@ -59,11 +60,11 @@ from typing import Callable, Optional
 
 from repro.resilience.retry import Deadline, RetryPolicy
 from repro.serve.chaos import (
-    _ledger_done_counts,
     _start_server,
     _stop,
-    _store_records,
+    check_store,
     default_battery,
+    store_state,
 )
 from repro.serve.client import ResilientClient, ServerGone, wait_for_endpoint
 
@@ -616,36 +617,6 @@ def _drive_battery(
     return finals, client.reconnects
 
 
-def _check_cell(
-    dirpath: str,
-    baseline: dict[str, list[bytes]],
-    baseline_done: dict[str, int],
-) -> tuple[bool, str]:
-    """PR 6 contract vs the clean baseline: none lost, none twice,
-    byte-identical store payloads."""
-    records = _store_records(dirpath)
-    problems = []
-    for fingerprint, payloads in baseline.items():
-        got = records.get(fingerprint)
-        if got is None:
-            problems.append(f"lost {fingerprint[:12]}")
-        elif len(got) != 1:
-            problems.append(f"duplicated {fingerprint[:12]} x{len(got)}")
-        elif got != payloads:
-            problems.append(f"store bytes differ for {fingerprint[:12]}")
-    for fingerprint in records:
-        if fingerprint not in baseline:
-            problems.append(f"unexpected record {fingerprint[:12]}")
-    done_counts = _ledger_done_counts(dirpath)
-    for key, count in done_counts.items():
-        if count > 1:
-            problems.append(f"ledger done record x{count} for {key[:24]}")
-    for key in baseline_done:
-        if key not in done_counts:
-            problems.append(f"ledger lost completion {key[:24]}")
-    return (not problems, "; ".join(problems[:4]))
-
-
 @dataclass
 class _CycleOutcome:
     """Everything one server+proxy cycle produced."""
@@ -742,6 +713,7 @@ def netchaos_sweep(
     baseline count and every resubmit returns the same verdict.
     """
     battery = battery if battery is not None else default_battery()
+    cells = default_matrix(faults=faults, phases=phases)
     sweep = NetChaosSweep()
     own_tmp = None
     if workdir is None:
@@ -755,21 +727,18 @@ def netchaos_sweep(
             root, "baseline", FaultSchedule(), battery, seed,
             run_timeout, python,
         )
-        baseline = _store_records(os.path.join(root, "baseline"))
-        if base.error or not baseline:
+        baseline = store_state(os.path.join(root, "baseline"))
+        if base.error or not baseline[0]:
             sweep.error = (
                 f"clean baseline failed: {base.error or 'empty store'}"
             )
             return sweep
-        baseline_done = _ledger_done_counts(os.path.join(root, "baseline"))
         baseline_stored = int(
             base.stats.get("counters", {}).get("stored", 0)
         )
         sweep.baseline_jobs = len(battery)
 
-        for cell_index, fault in enumerate(
-            default_matrix(faults=faults, phases=phases)
-        ):
+        for cell_index, fault in enumerate(cells):
             name = f"cell-{cell_index:02d}-{fault.kind}-{fault.phase}"
             # One partition trigger is a whole fault window by itself
             # (the timed heal governs later connections); re-arming it
@@ -785,8 +754,8 @@ def netchaos_sweep(
                 for key, count in cell.injected.items()
                 if key.startswith(fault.kind) or key.startswith("partition")
             )
-            consistent, detail = _check_cell(
-                os.path.join(root, name), baseline, baseline_done
+            consistent, detail = check_store(
+                os.path.join(root, name), baseline
             )
             stored = int(cell.stats.get("counters", {}).get("stored", -1))
             deduped = not cell.error and stored == baseline_stored

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import subprocess
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -134,6 +136,23 @@ class TestCommands:
         )
         out = capsys.readouterr().out
         assert "identity" in out and "constant" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chaos", "--modes", "explode", "--", "lower-bound"],
+            ["chaos", "--max-hits", "0", "--", "lower-bound"],
+            ["chaos", "--serve", "--modes", "raise"],
+        ],
+    )
+    def test_chaos_usage_errors_exit_2_before_any_run(
+        self, argv, monkeypatch
+    ):
+        def no_subprocess(*args, **kwargs):
+            raise AssertionError("a rejected chaos sweep started a process")
+
+        monkeypatch.setattr(subprocess, "Popen", no_subprocess)
+        assert main(argv) == 2
 
 
 class TestResilienceExitCodes:

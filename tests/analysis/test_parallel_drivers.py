@@ -104,17 +104,16 @@ def _decided_prefix(report):
 
 class TestRegistryParity:
     """A parallel campaign stops each sweep early, yet reports exactly
-    what the sequential campaign reports, under either schedule."""
+    what the sequential campaign reports."""
 
-    @pytest.mark.parametrize("steal", [True, False])
     @pytest.mark.parametrize("name", sorted(PROTOCOLS))
-    def test_parallel_refutations_equal_sequential(self, name, steal):
+    def test_parallel_refutations_equal_sequential(self, name):
         sequential = _sequential_refutations(name)
         parallel = refute_candidate(
             PROTOCOLS[name](3),
             3,
             workers=2,
-            pool=PoolConfig(workers=2, steal=steal),
+            pool=PoolConfig(workers=2),
         )
         assert all(row.refuted for row in sequential)
         assert _refutation_fields(parallel) == _refutation_fields(sequential)

@@ -206,8 +206,8 @@ class TestCrashTolerance:
 
 
 class TestShardingKnobs:
-    """``shard_states`` and ``steal`` change the schedule, never the
-    verdict: the ordered-span merge is schedule-independent."""
+    """``shard_states`` changes the schedule, never the verdict: the
+    ordered-span merge is schedule-independent."""
 
     def test_finest_shards_identical_verdicts(self, st_floodset_tight):
         sequential = ConsensusChecker(st_floodset_tight).check_all(
@@ -239,17 +239,6 @@ class TestShardingKnobs:
         )
         _assert_reports_equal(parallel, sequential)
 
-    def test_steal_disabled_identical_verdicts(self, st_floodset_tight):
-        sequential = ConsensusChecker(st_floodset_tight).check_all(
-            st_floodset_tight.model
-        )
-        parallel = ConsensusChecker(st_floodset_tight).check_all(
-            st_floodset_tight.model,
-            workers=3,
-            pool=PoolConfig(workers=3, steal=False),
-        )
-        _assert_reports_equal(parallel, sequential)
-
     def test_invalid_shard_states_rejected(self, st_floodset_fast):
         with pytest.raises(ValueError):
             ConsensusChecker(st_floodset_fast).check_all(
@@ -263,12 +252,12 @@ class TestOrderedWithdrawal:
     unit keys are ``(sweep, lo)``; a ``check_all`` is a one-sweep run."""
 
     @staticmethod
-    def _sweep(system, **pool):
+    def _sweep(system):
         reports = []
         report = ConsensusChecker(system).check_all(
             system.model,
             workers=2,
-            pool=PoolConfig(workers=2, report_sink=reports.append, **pool),
+            pool=PoolConfig(workers=2, report_sink=reports.append),
         )
         (pool_report,) = reports
         return report, pool_report
@@ -280,15 +269,14 @@ class TestOrderedWithdrawal:
         sequential = ConsensusChecker(system).check_all(system.model)
         assert sequential.verdict is Verdict.AGREEMENT
         decided = 8
-        for steal in (True, False):
-            parallel, pool_report = self._sweep(system, steal=steal)
-            _assert_reports_equal(parallel, sequential)
-            ran = sorted(lo for _, lo in pool_report.outcomes)
-            withdrawn = [lo for _, lo in pool_report.withdrawn]
-            assert ran[:decided] == list(range(decided))
-            assert withdrawn
-            assert min(withdrawn) >= decided
-            assert sorted(ran + withdrawn) == list(range(16))
+        parallel, pool_report = self._sweep(system)
+        _assert_reports_equal(parallel, sequential)
+        ran = sorted(lo for _, lo in pool_report.outcomes)
+        withdrawn = [lo for _, lo in pool_report.withdrawn]
+        assert ran[:decided] == list(range(decided))
+        assert withdrawn
+        assert min(withdrawn) >= decided
+        assert sorted(ran + withdrawn) == list(range(16))
 
     def test_satisfied_grid_withdraws_nothing(self):
         # The E14 grid: EIG(3) in S^t (n=4, t=2) satisfies consensus, so

@@ -11,7 +11,7 @@ the ``chaos`` marker and run in the dedicated CI job::
 
 import pytest
 
-from repro.resilience.chaos import chaos_sweep
+from repro.resilience.chaos import CampaignTarget, chaos_sweep
 
 SEQUENTIAL_ARGV = ["lower-bound", "--n", "3", "--t", "1"]
 POOLED_ARGV = ["impossibility", "--protocol", "quorum", "--n", "3",
@@ -20,7 +20,7 @@ COMPACTING_ARGV = [*SEQUENTIAL_ARGV, "--compact-every", "2"]
 
 
 def _assert_all_identical(sweep):
-    assert sweep.baseline_returncode == 0
+    assert sweep.target.baseline.returncode == 0
     bad = [r for r in sweep.results if not r.ok]
     assert sweep.ok, "diverged cycles: " + "; ".join(
         f"{r.point}:{r.hit}:{r.mode} ({r.detail or 'stdout differs'})"
@@ -31,11 +31,10 @@ def _assert_all_identical(sweep):
 class TestChaosSmoke:
     def test_mid_append_and_unit_boundary_kills_recover(self, tmp_path):
         sweep = chaos_sweep(
-            SEQUENTIAL_ARGV,
+            CampaignTarget(SEQUENTIAL_ARGV, timeout=120.0),
             workdir=str(tmp_path),
             points=["journal.append.mid", "campaign.unit.start"],
             max_hits_per_point=1,
-            timeout=120.0,
         )
         assert {r.point for r in sweep.results} == {
             "journal.append.mid", "campaign.unit.start",
@@ -47,7 +46,9 @@ class TestChaosSmoke:
 class TestChaosSweeps:
     def test_sequential_every_reachable_crashpoint(self, tmp_path):
         sweep = chaos_sweep(
-            SEQUENTIAL_ARGV, workdir=str(tmp_path), max_hits_per_point=2
+            CampaignTarget(SEQUENTIAL_ARGV),
+            workdir=str(tmp_path),
+            max_hits_per_point=2,
         )
         # The census must see the whole instrumented engine path, not
         # a trivially short run.
@@ -57,24 +58,22 @@ class TestChaosSweeps:
 
     def test_pooled_campaign_recovers(self, tmp_path):
         sweep = chaos_sweep(
-            POOLED_ARGV,
+            CampaignTarget(POOLED_ARGV, timeout=300.0),
             workdir=str(tmp_path),
             points=["pool.dispatch", "pool.merge",
                     "campaign.unit.finish", "journal.append.mid"],
             max_hits_per_point=1,
-            timeout=300.0,
         )
         assert "pool.dispatch" in sweep.reachable
         _assert_all_identical(sweep)
 
     def test_compaction_mid_rename_recovers(self, tmp_path):
         sweep = chaos_sweep(
-            COMPACTING_ARGV,
+            CampaignTarget(COMPACTING_ARGV, timeout=120.0),
             workdir=str(tmp_path),
             points=["journal.compact.pre", "journal.compact.rename.pre",
                     "journal.compact.post"],
             max_hits_per_point=1,
-            timeout=120.0,
         )
         assert "journal.compact.rename.pre" in sweep.reachable
         _assert_all_identical(sweep)

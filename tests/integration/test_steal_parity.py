@@ -6,7 +6,7 @@ is a race.  The acceptance bar here: the merged report is *byte
 identical* to the sequential engine's for any schedule the scheduler
 could produce — we force the point by permuting dispatch priority with
 a seeded RNG on every dispatch cycle, and by SIGKILLing a worker
-mid-shard with stealing enabled so a shard migrates between workers
+mid-shard so a shard migrates between workers
 mid-sweep.
 """
 
@@ -139,9 +139,7 @@ class TestMidShardCrashWithStealing:
             flaky.model,
             workers=2,
             shard_states=1,
-            pool=PoolConfig(
-                workers=2, max_retries=2, retry_backoff=0.01, steal=True
-            ),
+            pool=PoolConfig(workers=2, max_retries=2, retry_backoff=0.01),
         )
         assert os.path.exists(marker)  # the mid-shard kill happened
         _assert_byte_parity(parallel, sequential)
@@ -163,9 +161,7 @@ class TestMidShardCrashWithStealing:
             flaky.model,
             workers=3,
             shard_states=1,
-            pool=PoolConfig(
-                workers=3, max_retries=2, retry_backoff=0.01, steal=True
-            ),
+            pool=PoolConfig(workers=3, max_retries=2, retry_backoff=0.01),
         )
         assert os.path.exists(marker)
         _assert_byte_parity(parallel, sequential)

@@ -26,6 +26,7 @@ from repro.resilience.chaos import (
     is_armed,
     parse_specs,
 )
+from repro.serve.chaos import ServerTarget
 
 
 class TestSpecs:
@@ -47,6 +48,12 @@ class TestSpecs:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             parse_specs("a:1:explode")
+
+    @pytest.mark.parametrize("chunk", ["a:0:kill", "a:-2:raise"])
+    def test_hit_below_one_rejected(self, chunk):
+        # Such a spec would never fire, so the run would test nothing.
+        with pytest.raises(ValueError, match=chunk):
+            parse_specs(f"ok:1:kill;{chunk}")
 
 
 class TestCrashpoint:
@@ -160,48 +167,68 @@ class TestHitSelection:
 class TestRearm:
     """A kill run that never reaches its chosen hit (a pooled run may
     dispatch fewer shards than the census run did) is re-armed at the
-    last hit that run reached."""
+    last hit that run reached.  The shared loop does this for every
+    target; each test drives it for the campaign and the server."""
 
     @staticmethod
-    def _fake_cli(reached, calls):
-        def run(argv, env, timeout, python):
-            calls.append(env[ENV_SPECS])
-            armed = parse_specs(env[ENV_SPECS])
-            if not armed:  # the resume run
-                return subprocess.CompletedProcess(argv, 0, b"verdicts", b"")
+    def _fake_run(reached, calls):
+        """A run whose armed point is hit *reached* times; it dies when
+        the armed hit is among them.  Returns the exit code."""
+
+        def run(env):
+            calls.append(env.get(ENV_SPECS, ""))
+            armed = parse_specs(env.get(ENV_SPECS, ""))
+            if not armed:  # the recovery run
+                return 0
             (spec,) = armed
             with open(env[ENV_TRACE], "w") as fh:
                 fh.write(f"{spec.point}\n" * min(reached, spec.hit))
-            code = -signal.SIGKILL if spec.hit <= reached else 0
-            return subprocess.CompletedProcess(argv, code, b"", b"")
+            return -signal.SIGKILL if spec.hit <= reached else 0
 
         return run
 
-    def _kill(self, tmp_path, monkeypatch, reached, hit):
-        calls = []
-        monkeypatch.setattr(chaos, "_run_cli", self._fake_cli(reached, calls))
-        sweep = chaos.ChaosSweep(
-            baseline_stdout=b"verdicts", baseline_returncode=0
-        )
-        result = chaos._kill_and_resume(
-            ["lower-bound"], str(tmp_path), "pool.dispatch", hit, "kill",
-            sweep, 10.0, "python", 2,
-        )
-        return result, calls
+    @staticmethod
+    def _target(name, run):
+        if name == "campaign":
+            target = chaos.CampaignTarget(["lower-bound"])
+            target.baseline = subprocess.CompletedProcess([], 0, b"out", b"")
+            target._run = lambda flags, env: subprocess.CompletedProcess(
+                flags, run(env), b"out", b""
+            )
+        else:
+            target = ServerTarget(battery=[])
+            target._cycle = lambda dirpath, env: ([], None, run(env))
+        return target
 
-    def test_short_run_rearms_at_its_last_hit(self, tmp_path, monkeypatch):
-        result, calls = self._kill(tmp_path, monkeypatch, reached=3, hit=5)
-        assert result.ok
-        assert (result.hit, result.killed) == (3, True)
-        assert calls == ["pool.dispatch:5:kill", "pool.dispatch:3:kill", ""]
+    def _kill(self, tmp_path, reached, hit):
+        """Per target: the cycle's result and the specs each run armed."""
+        outcomes = []
+        for name in ("campaign", "server"):
+            calls = []
+            target = self._target(name, self._fake_run(reached, calls))
+            workdir = tmp_path / name
+            workdir.mkdir()
+            result = chaos._strike(
+                target, str(workdir), "pool.dispatch", hit, "kill"
+            )
+            outcomes.append((result, calls))
+        return outcomes
 
-    def test_reached_hit_is_not_rearmed(self, tmp_path, monkeypatch):
-        result, calls = self._kill(tmp_path, monkeypatch, reached=5, hit=5)
-        assert result.ok
-        assert calls == ["pool.dispatch:5:kill", ""]
+    def test_short_run_rearms_at_its_last_hit(self, tmp_path):
+        for result, calls in self._kill(tmp_path, reached=3, hit=5):
+            assert result.ok
+            assert (result.hit, result.killed) == (3, True)
+            assert calls == [
+                "pool.dispatch:5:kill", "pool.dispatch:3:kill", ""
+            ]
 
-    def test_unreached_point_still_fails(self, tmp_path, monkeypatch):
-        result, calls = self._kill(tmp_path, monkeypatch, reached=0, hit=1)
-        assert not result.killed
-        assert "got exit 0" in result.detail
-        assert calls == ["pool.dispatch:1:kill"]
+    def test_reached_hit_is_not_rearmed(self, tmp_path):
+        for result, calls in self._kill(tmp_path, reached=5, hit=5):
+            assert result.ok
+            assert calls == ["pool.dispatch:5:kill", ""]
+
+    def test_unreached_point_still_fails(self, tmp_path):
+        for result, calls in self._kill(tmp_path, reached=0, hit=1):
+            assert not result.killed
+            assert "got exit 0" in result.detail
+            assert calls == ["pool.dispatch:1:kill"]

@@ -358,7 +358,7 @@ class TestStructuredCategories:
         assert crashed.error_category() is None
 
 
-# -- shared context, spawn accounting, stealing ------------------------------
+# -- shared context, spawn accounting ---------------------------------------
 
 class ScalingContext:
     """Picklable shared context: scales every payload by ``factor``."""
@@ -415,34 +415,6 @@ class TestSpawnAccounting:
             _square, [], PoolConfig(workers=2, report_sink=seen.append)
         )
         assert len(seen) == 2 and seen[1].outcomes == {}
-
-
-class TestWorkStealing:
-    def test_static_schedule_completes_all_units(self):
-        units = [(f"u{i}", i) for i in range(8)]
-        report = run_units(
-            _square, units, PoolConfig(workers=3, steal=False)
-        )
-        assert [report.value(k) for k, _ in units] == [
-            i * i for i in range(8)
-        ]
-
-    def test_static_schedule_survives_a_crash(self, tmp_path):
-        marker = str(tmp_path / "crashed-once")
-        report = run_units(
-            _kill_once,
-            [("flaky", (marker, 42)), ("ok", (marker + "-other", 7))],
-            PoolConfig(
-                workers=2, max_retries=2, retry_backoff=0.01, steal=False
-            ),
-        )
-        assert report.value("flaky") == 42
-        assert report.outcomes["flaky"].attempts == 2
-
-    def test_pool_config_for_steal_knob(self):
-        assert pool_config_for(4).steal is True
-        assert pool_config_for(4, steal=False).steal is False
-        assert pool_config_for(4, steal=True).steal is True
 
 
 class TestWithdrawal:

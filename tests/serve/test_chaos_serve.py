@@ -13,8 +13,8 @@ import sys
 
 import pytest
 
-from repro.resilience.chaos import ENV_SCOPE, ENV_SPECS
-from repro.serve.chaos import _ledger_done_counts, default_battery, serve_chaos_sweep
+from repro.resilience.chaos import ENV_SCOPE, ENV_SPECS, chaos_sweep
+from repro.serve.chaos import ServerTarget, _ledger_done_counts, default_battery
 from repro.serve.client import ServerGone
 
 from tests.serve.test_server import _client, _env, _probe, _stop
@@ -28,12 +28,11 @@ POINTS = ["serve.accept.post", "serve.complete.gap", "serve.recover.done"]
 
 
 def test_restricted_sweep_recovers_everywhere(tmp_path):
-    sweep = serve_chaos_sweep(
-        battery=default_battery(jobs=3),
+    sweep = chaos_sweep(
+        ServerTarget(battery=default_battery(jobs=3), timeout=120.0),
         workdir=str(tmp_path),
         max_hits_per_point=1,
         points=POINTS,
-        timeout=120.0,
     )
     assert sweep.results, "no armed cycles ran"
     covered = {result.point for result in sweep.results}
@@ -54,8 +53,8 @@ def test_default_battery_shape():
 
 def test_rejects_non_death_modes(tmp_path):
     with pytest.raises(ValueError, match="kill/exit"):
-        serve_chaos_sweep(
-            battery=default_battery(jobs=1),
+        chaos_sweep(
+            ServerTarget(battery=default_battery(jobs=1)),
             workdir=str(tmp_path),
             modes=("stall",),
         )
