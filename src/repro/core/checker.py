@@ -296,9 +296,9 @@ class ConsensusChecker:
         one: the pooled path of :func:`run_campaign`.  The merge runs as soon as the
         sweep is decided — its completed shards reach, in assignment
         order, the first non-SATISFIED report — and the shards after
-        that point which have not started are withdrawn, so a refuting
-        sweep stops about where the sequential one does (shards already
-        running finish first).  A shard whose worker crashes
+        that point are withdrawn: unstarted ones are never dispatched
+        and running ones are stopped, so a refuting sweep does no work
+        past the moment it is decided.  A shard whose worker crashes
         repeatedly is *quarantined*: the sweep reports ``UNKNOWN`` at
         that shard's cursor with the crash cause in the detail
         (resumable from that index), instead of the whole sweep dying
@@ -887,8 +887,9 @@ def _run_sweeps(plans: dict, config: PoolConfig, on_decided=None) -> None:
     reading deeper into one that its first violation may already have
     decided.  A sweep is merged the moment its verdict is decided: its
     plan's report is set, ``on_decided(key, report)`` is called (at once
-    for a sweep resumed past its last assignment), and its unstarted
-    shards are withdrawn from the pool.  Pool unit keys are ``(key, lo)``.
+    for a sweep resumed past its last assignment), and its remaining
+    shards are withdrawn from the pool: unstarted ones are dropped and
+    running ones stopped.  Pool unit keys are ``(key, lo)``.
     """
     ranked = []
     for key, plan in plans.items():
@@ -974,12 +975,12 @@ def run_campaign(
     even a *single* heavyweight sweep parallelizes.  This is the same
     pooled path a parallel ``check_all`` takes: shards dispatch
     breadth-first across sweeps, and a sweep is merged the moment its
-    verdict is decided, its unstarted shards withdrawn.  Reports are
-    merged **in submission order, in assignment order within each
-    sweep** with the same early-stop rule, so both paths return
-    identical results for identical inputs; a shard the pool quarantined
-    merges its sweep as UNKNOWN at the shard's cursor (resumable)
-    without failing its neighbours.
+    verdict is decided, its unstarted shards dropped and its running
+    ones stopped.  Reports are merged **in submission order, in
+    assignment order within each sweep** with the same early-stop rule,
+    so both paths return identical results for identical inputs; a
+    shard the pool quarantined merges its sweep as UNKNOWN at the
+    shard's cursor (resumable) without failing its neighbours.
 
     A :class:`~repro.resilience.CampaignCheckpoint` is honoured and
     maintained either way: completed units are reused instantly,

@@ -568,7 +568,7 @@ def _strike(target, workdir: str, point: str, hit: int, mode: str):
             if killed or not 0 < reached < hit:
                 break
             # This run hit the point fewer times than the census run
-            # did (a pooled run withdraws a decided sweep's unstarted
+            # did (a pooled run withdraws a decided sweep's remaining
             # shards, so how many it dispatches depends on timing):
             # re-arm at the last hit this run reached.
             hit = reached

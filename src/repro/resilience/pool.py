@@ -32,8 +32,9 @@ event rather than a run-ending catastrophe:
   attempt;
 * **withdrawal** — the ``on_complete`` callback may name units whose
   results the caller no longer needs (a sweep whose verdict is already
-  fixed); their pending attempts are dropped undispatched, while units
-  already running finish normally.
+  fixed); their pending attempts are dropped undispatched, and a worker
+  already running one is killed at once, with no fault recorded.  The
+  health checks replace it while units remain.
 
 The unit function must be a **module-level callable** (pickled by
 reference under the ``spawn`` start method) taking one picklable payload
@@ -280,9 +281,9 @@ class PoolReport:
             both so process fan-out cost is never silently booked
             against the engine.
         withdrawn: keys of the units ``on_complete`` withdrew before they
-            resolved, in submission order.  None of them has an outcome;
-            a withdrawn unit whose failed attempt was running keeps that
-            fault in *faults* but is never retried.
+            resolved, in submission order.  None of them has an outcome
+            or is retried; faults of attempts that failed before the
+            withdrawal stay in *faults*.
     """
 
     outcomes: dict
@@ -486,6 +487,15 @@ class _Worker:
         self.key = None
         self.attempt = 0
 
+    def stop(self) -> tuple:
+        """Release this worker's unit and SIGKILL the process; the
+        released unit's ``(key, attempt)``."""
+        key, attempt = self.key, self.attempt
+        self.release()
+        self.process.kill()
+        self.process.join(1.0)
+        return key, attempt
+
     def close_channel(self) -> None:
         self.conn_ok = False
         try:
@@ -621,8 +631,7 @@ class WorkerPool:
                 # it, so the next run starts on fresh workers.
                 for worker in self._workers:
                     if worker.busy:
-                        worker.release()
-                        worker.process.kill()
+                        worker.stop()
                 raise
             finally:
                 self._reset()
@@ -813,12 +822,8 @@ class WorkerPool:
         for index, worker in enumerate(self._workers):
             if not worker.process.is_alive():
                 if worker.busy:
-                    key, attempt = worker.key, worker.attempt
-                    worker.release()
-                    self._replace(index)
-                    self._attempt_failed(
-                        key,
-                        attempt,
+                    self._kill_and_fail(
+                        index,
                         FAULT_CRASH,
                         f"worker process died (exitcode "
                         f"{worker.process.exitcode})",
@@ -843,19 +848,15 @@ class WorkerPool:
                 )
 
     def _kill_and_fail(self, index: int, kind: str, detail: str) -> None:
-        worker = self._workers[index]
-        key, attempt = worker.key, worker.attempt
-        worker.release()
-        worker.process.kill()
-        worker.process.join(1.0)
+        """Fail the attempt of the worker in slot *index* and replace it
+        (the kill is a no-op for a worker that already died)."""
+        key, attempt = self._workers[index].stop()
         self._replace(index)
         self._attempt_failed(key, attempt, kind, detail)
 
     # -- outcome accounting -------------------------------------------------
     def _finish(self, key, attempt, value) -> None:
         crashpoint("pool.merge")
-        # A unit withdrawn while it ran has now run to completion.
-        self._withdrawn.discard(key)
         self._resolve(
             UnitOutcome(
                 key=key,
@@ -873,6 +874,9 @@ class WorkerPool:
             if key in self._unit_faults and key not in self._outcomes:
                 self._withdrawn.add(key)
                 self._pending[:] = [p for p in self._pending if p.key != key]
+                for worker in self._workers:
+                    if worker.key == key:
+                        worker.stop()
 
     def _attempt_failed(
         self, key, attempt, kind, detail, category=None
@@ -883,8 +887,6 @@ class WorkerPool:
         )
         self._faults.append(fault)
         self._unit_faults[key].append(fault)
-        if key in self._withdrawn:
-            return  # withdrawn while it ran: never retried
         config = self._config
         if attempt <= config.max_retries:
             delay = self._retry_policy.delay(key, attempt)
@@ -1049,10 +1051,10 @@ def run_units(
             return an iterable of unit keys to **withdraw**: their
             pending attempts (first runs and retries alike) are dropped
             and never dispatched, and they are listed in
-            :attr:`PoolReport.withdrawn`.  A withdrawn unit that is
-            already running is not killed: if its attempt succeeds it
-            resolves normally, if it fails it is not retried and stays
-            withdrawn.  Unknown or already resolved keys are ignored.
+            :attr:`PoolReport.withdrawn`.  A worker running a withdrawn
+            unit is killed at once (no fault, no retry) and replaced
+            only while units remain.  Unknown or already resolved keys
+            are ignored.
         context: optional shared object pickled **once per worker
             process** (vs once per unit) and passed as ``fn``'s second
             argument.  The E14 lever: heavyweight immutable inputs (the

@@ -97,6 +97,26 @@ def _mark(payload):
     return key
 
 
+def _mark_after(payload):
+    """Wait until the *gate* path exists, then :func:`_mark`: a unit whose
+    gate is never created can only end by being stopped."""
+    gate, mark_payload = payload
+    while not os.path.exists(gate):
+        time.sleep(0.01)
+    return _mark(mark_payload)
+
+
+def _gated_units(tmp_path, keys, blocked=()):
+    """``_mark_after`` units marking into *tmp_path*; the *blocked* ones
+    wait on a gate that is never created."""
+    never = str(tmp_path / "never")
+    return [
+        (key, (never if key in blocked else str(tmp_path),
+               (str(tmp_path), key, 0.0, False)))
+        for key in keys
+    ]
+
+
 class TestHappyPath:
     def test_all_units_complete_keyed(self):
         units = [(f"u{i}", i) for i in range(8)]
@@ -419,7 +439,7 @@ class TestSpawnAccounting:
 
 class TestWithdrawal:
     """``on_complete`` may return unit keys to withdraw: pending units
-    are dropped undispatched, running ones finish normally."""
+    are dropped undispatched, running ones are stopped."""
 
     @staticmethod
     def _units(tmp_path, count, linger=None):
@@ -478,11 +498,10 @@ class TestWithdrawal:
         assert [(f.key, f.attempt) for f in report.faults] == [("bad", 1)]
         assert report.seconds < 30.0
 
-    @pytest.mark.parametrize("workers", [2, 1])
+    @pytest.mark.parametrize("workers", [1])
     def test_running_unit_completes(self, tmp_path, workers):
-        # The first completion withdraws every unit.  The units running
-        # at that moment (u0 and the lingering u1 with two workers, u0
-        # alone serially) still finish and are reported.
+        # The serial engine never holds a running unit when on_complete
+        # fires: u0 finishes, withdraws every unit, and is reported.
         calls = []
 
         def on_complete(outcome):
@@ -491,24 +510,53 @@ class TestWithdrawal:
 
         report = run_units(
             _mark,
-            self._units(tmp_path, 4, linger={"u1": 0.5}),
+            self._units(tmp_path, 4),
             PoolConfig(workers=workers),
             on_complete=on_complete,
         )
-        running = [f"u{i}" for i in range(workers)]
-        assert self._ran(tmp_path) == running
-        assert list(report.outcomes) == running
-        assert all(report.value(key) == key for key in running)
-        assert report.withdrawn == tuple(f"u{i}" for i in range(workers, 4))
+        assert self._ran(tmp_path) == ["u0"]
+        assert list(report.outcomes) == ["u0"]
+        assert report.value("u0") == "u0"
+        assert report.withdrawn == ("u1", "u2", "u3")
+        assert report.faults == ()
+
+    def test_running_unit_is_stopped(self, tmp_path):
+        """u0 and u1 are dispatched together; u1 waits on a gate that is
+        never created, so it ends only if the withdrawal stops it.  (The
+        unit timeout bounds the test should the stop fail.)"""
+        calls = []
+
+        def on_complete(outcome):
+            calls.append(outcome.key)
+            return [f"u{i}" for i in range(4)] if len(calls) == 1 else None
+
+        report = run_units(
+            _mark_after,
+            _gated_units(tmp_path, [f"u{i}" for i in range(4)], {"u1"}),
+            PoolConfig(workers=2, unit_timeout=30.0),
+            on_complete=on_complete,
+        )
+        assert calls == ["u0"]
+        assert self._ran(tmp_path) == ["u0"]
+        assert list(report.outcomes) == ["u0"]
+        assert report.withdrawn == ("u1", "u2", "u3")
         assert report.faults == ()
 
     @pytest.mark.parametrize("workers", [2, 1])
     def test_unknown_or_finished_keys_are_noops(self, tmp_path, workers):
+        # Each completion withdraws an unknown key and every key resolved
+        # so far, itself included (a running key would be stopped).
+        resolved = []
+
+        def on_complete(outcome):
+            resolved.append(outcome.key)
+            return ["nope", *resolved]
+
         report = run_units(
             _mark,
             self._units(tmp_path, 4),
             PoolConfig(workers=workers),
-            on_complete=lambda o: ["nope", o.key, "u0"],
+            on_complete=on_complete,
         )
         assert self._ran(tmp_path) == ["u0", "u1", "u2", "u3"]
         assert list(report.outcomes) == ["u0", "u1", "u2", "u3"]
@@ -578,6 +626,25 @@ class TestLongLivedPool:
             self._assert_no_unit_state(pool)
             after = pool.run([("v", (marker, 8))])
             assert after.value("v") == 8 and after.faults == ()
+
+    def test_runs_on_after_a_withdrawn_unit_is_stopped(self, tmp_path):
+        config = PoolConfig(workers=2, unit_timeout=30.0)
+        with WorkerPool(_mark_after, config).open() as pool:
+            stopped = pool.run(
+                _gated_units(tmp_path, ["u0", "u1"], {"u1"}),
+                on_complete=lambda outcome: ["u1"],
+            )
+            assert list(stopped.outcomes) == ["u0"]
+            assert stopped.withdrawn == ("u1",) and stopped.faults == ()
+            self._assert_no_unit_state(pool)
+            # No unit remained, so the stopped worker is replaced when
+            # the next run starts, with no fault charged to it.
+            after = pool.run(_gated_units(tmp_path, ["v0", "v1", "v2"]))
+            assert [o.value for o in after.outcomes.values()] == [
+                "v0", "v1", "v2"
+            ]
+            assert after.faults == ()
+            assert (pool.spawned, pool.respawned) == (3, 1)
 
     def test_per_run_unit_timeout(self):
         config = PoolConfig(workers=1, max_retries=0)
