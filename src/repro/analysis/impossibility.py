@@ -156,7 +156,7 @@ def refute_candidate(
     and verdicts are byte-identical either way.
 
     ``preflight`` (default on) runs the contract checks
-    (:mod:`repro.lint.contracts`) inside each layered system's search;
+    (:mod:`repro.core.contracts`) inside each layered system's search;
     an ill-formed candidate is diagnosed as ``ILL_FORMED``.
     """
     budget = Budget.of(max_states)

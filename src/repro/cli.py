@@ -90,6 +90,7 @@ import sys
 
 from repro.analysis.reports import render_table, render_verdict_rows
 from repro.core.cache import aggregate_stats
+from repro.core.contracts import IllFormedSystemError
 from repro.core.valence import ExplorationLimitExceeded
 from repro.exitcodes import (
     EXIT_INCONCLUSIVE,
@@ -98,7 +99,6 @@ from repro.exitcodes import (
     EXIT_SERVER_UNREACHABLE,
     EXIT_UNEXPECTED,
 )
-from repro.lint import IllFormedSystemError
 from repro.log import configure as configure_logging
 from repro.log import get_logger
 from repro.protocols.registry import PROTOCOLS

@@ -27,14 +27,14 @@ bound into a layered system, :class:`ConsensusChecker` explores every
   :class:`~repro.resilience.BudgetStats` and a resumable
   :class:`~repro.resilience.ExplorationCheckpoint`;
 * ``ILL_FORMED`` — the default-on contract checks
-  (:mod:`repro.lint.contracts`, run inside the search) found the *system
+  (:mod:`repro.core.contracts`, run inside the search) found the *system
   itself* violating a model-side hygiene condition (nondeterministic
   successors, shrinking ``failed_at``, revoked decisions, empty layers,
   unhashable states) on an edge the search computed, or a refuting
   witness failed to replay.  Like ``UNKNOWN`` it is neither a
   satisfaction nor a refutation — the consensus verdict is meaningless
   for such a system — but unlike ``UNKNOWN`` it is a definitive
-  diagnosis, carried as a :class:`~repro.lint.PreflightReport` with a
+  diagnosis, carried as a :class:`~repro.core.contracts.PreflightReport` with a
   concrete witness edge per finding.  Pass ``preflight=False`` (CLI:
   ``--no-preflight``) to run the bare search.
 
@@ -127,7 +127,7 @@ class ConsensusReport:
             ``UNKNOWN`` verdicts.  Pass it back to ``check`` /
             ``check_all`` (or save it with
             :func:`repro.resilience.save_checkpoint`) to continue.
-        preflight: the :class:`~repro.lint.PreflightReport` behind an
+        preflight: the :class:`~repro.core.contracts.PreflightReport` behind an
             ``ILL_FORMED`` verdict (findings with witness edges, and the
             states and edges checked before the finding); None on every
             other verdict.  An ``ILL_FORMED`` report counts no explored
@@ -200,9 +200,9 @@ class ConsensusChecker:
             either way; in a parallel ``check_all`` each worker warms its
             own cache (caches never cross processes).
         preflight: run the RP2xx contract checks
-            (:class:`repro.lint.contracts.ContractGuard`) inside the
+            (:class:`repro.core.contracts.ContractGuard`) inside the
             search, returning an ``ILL_FORMED`` report (or raising
-            :class:`~repro.lint.IllFormedSystemError` when *strict*)
+            :class:`~repro.core.contracts.IllFormedSystemError` when *strict*)
             instead of a verdict on an ill-formed system.  Closure,
             ``Faulty`` monotonicity, write-once and hashability are
             checked on every edge the search computes, before any
@@ -210,7 +210,7 @@ class ConsensusChecker:
             the per-primitive embedding run on the first states the
             search expands in a sweep's first assignment, against the
             *uncached* system without the search's protocol tables
-            (:func:`~repro.lint.contracts.independent_view`).  Every
+            (:func:`~repro.core.contracts.independent_view`).  Every
             refuting witness is replayed through that same view before
             it is reported; one that does not replay is ILL_FORMED
             (RP201).  Default on;
@@ -371,7 +371,7 @@ class ConsensusChecker:
             return self._search(
                 initial_state, inputs, meter, checkpoint, facts, None
             )
-        from repro.lint import contracts
+        from repro.core import contracts
 
         guard = contracts.ContractGuard(self._system, facts)
         if not sampled:
@@ -422,7 +422,15 @@ class ConsensusChecker:
         guard,
     ) -> Optional[ConsensusReport]:
         """The BFS and lasso passes; None when *guard* recorded a finding
-        on a state it expanded."""
+        on a state it expanded.
+
+        The safety predicate runs once per state, when the state is first
+        filed in *parent*; the write-once test runs on every edge.  Every
+        state in *parent* is queued, expanded or terminal, also in the
+        checkpoint of an interrupted search: an interrupt rolls back the
+        children the half-expanded state filed, so its re-expansion on
+        resume files and checks them again.
+        """
         system = self._system
 
         if checkpoint is not None:
@@ -432,17 +440,40 @@ class ConsensusChecker:
             terminal = checkpoint.terminal
             edges = checkpoint.edges
         else:
-            parent = {initial_state: None}
-            queue = deque([initial_state])
-            terminal = set()
-            edges = {}
-            meter.charge_state(initial_state)
+            parent, queue, terminal, edges = {}, deque(), set(), {}
 
-            problem = self._state_problem(initial_state, inputs, facts)
-            if problem is not None:
-                return self._safety_report(
-                    problem[0], initial_state, parent, inputs, problem[1], 1
-                )
+        def interrupted(filed: list) -> ConsensusReport:
+            """Undo the filing of *filed*, then degrade to a checkpoint."""
+            for child in filed:
+                parent.pop(child, None)
+            while queue and queue[-1] in filed:
+                queue.pop()
+            return self._unknown_report(
+                inputs,
+                parent,
+                queue,
+                terminal,
+                edges,
+                meter,
+                meter.mark_interrupted(),
+            )
+
+        if not parent:
+            # Seeding files the root as an expansion files a child.
+            filed = [initial_state]
+            try:
+                parent[initial_state] = None
+                meter.charge_state(initial_state)
+                problem = self._state_problem(initial_state, inputs, facts)
+                if problem is not None:
+                    return self._safety_report(
+                        problem[0], initial_state, parent, inputs, problem[1], 1
+                    )
+                queue.append(initial_state)
+            except KeyboardInterrupt:
+                if self._strict:
+                    raise
+                return interrupted(filed)
 
         while queue:
             tripped = meter.poll()
@@ -451,6 +482,7 @@ class ConsensusChecker:
                     inputs, parent, queue, terminal, edges, meter, tripped
                 )
             state = queue.popleft()
+            filed = []
             try:
                 if self._all_nonfailed_decided(state, facts):
                     terminal.add(state)
@@ -463,6 +495,7 @@ class ConsensusChecker:
                     meter.charge_edge()
                     fresh = child not in parent
                     if fresh:
+                        filed.append(child)
                         parent[child] = (state, action)
                         meter.charge_state(child)
                     # With the guard on, its RP204 check saw this edge.
@@ -483,6 +516,9 @@ class ConsensusChecker:
                             len(parent),
                             via=(action, child),
                         )
+                    if not fresh:
+                        # Checked when it was filed.
+                        continue
                     problem = self._state_problem(child, inputs, facts)
                     if problem is not None:
                         return self._safety_report(
@@ -493,23 +529,14 @@ class ConsensusChecker:
                             problem[1],
                             len(parent),
                         )
-                    if fresh:
-                        queue.append(child)
+                    queue.append(child)
             except KeyboardInterrupt:
-                # Re-queue the half-processed state (re-processing it on
-                # resume is idempotent) and degrade to a checkpoint.
-                queue.appendleft(state)
                 if self._strict:
                     raise
-                return self._unknown_report(
-                    inputs,
-                    parent,
-                    queue,
-                    terminal,
-                    edges,
-                    meter,
-                    meter.mark_interrupted(),
-                )
+                # Re-queue the half-processed state; re-expanding it on
+                # resume files its children again.
+                queue.appendleft(state)
+                return interrupted(filed)
 
         try:
             lasso = self._find_undecided_lasso(
@@ -686,7 +713,9 @@ class ConsensusChecker:
         budget ran out between per-process passes (the BFS is already
         complete at that point, so a resumed run redoes only this phase).
         """
-        system = self._system
+        nonfaulty_under = self._system.nonfaulty_under
+        # action -> nonfaulty_under(action), asked once per distinct action.
+        nonfaulty: dict[Hashable, frozenset[int]] = {}
         n = initial_state.n
         for i in range(n):
             if meter is not None and meter.poll() is not None:
@@ -698,9 +727,12 @@ class ConsensusChecker:
                     continue
                 kept = []
                 for action, child in succs:
-                    if child in terminal or i not in system.nonfaulty_under(
-                        action
-                    ):
+                    if child in terminal:
+                        continue
+                    spared = nonfaulty.get(action)
+                    if spared is None:
+                        spared = nonfaulty[action] = nonfaulty_under(action)
+                    if i not in spared:
                         continue
                     failed, decided = facts[child]
                     if i not in failed and i not in decided:
@@ -1052,7 +1084,7 @@ def replay_witness(system, report: ConsensusReport) -> bool:
     """Replay a violation witness through the system; True if it checks out.
 
     The replay calls the system's independent view
-    (:func:`~repro.lint.contracts.independent_view`), so it does not
+    (:func:`~repro.core.contracts.independent_view`), so it does not
     read back what the search's cache or protocol tables remember.
 
     Safety violations (AGREEMENT / VALIDITY / WRITE_ONCE): every
@@ -1062,7 +1094,7 @@ def replay_witness(system, report: ConsensusReport) -> bool:
     cycle must close, and some process must be non-failed, undecided and
     scheduled-nonfaulty through the whole cycle.
     """
-    from repro.lint.contracts import independent_view
+    from repro.core.contracts import independent_view
 
     return (
         report.execution is not None

@@ -78,12 +78,12 @@ def _preflight_or_raise(system, roots, enabled: bool) -> None:
 
     The explorers return bare state sets with no verdict channel, so
     (unlike the checkers' ``ILL_FORMED`` reports) a failed preflight
-    surfaces as :class:`~repro.lint.IllFormedSystemError` carrying the
+    surfaces as :class:`~repro.core.contracts.IllFormedSystemError` carrying the
     findings and witness edges.
     """
     if not enabled:
         return
-    from repro.lint.contracts import preflight_once
+    from repro.core.contracts import preflight_once
 
     report = preflight_once(system, roots)
     if report is not None:
@@ -120,7 +120,7 @@ def reachable_states(
     the result as a lower bound on reachability.  ``cache`` memoizes the
     successor function (see :func:`repro.core.cache.resolve_cache`) — the
     mapping is identical either way.  ``preflight`` (default on) refuses
-    an ill-formed system with :class:`~repro.lint.IllFormedSystemError`
+    an ill-formed system with :class:`~repro.core.contracts.IllFormedSystemError`
     before exploring; ``preflight=False`` reproduces historical
     behaviour exactly.
     """
@@ -158,7 +158,7 @@ def explore(
     counters are snapshotted into ``stats.cache_stats``.  All other
     statistics are identical cached or uncached.  ``preflight`` (default
     on) refuses an ill-formed system with
-    :class:`~repro.lint.IllFormedSystemError` before exploring.
+    :class:`~repro.core.contracts.IllFormedSystemError` before exploring.
     """
     system, meter, graph = _walk_from(
         system, roots, max_depth, max_states, cache, preflight

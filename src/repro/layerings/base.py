@@ -35,7 +35,8 @@ nothing for ``S^per``, ``S^mp``, ``S^rw``, IIS and ``S_1``, the failed
 set for ``S^t``.  Each layering also builds one set of protocol tables
 (:class:`~repro.models.base.ProtocolTables`) and passes it to every run,
 so the asynchronous models call the protocol once per distinct input
-and build each distinct endpoint once, across all its states.  The
+and build each distinct endpoint once, and the round models check and
+resolve each primitive once per environment, across all its states.  The
 contract checks call :meth:`Layering.cold` instead, a copy without them.
 
 Layerings implement the :class:`SuccessorSystem` interface consumed by the
@@ -193,7 +194,8 @@ class Layering(ABC):
         share work across the layer (one round per state in the round
         models, one step per distinct prefix in the asynchronous ones).
         It runs with this layering's protocol tables, so the asynchronous
-        models also share protocol calls and endpoints across states.
+        models also share protocol calls and endpoints across states, and
+        the round models each primitive's outcome per environment.
         """
         layer = self._layers.get(self.layer_key(state))
         if layer is None:

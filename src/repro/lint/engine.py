@@ -3,9 +3,10 @@
 Rules are small classes with a stable code, registered at import time:
 
 * ``RP1xx`` — protocol rules (static, :mod:`repro.lint.ast_rules`);
-* ``RP2xx`` — model/layering contract rules (dynamic,
-  :mod:`repro.lint.contracts`; registered here so ``--select``/
-  ``--ignore`` and the rule listing cover both engines uniformly);
+* ``RP2xx`` — model/layering contract rules (dynamic, checked by
+  :mod:`repro.core.contracts` and registered by
+  :mod:`repro.lint.contracts` so ``--select``/``--ignore`` and the rule
+  listing cover both engines uniformly);
 * ``RP3xx`` — harness rules (static);
 * ``RP4xx``/``RP5xx`` — interprocedural dataflow rules (deep,
   :mod:`repro.lint.flow_rules`; run only under ``repro lint --deep``).
@@ -15,7 +16,8 @@ may be rewritten freely but its code never changes meaning.
 
 :func:`lint_source` runs every (selected) static rule over one module's
 source; :func:`lint_paths` walks files and directories.  Findings are
-plain data (:class:`LintFinding`) so callers — the CLI, the tests, CI —
+plain data (:class:`LintFinding`, defined beside the contract checks in
+:mod:`repro.core.contracts`) so callers — the CLI, the tests, CI —
 format and filter them however they need.
 """
 
@@ -23,9 +25,11 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
+
+from repro.core.contracts import LintFinding
 
 
 class LintError(Exception):
@@ -38,40 +42,12 @@ class LintError(Exception):
 
 
 @dataclass(frozen=True)
-class LintFinding:
-    """One rule violation at one location.
-
-    Attributes:
-        code: the stable rule code (``RPxxx``).
-        message: what is wrong, concretely, at this location.
-        path: the file the finding is in (``<source>`` for string input,
-            ``<system>`` for contract-preflight findings).
-        line: 1-based line number (0 for contract findings, which point
-            at runtime objects rather than source locations).
-        col: 0-based column offset.
-        witness: the concrete witness edge for contract findings
-            (None for static findings).
-    """
-
-    code: str
-    message: str
-    path: str = "<source>"
-    line: int = 0
-    col: int = 0
-    witness: Optional[object] = field(default=None, compare=False)
-
-    def format(self) -> str:
-        """``path:line:col: CODE message`` — the CLI's output line."""
-        return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
-
-
-@dataclass(frozen=True)
 class RuleInfo:
     """Registry metadata for one rule code.
 
     ``kind`` is ``"ast"`` for static rules (run by :func:`lint_source`),
     ``"contract"`` for the dynamic preflight rules (run by
-    :func:`repro.lint.contracts.preflight_system`), and ``"flow"`` for
+    :func:`repro.core.contracts.preflight_system`), and ``"flow"`` for
     the interprocedural rules (run by
     :func:`repro.lint.flow_rules.deep_lint_paths` under ``--deep``);
     all kinds share the code namespace, the selection syntax and the

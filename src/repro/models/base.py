@@ -108,15 +108,16 @@ class Model(ABC):
         *tables* (:class:`ProtocolTables`) carry work across states.
         :meth:`repro.layerings.base.Layering.successors` passes the
         layering's own, built empty with it and kept as long as it
-        lives, and the :func:`prefix_fold` models read and fill them:
-        each protocol call runs once per distinct input, and equal
-        endpoints are one object.  With None, the default of
-        :meth:`apply`, :meth:`apply_many` and :meth:`apply_each`, the
+        lives, and every model of this library reads and fills them:
+        the :func:`prefix_fold` models run each protocol call once per
+        distinct input and make equal endpoints one object, and the
+        round models check and resolve each primitive once per
+        environment (:func:`synchronous_round`).  With None, the default
+        of :meth:`apply`, :meth:`apply_many` and :meth:`apply_each`, the
         tables are of this call alone, so the per-primitive path that
         RP202 compares against stays independent of any search, and so
         does :meth:`repro.layerings.base.Layering.cold`, the view the
-        contract checks call.  The round models keep their memos in the
-        call and ignore *tables*.  The program itself is read only.
+        contract checks call.  The program itself is read only.
         """
         return [self.apply_many(state, expansion) for expansion in program]
 
@@ -216,6 +217,7 @@ def synchronous_round(
     state: GlobalState,
     program: RoundProgram,
     round_for: Callable[[Hashable], RoundOutcome],
+    tables: Optional["ProtocolTables"] = None,
 ) -> list[GlobalState]:
     """:meth:`Model.run` for a model whose primitive is one round.
 
@@ -232,18 +234,32 @@ def synchronous_round(
 
     ``round_for(primitive)`` checks that the primitive is legal at *state*
     (raising ``ValueError`` if not) and returns its :data:`RoundOutcome`.
-    It runs once per distinct primitive of *program*
-    (:func:`round_program`), before any protocol call.  An expansion that
-    is not exactly one primitive is folded by :meth:`Model.apply_many`.
+    It must read nothing of *state* but its environment: each outcome is
+    filed under the state's environment and the primitive, in *tables*
+    (:class:`ProtocolTables`) when given, else in a table local to this
+    call, and read back instead of calling ``round_for`` again.  So with
+    *tables* every later state with that environment reuses the outcome,
+    and with None ``round_for`` runs at every state, once per distinct
+    primitive of *program* (:func:`round_program`).  A primitive that
+    ``round_for`` refuses is never filed, so it raises at every state.
+    The primitives are resolved before any protocol call.  An expansion
+    that is not exactly one primitive is folded by
+    :meth:`Model.apply_many`.
 
-    The memo tables are locals of this call: they live for one state's
-    round and hold nothing between calls.
+    The sender and receiver memos are locals of this call: they live for
+    one state's round.
 
     Raises:
         ValueError: a process sends to itself or to an unknown
             destination, or ``round_for`` refuses a primitive.
     """
-    rounds = [round_for(primitive) for primitive in program.primitives]
+    filed = {} if tables is None else tables.rounds.setdefault(state.env, {})
+    rounds = []
+    for primitive in program.primitives:
+        outcome = filed.get(primitive)
+        if outcome is None:
+            outcome = filed[primitive] = round_for(primitive)
+        rounds.append(outcome)
     endpoints: list[GlobalState] = []
     if rounds:
         n, locals_ = state.n, state.locals
@@ -355,12 +371,13 @@ def prefix_program(expansions: Iterable[Iterable[Hashable]]) -> PrefixProgram:
 
 
 class ProtocolTables:
-    """What the :func:`prefix_fold` models learn about a protocol.
+    """What a layering's models learn about its protocol and its rounds.
 
     A layering builds one set of tables, empty, in its constructor and
     hands it to every :meth:`Model.run` it makes
     (:meth:`repro.layerings.base.Layering.successors`), so whatever one
-    state's fold computed serves every later state of the layering:
+    state's fold computed serves every later state of the layering.
+    The :func:`prefix_fold` models fill:
 
     * ``locals`` and ``ids``: each process local state the folds met,
       and the small int it is interned to, its index in ``locals``.
@@ -375,16 +392,23 @@ class ProtocolTables:
     * ``endpoints``: ``(sealed environment, ids)`` -> the one
       :class:`GlobalState` built for that endpoint.
 
+    The round models (:func:`synchronous_round`) fill ``rounds``:
+    environment -> primitive -> its :data:`RoundOutcome` there, for the
+    primitives found legal in that environment.
+
     Each model checks the legality of a primitive on the local state
     before it looks the primitive up, so a memo never stands in for a
-    check.  Sharing a protocol call across states is sound only for a
-    deterministic protocol, which is what RP201 samples; the contract
-    checks therefore run on a copy of the layering whose tables are of
-    one call alone (:meth:`repro.layerings.base.Layering.cold`).  Tables
-    never cross processes: a pickled layering carries none.
+    check; a round primitive's legality reads only the environment, and
+    an illegal one is never filed.  Sharing a protocol call or a round
+    across states is sound only for a deterministic protocol and a round
+    that reads nothing but the environment, which is what RP201 samples;
+    the contract checks therefore run on a copy of the layering whose
+    tables are of one call alone
+    (:meth:`repro.layerings.base.Layering.cold`).  Tables never cross
+    processes: a pickled layering carries none.
     """
 
-    __slots__ = ("ids", "locals", "phase", "step", "endpoints")
+    __slots__ = ("ids", "locals", "phase", "step", "endpoints", "rounds")
 
     def __init__(self) -> None:
         self.ids: dict[tuple[int, Hashable], int] = {}
@@ -392,6 +416,7 @@ class ProtocolTables:
         self.phase: dict[int, Any] = {}
         self.step: dict[tuple[int, Hashable], int] = {}
         self.endpoints: dict[tuple[Hashable, tuple[int, ...]], GlobalState] = {}
+        self.rounds: dict[Hashable, dict[Hashable, RoundOutcome]] = {}
 
     def intern(self, i: int, local: Hashable) -> int:
         """The id of process *i*'s local state *local*."""

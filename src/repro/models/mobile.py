@@ -108,8 +108,9 @@ class MobileModel(Model):
         """One synchronous round from *state* for every expansion.
 
         Each distinct ``(j, G)`` action is checked and applied once; see
-        :func:`repro.models.base.synchronous_round`.  The round keeps no
-        tables across states, so *tables* go unused.
+        :func:`repro.models.base.synchronous_round`.  Its check and
+        outcome read nothing of the state, so *tables* keep them for
+        every later state.
         """
         n = self.n
         none_lost: frozenset[int] = frozenset()
@@ -125,7 +126,7 @@ class MobileModel(Model):
             return ENV_MF, lost
 
         return synchronous_round(
-            self, self._protocol, state, program, round_for
+            self, self._protocol, state, program, round_for, tables
         )
 
     def failed_at(self, state: GlobalState) -> frozenset[int]:

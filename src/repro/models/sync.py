@@ -162,8 +162,9 @@ class SynchronousModel(Model):
         """One synchronous round from *state* for every expansion.
 
         Each distinct new-failures action is checked and applied once;
-        see :func:`repro.models.base.synchronous_round`.  The round
-        keeps no tables across states, so *tables* go unused.
+        see :func:`repro.models.base.synchronous_round`.  Its check and
+        outcome read only the failed set, the environment, so *tables*
+        keep them for every later state with that failed set.
         """
         failed = self._failed(state)
 
@@ -186,7 +187,7 @@ class SynchronousModel(Model):
             return sync_env(failed | frozenset(new_failures)), lost
 
         return synchronous_round(
-            self, self._protocol, state, program, round_for
+            self, self._protocol, state, program, round_for, tables
         )
 
     def failed_at(self, state: GlobalState) -> frozenset[int]:

@@ -36,7 +36,7 @@ from repro.tasks.simplex import Simplex
 class TaskReport:
     """The result of checking one protocol against one task.
 
-    ``preflight`` carries the :class:`~repro.lint.PreflightReport`
+    ``preflight`` carries the :class:`~repro.core.contracts.PreflightReport`
     behind an ``ILL_FORMED`` verdict (None on every other verdict).
     """
 
@@ -164,7 +164,7 @@ class TaskChecker:
     def _check(
         self, initial_state: GlobalState, input_facet: Simplex, sampled: bool
     ) -> TaskReport:
-        from repro.lint.contracts import IllFormedSystemError
+        from repro.core.contracts import IllFormedSystemError
 
         search = self._search
         try:

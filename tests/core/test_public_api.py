@@ -1,6 +1,10 @@
 """Public-API sanity: exports exist, __all__ is accurate, version set."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,3 +69,31 @@ def test_readme_quickstart_executes():
     assert ConsensusChecker(StSynchronousLayering(safe)).check_all(
         safe
     ).satisfied
+
+
+_CHECK_WITHOUT_THE_LINTER = """
+import sys
+import repro.core
+from repro.analysis.sync_lower_bound import make_st_system
+from repro.protocols.floodset import FloodSet
+
+system = make_st_system(FloodSet(2), 3, 1)
+report = repro.core.ConsensusChecker(system).check_all(system.model)
+print(report.verdict.name)
+print(*sorted(m for m in sys.modules if m.split(".")[:2] == ["repro", "lint"]))
+"""
+
+
+def test_the_checker_runs_its_contract_checks_without_the_linter():
+    """The contract checks belong to the engine: a fresh interpreter that
+    checks a system, contract checks on, never imports ``repro.lint``."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _CHECK_WITHOUT_THE_LINTER],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.splitlines() == ["SATISFIED", ""]

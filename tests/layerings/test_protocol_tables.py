@@ -12,6 +12,12 @@ calls and endpoints across states.  What must not change:
   (RP201), with or without a cache around the layering;
 * tables never cross processes: a warmed layering pickles to the bytes
   of a fresh one, and a parallel sweep equals the sequential one.
+
+The round models keep each primitive's outcome per environment in the
+same tables.  A round that reads more of the state than its environment
+is ILL_FORMED (RP201) too, an illegal primitive raises at every state,
+and the per-primitive path and the cold view resolve every primitive at
+every state.
 """
 
 import pickle
@@ -23,8 +29,13 @@ from repro.analysis.impossibility import standard_layerings
 from repro.core.checker import ConsensusChecker, Verdict, replay_witness
 from repro.layerings.base import verify_layering_embedding
 from repro.layerings.permutation import PermutationLayering
+from repro.layerings.st_synchronous import StSynchronousLayering, st_action
+from repro.models import sync
 from repro.models.async_mp import AsyncMessagePassingModel
+from repro.models.base import ProtocolTables, synchronous_round
+from repro.models.sync import SynchronousModel, fail_action, sync_env
 from repro.protocols.candidates import QuorumDecide
+from repro.protocols.floodset import FloodSet
 
 N = 3
 #: The layerings over the three models that keep tables.
@@ -178,3 +189,99 @@ def test_a_parallel_sweep_of_a_warmed_layering_equals_the_sequential_one(
     assert parallel.states_explored == sequential.states_explored
     assert parallel.execution.actions == sequential.execution.actions
     assert parallel.execution.states == sequential.execution.states
+
+
+# -- round tables -------------------------------------------------------------
+
+
+class _Peeking(SynchronousModel):
+    """A synchronous model whose round reads more than the environment:
+    a newly failing process is recorded failed only while process 0 is
+    in its first round."""
+
+    def run(self, state, program, tables=None):
+        failed = self.failed_at(state)
+        first = state.local(0).round == 0
+
+        def round_for(action):
+            new = dict(action)
+            lost = tuple(
+                failed.union(j for j, blocked in new.items() if dest in blocked)
+                for dest in range(self.n)
+            )
+            recorded = frozenset(new) if first else frozenset()
+            return sync_env(failed | recorded), lost
+
+        return synchronous_round(
+            self, self.protocol, state, program, round_for, tables
+        )
+
+
+@pytest.mark.parametrize("cache", [None, True])
+def test_a_round_that_reads_the_locals_is_ill_formed(cache):
+    clean = StSynchronousLayering(SynchronousModel(FloodSet(2), 3, 1))
+    assert ConsensusChecker(clean, cache=cache).check_all(clean.model).satisfied
+    layering = StSynchronousLayering(_Peeking(FloodSet(2), 3, 1))
+    report = ConsensusChecker(layering, cache=cache).check_all(layering.model)
+    assert report.verdict is Verdict.ILL_FORMED
+    codes = {f.code: f.message for f in report.preflight.findings}
+    assert "successors() disagreed" in codes["RP201"]
+
+
+@pytest.fixture
+def round_calls(monkeypatch):
+    """Counts the ``round_for`` calls of the synchronous model."""
+    calls = {"count": 0}
+
+    def counting(model, protocol, state, program, round_for, tables=None):
+        def counted(primitive):
+            calls["count"] += 1
+            return round_for(primitive)
+
+        return synchronous_round(model, protocol, state, program, counted, tables)
+
+    monkeypatch.setattr(sync, "synchronous_round", counting)
+    return calls
+
+
+def _calls(calls, thunk):
+    before = calls["count"]
+    thunk()
+    return calls["count"] - before
+
+
+def test_the_layering_s_tables_resolve_a_round_once(round_calls):
+    layering = StSynchronousLayering(SynchronousModel(FloodSet(2), 3, 1))
+    root = layering.model.initial_state((0, 1, 1))
+    assert _calls(round_calls, lambda: layering.successors(root)) > 0
+    assert _calls(round_calls, lambda: layering.successors(root)) == 0
+    # Another state with the same environment reads the same outcomes.
+    [(_, child)] = layering.successors(root)[:1]
+    assert child.env == root.env
+    assert _calls(round_calls, lambda: layering.successors(child)) == 0
+
+
+def test_cold_and_apply_resolve_the_round_at_every_state(round_calls):
+    layering = StSynchronousLayering(SynchronousModel(FloodSet(2), 3, 1))
+    root = layering.model.initial_state((0, 1, 1))
+    layering.successors(root)
+    cold = layering.cold()
+    first = _calls(round_calls, lambda: cold.successors(root))
+    assert first > 0
+    assert _calls(round_calls, lambda: cold.successors(root)) == first
+    action = st_action(0, 3)
+    for _ in range(2):
+        assert _calls(round_calls, lambda: layering.apply(root, action)) == 1
+
+
+def test_an_illegal_primitive_raises_at_every_state():
+    model = SynchronousModel(FloodSet(2), 3, 1)
+    layering = StSynchronousLayering(model)
+    failed = layering.apply(model.initial_state((0, 1, 1)), st_action(0, 3))
+    over_budget = fail_action((1, frozenset({2})))
+    program = model.compile([[over_budget]])
+    tables = ProtocolTables()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="resilience bound"):
+            model.run(failed, program, tables)
+    assert over_budget not in tables.rounds.get(failed.env, {})

@@ -9,6 +9,7 @@ and the merged outcome mapping is keyed and complete regardless of
 completion order.
 """
 
+import logging
 import multiprocessing
 import os
 import signal
@@ -16,6 +17,7 @@ import time
 
 import pytest
 
+from repro.log import get_logger
 from repro.resilience.pool import (
     FAULT_CRASH,
     FAULT_ERROR,
@@ -104,6 +106,19 @@ def _mark_after(payload):
     while not os.path.exists(gate):
         time.sleep(0.01)
     return _mark(mark_payload)
+
+
+class _GateOnRetry(logging.Handler):
+    """Creates the *gate* file when the pool logs that it scheduled a
+    retry: the event the gated unit waits for."""
+
+    def __init__(self, gate):
+        super().__init__(logging.DEBUG)
+        self.gate = gate
+
+    def emit(self, record):
+        if "retrying" in record.getMessage():
+            self.gate.touch()
 
 
 def _gated_units(tmp_path, keys, blocked=()):
@@ -479,19 +494,35 @@ class TestWithdrawal:
 
     def test_pending_retry_is_withdrawn(self, tmp_path):
         """``bad`` fails at once and waits out a long backoff; ``slow``
-        then finishes and withdraws it, so the retry never runs.  (The
+        then finishes and withdraws it, so the retry never runs.  ``slow``
+        waits on a gate file that the supervisor's log of the scheduled
+        retry creates, so it cannot finish before ``bad`` failed.  (The
         serial engine retries inline, so it never holds a pending retry
-        when ``on_complete`` fires.)"""
+        when ``on_complete`` fires.  The unit timeout bounds the test
+        should the gate never open.)"""
+        gate = tmp_path / "gate"
         units = [
-            ("bad", (str(tmp_path), "bad", 0.0, True)),
-            ("slow", (str(tmp_path), "slow", 1.0, False)),
+            ("bad", (str(tmp_path), (str(tmp_path), "bad", 0.0, True))),
+            ("slow", (str(gate), (str(tmp_path), "slow", 0.0, False))),
         ]
-        report = run_units(
-            _mark,
-            units,
-            PoolConfig(workers=2, max_retries=1, retry_backoff=30.0),
-            on_complete=lambda o: ["bad"] if o.key == "slow" else None,
-        )
+        logger = get_logger("pool")
+        level = logger.level
+        opener = _GateOnRetry(gate)
+        logger.addHandler(opener)
+        logger.setLevel(logging.DEBUG)
+        try:
+            report = run_units(
+                _mark_after,
+                units,
+                PoolConfig(
+                    workers=2, max_retries=1, retry_backoff=30.0,
+                    unit_timeout=30.0,
+                ),
+                on_complete=lambda o: ["bad"] if o.key == "slow" else None,
+            )
+        finally:
+            logger.removeHandler(opener)
+            logger.setLevel(level)
         assert (tmp_path / "bad").read_text() == "ran\n"  # one attempt
         assert report.withdrawn == ("bad",)
         assert list(report.outcomes) == ["slow"]
