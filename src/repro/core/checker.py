@@ -388,9 +388,18 @@ class ConsensusChecker:
         # The post-condition: a refutation the guard's independent view
         # cannot replay rests on successors() that changed since the
         # search.
-        gap = report is not None and report.refuted and _witness_gap(
-            guard.system, report, self._state_problem
-        )
+        try:
+            gap = report is not None and report.refuted and _witness_gap(
+                guard.system, report, self._state_problem
+            )
+        except KeyboardInterrupt:
+            if self._strict:
+                raise
+            # The search is done but its maps are not kept: checkpoint an
+            # empty search, which resumes from the root.
+            return self._unknown_report(
+                inputs, {}, deque(), set(), {}, meter, meter.mark_interrupted()
+            )
         if gap:
             guard.record(
                 contracts.RP201,

@@ -21,11 +21,12 @@ explore (the explorers, ``repro lint --protocol``).  The conditions
   paper's runs are infinite), and for a constructive
   :class:`~repro.layerings.base.Layering` each sampled layer action's
   expansion must be a legal model execution
-  (:func:`~repro.layerings.base.verify_layering_embedding`) — the
-  monotone-embedding clause of the layering definition — whose endpoint
-  is the child ``successors`` returned for that action, and
-  ``successors`` must label its children with exactly the state's
-  ``layer_actions``, in order.
+  (:func:`~repro.layerings.base.embedding_trace`, one walk over the
+  layer that steps each distinct prefix once) — the monotone-embedding
+  clause of the layering definition — whose endpoint is the child
+  ``successors`` returned for that action, and ``successors`` must
+  label its children with exactly the state's ``layer_actions``, in
+  order.
 * **RP203 — Faulty monotonicity**: the ``failed_at`` set never shrinks
   along an edge.  ``Faulty`` membership is a property of every run
   through a state (Section 2); a resurrected process would break the
@@ -233,7 +234,10 @@ class ContractGuard:
     bounded BFS of its own.  The per-edge checks (RP202 closure, RP203,
     RP204) read the *facts* table the driver already holds; RP201's second
     ``successors`` call and RP202's per-primitive embedding run only on
-    the first *determinism_samples* and *embedding_samples* states.
+    the first *determinism_samples* and *embedding_samples* states.  The
+    embedding is one walk over the state's layer, in ``successors``
+    order, that steps each distinct prefix once through the cold
+    ``Model.apply`` and compares each endpoint with the search's child.
     Records at most one finding per rule code.
     """
 
@@ -345,7 +349,7 @@ class ContractGuard:
                     ContractWitness(state),
                 )
             return
-        from repro.layerings.base import Layering, verify_layering_embedding
+        from repro.layerings.base import Layering, embedding_trace
 
         if self.states > self.embedding_samples or not isinstance(
             self.system, Layering
@@ -365,10 +369,13 @@ class ContractGuard:
                 ContractWitness(state),
             )
             return
+        # One walk over the layer: a prefix two actions share is stepped
+        # once.
+        stepped: dict = {}
         for action, child in succs:
             try:
-                endpoint = verify_layering_embedding(
-                    self.system, state, action
+                endpoint = embedding_trace(
+                    self.system, state, action, stepped
                 )[-1]
             except AssertionError as exc:
                 self.record(
@@ -377,8 +384,8 @@ class ContractGuard:
                     ContractWitness(state, action, child),
                 )
                 return
-            # successors() takes the whole layer in one apply_each batch;
-            # its children must be the one-primitive-at-a-time endpoints.
+            # successors() takes the whole layer in one batch; its
+            # children must be the one-primitive-at-a-time endpoints.
             if child != endpoint:
                 self.record(
                     RP202,

@@ -11,17 +11,19 @@ layer action carries its own expansion into a sequence of the model's
 primitive environment actions (:meth:`Layering.expand`).  Applying a layer
 action is folding its expansion through the model, so the monotone
 embedding required by the paper's definition holds *by construction* — and
-:func:`verify_layering_embedding` re-checks it mechanically for tests:
-each primitive in the expansion must be enabled in the model at the point
-it is applied.
+:func:`embedding_trace` re-checks it mechanically: each primitive in the
+expansion must be enabled in the model at the point it is applied.
 
 The fold is one call, :meth:`repro.models.base.Model.apply_many`.  An
 ``S``-run is made of layer endpoints only, so models whose layers are many
 primitives run the whole expansion on scratch locals and build a single
 :class:`GlobalState` at the endpoint (hashed lazily, on first use).
-:func:`verify_layering_embedding` steps through :meth:`Model.apply` one
-primitive at a time instead, so it also checks the batch fold against the
-single-step fold.
+:func:`embedding_trace` steps through :meth:`Model.apply` one primitive at
+a time instead.  The contract checks (RP202) walk a sampled state's whole
+layer with it, stepping each distinct prefix once, and compare each
+endpoint with the batch fold's child; :func:`verify_layering_embedding`,
+for tests, walks one action and also compares the endpoint with
+:meth:`Layering.apply`.
 
 A layer is compiled once (:meth:`Layering.compile_layer`): its action
 labels, their expansions, and the model's program for them
@@ -229,29 +231,50 @@ class Layering(ABC):
         return frozenset(range(self.n))
 
 
+def embedding_trace(
+    layering: Layering, state: GlobalState, action: Hashable, stepped: dict
+) -> list[GlobalState]:
+    """The states *action*'s expansion passes through from *state*, both
+    endpoints included, stepped one primitive at a time through
+    :meth:`Model.apply`: the layer's embedding into a run of the model.
+
+    *stepped* files every prefix stepped from *state* as a tree keyed by
+    primitive (primitive -> the state it reaches and the tree below).
+    Hand one dict to every action of a state, and a prefix they share is
+    stepped once.  Raises ``AssertionError`` (also under ``-O``) if a
+    primitive is not enabled in the model where it is applied.
+    """
+    model = layering.model
+    trace = [state]
+    for primitive in layering.expand(state, action):
+        step = stepped.get(primitive)
+        if step is None:
+            if primitive not in model.actions(trace[-1]):
+                raise AssertionError(
+                    f"layer action {action!r}: primitive {primitive!r} not "
+                    f"enabled at an intermediate state"
+                )
+            step = stepped[primitive] = (model.apply(trace[-1], primitive), {})
+        trace.append(step[0])
+        stepped = step[1]
+    return trace
+
+
 def verify_layering_embedding(
     layering: Layering, state: GlobalState, action: Hashable
 ) -> list[GlobalState]:
     """Check one layer's expansion is a legal model execution.
 
-    Returns the intermediate model states (including both endpoints).
-    Raises ``AssertionError`` if any primitive of the expansion is not
-    enabled in the model where it is applied, or if the folded endpoint
-    differs from :meth:`Layering.apply` — i.e. if the monotone-embedding
+    Returns the intermediate model states (including both endpoints),
+    the :func:`embedding_trace` of the one action.  Raises
+    ``AssertionError`` if any primitive of the expansion is not enabled
+    in the model where it is applied, or if the folded endpoint differs
+    from :meth:`Layering.apply` — i.e. if the monotone-embedding
     property of Section 4 fails.
     """
-    model = layering.model
-    trace = [state]
-    current = state
-    for primitive in layering.expand(state, action):
-        enabled = list(model.actions(current))
-        assert primitive in enabled, (
-            f"layer action {action!r}: primitive {primitive!r} not enabled "
-            f"at an intermediate state"
+    trace = embedding_trace(layering, state, action, {})
+    if trace[-1] != layering.apply(state, action):
+        raise AssertionError(
+            f"layer action {action!r}: folded endpoint disagrees with apply()"
         )
-        current = model.apply(current, primitive)
-        trace.append(current)
-    assert current == layering.apply(state, action), (
-        f"layer action {action!r}: folded endpoint disagrees with apply()"
-    )
     return trace

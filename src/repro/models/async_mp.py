@@ -43,16 +43,15 @@ so the model displays no finite failure.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Sequence
 from typing import Optional
 
 from repro.core.state import GlobalState
 from repro.models.base import (
-    Model,
+    PrefixFoldModel,
     PrefixProgram,
     ProtocolTables,
     prefix_fold,
-    prefix_program,
 )
 from repro.protocols.base import MessageBatch, MessagePassingProtocol
 
@@ -86,7 +85,7 @@ def flush_action(i: int) -> tuple:
     return ("flush", i)
 
 
-class AsyncMessagePassingModel(Model):
+class AsyncMessagePassingModel(PrefixFoldModel):
     """The asynchronous MP model driving a :class:`MessagePassingProtocol`."""
 
     def __init__(self, protocol: MessagePassingProtocol, n: int) -> None:
@@ -143,17 +142,6 @@ class AsyncMessagePassingModel(Model):
             else:
                 out.append(flush_action(i))
         return out
-
-    def apply(self, state: GlobalState, action: tuple) -> GlobalState:
-        return self.apply_many(state, (action,))
-
-    def apply_many(
-        self, state: GlobalState, actions: Iterable[tuple]
-    ) -> GlobalState:
-        return self.apply_each(state, [actions])[0]
-
-    def compile(self, expansions: Iterable[Iterable[tuple]]) -> PrefixProgram:
-        return prefix_program(expansions)
 
     def run(
         self,

@@ -71,8 +71,8 @@ class Model(ABC):
         The default folds :meth:`apply`; models whose layers are many
         primitives override it as ``apply_each(state, [actions])[0]``,
         which works on scratch locals and builds one :class:`GlobalState`
-        at the end (:func:`prefix_fold`).  Either way the result equals
-        the one-at-a-time fold, which
+        at the end (:class:`PrefixFoldModel`).  Either way the result
+        equals the one-at-a-time fold, which
         :func:`~repro.layerings.base.verify_layering_embedding` checks.
         """
         for action in actions:
@@ -117,7 +117,11 @@ class Model(ABC):
         tables are of this call alone, so the per-primitive path that
         RP202 compares against stays independent of any search, and so
         does :meth:`repro.layerings.base.Layering.cold`, the view the
-        contract checks call.  The program itself is read only.
+        contract checks call.  RP202 steps each distinct prefix of a
+        sampled state's layer once through :meth:`apply` and compares
+        each endpoint with what this returned for that expansion
+        (:func:`~repro.layerings.base.embedding_trace`).  The program
+        itself is read only.
         """
         return [self.apply_many(state, expansion) for expansion in program]
 
@@ -487,3 +491,22 @@ def prefix_fold(
             for index in ends:
                 endpoints[index] = endpoint
     return endpoints
+
+
+class PrefixFoldModel(Model):
+    """A model whose layers are many primitives, run by :func:`prefix_fold`
+    (the asynchronous models).  A subclass's :meth:`Model.run` calls
+    :func:`prefix_fold` with its scratch environment and fold."""
+
+    def apply(self, state: GlobalState, action: Hashable) -> GlobalState:
+        """One primitive: a one-step program, run with tables of this
+        call."""
+        return self.run(state, PrefixProgram(1, ((0, (action,), (0,)),)))[0]
+
+    def apply_many(
+        self, state: GlobalState, actions: Iterable[Hashable]
+    ) -> GlobalState:
+        return self.apply_each(state, [actions])[0]
+
+    def compile(self, expansions: Iterable[Iterable[Hashable]]) -> PrefixProgram:
+        return prefix_program(expansions)

@@ -23,16 +23,15 @@ displays no finite failure (Section 3), as in FLP-style analyses.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Sequence
 from typing import Optional
 
 from repro.core.state import GlobalState
 from repro.models.base import (
-    Model,
+    PrefixFoldModel,
     PrefixProgram,
     ProtocolTables,
     prefix_fold,
-    prefix_program,
 )
 from repro.protocols.base import SharedMemoryProtocol
 
@@ -62,7 +61,7 @@ def _wrapper(proto_local: Hashable, stage: int, reads: tuple) -> tuple:
     return ("sm", proto_local, stage, reads)
 
 
-class SharedMemoryModel(Model):
+class SharedMemoryModel(PrefixFoldModel):
     """``M^rw`` driving a :class:`SharedMemoryProtocol`."""
 
     def __init__(self, protocol: SharedMemoryProtocol, n: int) -> None:
@@ -108,17 +107,6 @@ class SharedMemoryModel(Model):
 
     def actions(self, state: GlobalState) -> list[tuple]:
         return [step_action(i) for i in range(self.n)]
-
-    def apply(self, state: GlobalState, action: tuple) -> GlobalState:
-        return self.apply_many(state, (action,))
-
-    def apply_many(
-        self, state: GlobalState, actions: Iterable[tuple]
-    ) -> GlobalState:
-        return self.apply_each(state, [actions])[0]
-
-    def compile(self, expansions: Iterable[Iterable[tuple]]) -> PrefixProgram:
-        return prefix_program(expansions)
 
     def run(
         self,

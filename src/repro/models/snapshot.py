@@ -27,16 +27,15 @@ The model displays no finite failure (crashes are scheduling phenomena).
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Sequence
 from typing import Optional
 
 from repro.core.state import GlobalState
 from repro.models.base import (
-    Model,
+    PrefixFoldModel,
     PrefixProgram,
     ProtocolTables,
     prefix_fold,
-    prefix_program,
 )
 from repro.protocols.base import SharedMemoryProtocol
 
@@ -58,7 +57,7 @@ def scan_action(i: int) -> tuple:
     return ("scan", i)
 
 
-class SnapshotMemoryModel(Model):
+class SnapshotMemoryModel(PrefixFoldModel):
     """Snapshot shared memory driving a :class:`SharedMemoryProtocol`."""
 
     def __init__(self, protocol: SharedMemoryProtocol, n: int) -> None:
@@ -104,17 +103,6 @@ class SnapshotMemoryModel(Model):
         return [
             (self.pending_op(state, i), i) for i in range(self.n)
         ]
-
-    def apply(self, state: GlobalState, action: tuple) -> GlobalState:
-        return self.apply_many(state, (action,))
-
-    def apply_many(
-        self, state: GlobalState, actions: Iterable[tuple]
-    ) -> GlobalState:
-        return self.apply_each(state, [actions])[0]
-
-    def compile(self, expansions: Iterable[Iterable[tuple]]) -> PrefixProgram:
-        return prefix_program(expansions)
 
     def run(
         self,

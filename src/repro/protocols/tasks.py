@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections.abc import Hashable
 from typing import Optional
 
-from repro.protocols.base import DualProtocol
 from repro.protocols.candidates import GossipState, _GossipProtocol
 
 
@@ -109,25 +108,3 @@ class KSetAgreementProtocol(_GossipProtocol):
             return None
         return min(value for _, value in local.seen)
 
-
-class TaskProtocolAdapter(DualProtocol):
-    """Adapt any gossip protocol into one that reports its decision as a
-    vertex value — convenience for custom tasks; unused by the catalog."""
-
-    def __init__(self, inner: _GossipProtocol) -> None:
-        self._inner = inner
-
-    def name(self) -> str:
-        return f"TaskProtocolAdapter({self._inner.name()})"
-
-    def initial_local(self, i, n, input_value):
-        return self._inner.initial_local(i, n, input_value)
-
-    def decision(self, i, n, local):
-        return self._inner.decision(i, n, local)
-
-    def emit(self, i, n, local):
-        return self._inner.emit(i, n, local)
-
-    def observe(self, i, n, local, observation):
-        return self._inner.observe(i, n, local, observation)

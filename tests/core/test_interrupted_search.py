@@ -21,8 +21,8 @@ import pytest
 from repro.analysis.impossibility import standard_layerings
 from repro.analysis.sync_lower_bound import make_st_system
 from repro.core.cache import CachedSystem
-from repro.core.checker import ConsensusChecker, Verdict
-from repro.protocols.candidates import WaitForAll
+from repro.core.checker import ConsensusChecker, Verdict, replay_witness
+from repro.protocols.candidates import QuorumDecide, WaitForAll
 from repro.protocols.eig import EIG
 from repro.resilience.budget import BudgetMeter
 from tests.interrupts import trap
@@ -107,3 +107,55 @@ def test_an_interrupt_in_the_lasso_pass_resumes_to_the_decision():
         resumed = check(cut.checkpoint)
         _same_report(resumed, whole)
         assert resumed.inputs == whole.inputs
+
+
+@pytest.mark.parametrize("point", ["nonfaulty_under", "successors"])
+def test_an_interrupt_in_the_witness_replay_resumes_to_the_refutation(point):
+    """The replay runs after the search, on the guard's independent view.
+    An interrupt there checkpoints an empty search, which resumes from
+    the root to the same refutation."""
+    system, inputs = _waitforall_in_sper()
+    root = system.model.initial_state(inputs)
+
+    def check(checkpoint=None):
+        return ConsensusChecker(system).check(root, inputs, checkpoint)
+
+    owner = type(system)
+    with trap(owner, point) as calls:
+        whole = check()
+    assert whole.verdict is Verdict.DECISION
+    with trap(owner, point) as replayed:
+        assert replay_witness(system, whole)
+    assert replayed.count > 0
+    # The replay makes the check's last calls.
+    for k in range(calls.count - replayed.count + 1, calls.count + 1):
+        with trap(owner, point, at=k):
+            cut = check()
+        assert cut.verdict is Verdict.UNKNOWN, k
+        assert cut.interrupted
+        assert cut.checkpoint is not None
+        _same_report(check(cut.checkpoint), whole)
+
+
+def test_an_interrupt_in_the_sampled_embedding_walk_resumes():
+    """With the contract checks on, the sampled RP202 walk steps the
+    cold model one primitive at a time; an interrupt at any of those
+    steps resumes to the whole report."""
+    system = standard_layerings(QuorumDecide(2), 3)["permutation-mp"]
+    inputs = (0, 1, 1)
+    root = system.model.initial_state(inputs)
+
+    def check(checkpoint=None):
+        return ConsensusChecker(system).check(root, inputs, checkpoint)
+
+    owner = type(system.model)
+    with trap(owner, "apply") as calls:
+        whole = check()
+    assert whole.verdict is Verdict.AGREEMENT
+    assert calls.count > 0
+    for k in range(1, calls.count + 1):
+        with trap(owner, "apply", at=k):
+            cut = check()
+        assert cut.interrupted, k
+        assert cut.checkpoint is not None
+        _same_report(check(cut.checkpoint), whole)
