@@ -28,8 +28,8 @@ import time
 import pytest
 
 from benchmarks.helpers import save_table
+from repro.analysis.campaign import SweepUnit, run_campaign
 from repro.analysis.reports import render_table
-from repro.core.checker import SweepUnit, run_campaign
 from repro.layerings.synchronic_rw import SynchronicRWLayering
 from repro.models.shared_memory import SharedMemoryModel
 from repro.protocols.candidates import QuorumDecide

@@ -29,7 +29,7 @@ import pytest
 
 from benchmarks.helpers import save_table
 from repro.analysis.reports import render_table
-from repro.resilience.chaos import ENV_SCOPE, ENV_SPECS, ENV_TRACE
+from repro.resilience.crashpoint import ENV_SCOPE, ENV_SPECS, ENV_TRACE
 from repro.serve.client import ServeClient, wait_for_endpoint
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

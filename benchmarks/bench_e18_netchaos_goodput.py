@@ -37,7 +37,7 @@ import pytest
 
 from benchmarks.helpers import save_table
 from repro.analysis.reports import render_table
-from repro.resilience.chaos import ENV_SCOPE, ENV_SPECS, ENV_TRACE
+from repro.resilience.crashpoint import ENV_SCOPE, ENV_SPECS, ENV_TRACE
 from repro.resilience.retry import Deadline, RetryPolicy
 from repro.serve.client import ResilientClient, ServeClient, wait_for_endpoint
 from repro.serve.netchaos import FaultSchedule, NetChaosProxy

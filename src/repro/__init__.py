@@ -76,9 +76,8 @@ from repro.protocols import (
     decide_min_observed,
     decide_own_input,
 )
-from repro.resilience import (
-    Budget,
-    BudgetStats,
+from repro.resilience.budget import Budget, BudgetStats
+from repro.resilience.checkpoint import (
     CampaignCheckpoint,
     CheckAllCheckpoint,
     ExplorationCheckpoint,

@@ -25,15 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from repro.analysis.campaign import SweepUnit, run_campaign
 from repro.core.bivalence import build_bivalent_lasso
 from repro.core.cache import CacheSpec
-from repro.core.checker import (
-    ConsensusChecker,
-    ConsensusReport,
-    SweepUnit,
-    Verdict,
-    run_campaign,
-)
+from repro.core.checker import ConsensusChecker, ConsensusReport, Verdict
 from repro.core.connectivity import lemma_3_6
 from repro.core.run import RunWitness
 from repro.core.valence import ValenceAnalyzer
@@ -46,8 +41,8 @@ from repro.models.mobile import MobileModel
 from repro.models.shared_memory import SharedMemoryModel
 from repro.protocols.base import DualProtocol, MessagePassingProtocol
 from repro.resilience.budget import Budget, DEFAULT_MAX_STATES
-from repro.resilience.chaos import crashpoint
 from repro.resilience.checkpoint import CampaignCheckpoint
+from repro.resilience.crashpoint import crashpoint
 from repro.resilience.pool import PoolConfig
 
 
@@ -142,13 +137,13 @@ def refute_candidate(
 
     Theorem 4.2 guarantees no verdict is ``SATISFIED``; callers assert it.
     ``max_states`` accepts a state count or a full
-    :class:`~repro.resilience.Budget`; a *campaign* checkpoint makes the
+    :class:`~repro.resilience.budget.Budget`; a *campaign* checkpoint makes the
     sweep resumable model-by-model, stopping at the first model whose
     budget trips.  With ``workers > 1`` the per-model sweeps run on the
     fault-isolated worker pool and merge deterministically — results are
     identical to the sequential run, and a crashing model sweep is
     quarantined as UNKNOWN instead of killing the campaign (see
-    :func:`repro.core.checker.run_campaign`).
+    :func:`repro.analysis.campaign.run_campaign`).
 
     ``cache`` memoizes successor/failure/decision queries per unit
     (default on; pass ``False`` to disable, an int for an LRU bound).

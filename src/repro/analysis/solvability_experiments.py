@@ -30,7 +30,7 @@ from repro.protocols.tasks import (
     KSetAgreementProtocol,
 )
 from repro.resilience.budget import Budget, DEFAULT_MAX_STATES
-from repro.resilience.chaos import crashpoint
+from repro.resilience.crashpoint import crashpoint
 from repro.resilience.pool import PoolConfig, run_units, with_workers
 from repro.tasks.catalog import CATALOG, EXPECTED_SOLVABLE
 from repro.tasks.covering import Covering, OutcomeAnalyzer

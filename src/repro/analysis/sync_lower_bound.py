@@ -25,14 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from repro.analysis.campaign import SweepUnit, run_campaign
 from repro.analysis.lemmas import LemmaReport
 from repro.core.bivalence import bivalent_successor
 from repro.core.cache import CacheSpec
-from repro.core.checker import (
-    ConsensusReport,
-    SweepUnit,
-    run_campaign,
-)
+from repro.core.checker import ConsensusReport
 from repro.core.connectivity import lemma_3_6
 from repro.core.run import Execution
 from repro.core.state import GlobalState
@@ -43,8 +40,8 @@ from repro.protocols.base import MessagePassingProtocol
 from repro.protocols.eig import EIG
 from repro.protocols.floodset import FloodSet
 from repro.resilience.budget import Budget, DEFAULT_MAX_STATES
-from repro.resilience.chaos import crashpoint
 from repro.resilience.checkpoint import CampaignCheckpoint
+from repro.resilience.crashpoint import crashpoint
 from repro.resilience.pool import PoolConfig
 
 
@@ -123,12 +120,12 @@ def defeat_fast_candidates(
     so the violation is agreement — the classic ``t``-round scenario).
 
     ``max_states`` accepts a state count or a full
-    :class:`~repro.resilience.Budget`; a *campaign* checkpoint makes the
+    :class:`~repro.resilience.budget.Budget`; a *campaign* checkpoint makes the
     sweep resumable unit-by-unit, stopping at the first unit whose budget
     trips (continuing under an exhausted wall clock would be futile).
     ``workers > 1`` runs the units on the fault-isolated pool with a
     deterministic merge — identical rows, crashes quarantined (see
-    :func:`repro.core.checker.run_campaign`).
+    :func:`repro.analysis.campaign.run_campaign`).
     """
     budget = Budget.of(max_states)
     specs = []

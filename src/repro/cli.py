@@ -17,7 +17,7 @@ experiment drivers in :mod:`repro.analysis`.
 Resource limits and resumability (the resilience layer):
 
 * ``--max-states`` / ``--timeout`` build one
-  :class:`~repro.resilience.Budget` threaded through every analysis the
+  :class:`~repro.resilience.budget.Budget` threaded through every analysis the
   subcommand runs; the timeout bounds the *whole command*.
 * On budget exhaustion the command prints a one-line diagnostic with the
   exploration statistics and exits with code 2 (*inconclusive* — neither
@@ -107,7 +107,6 @@ from repro.resilience.checkpoint import (
     CampaignCheckpoint,
     CheckpointMismatch,
     load_checkpoint,
-    save_checkpoint,
 )
 from repro.resilience.journal import CampaignJournal, is_journal
 from repro.resilience.pool import pool_config_for
@@ -116,28 +115,20 @@ log = get_logger("cli")
 
 
 def _save_campaign(args: argparse.Namespace) -> None:
-    """Write the campaign checkpoint if ``--checkpoint`` was given.
+    """Make the campaign journal durable, if ``--checkpoint`` started one.
 
-    An unwritable path must not crash a run that already has a result
-    to report: the failure becomes a diagnostic, not a traceback.
+    The journal already appended every record as it happened; only what
+    is buffered remains.  A failure becomes a diagnostic, not a
+    traceback: the run already has a result to report.
     """
-    if args.checkpoint and args.campaign is not None:
-        if isinstance(args.campaign, CampaignJournal):
-            # The journal already appended every record as it happened;
-            # make whatever is buffered durable.
-            try:
-                args.campaign.sync()
-            except OSError as exc:
-                log.warning("cannot sync checkpoint journal: %s", exc)
-                return
-            log.info("checkpoint journal synced to %s", args.checkpoint)
-            return
-        try:
-            save_checkpoint(args.campaign, args.checkpoint)
-        except OSError as exc:
-            log.warning("cannot write checkpoint: %s", exc)
-            return
-        log.info("checkpoint written to %s", args.checkpoint)
+    if args.campaign is None:
+        return
+    try:
+        args.campaign.sync()
+    except OSError as exc:
+        log.warning("cannot sync checkpoint journal: %s", exc)
+        return
+    log.info("checkpoint journal synced to %s", args.checkpoint)
 
 
 def _log_cache_stats(args: argparse.Namespace) -> None:
@@ -1201,11 +1192,11 @@ def main(argv: list[str] | None = None) -> int:
                 compact_every=args.compact_every,
             )
         except OSError as exc:
-            # An unwritable journal must not block the analysis itself;
-            # degrade to an in-memory campaign (the final save will
-            # report the real failure once).
-            log.warning("cannot start checkpoint journal: %s", exc)
-            args.campaign = CampaignCheckpoint()
+            # An unwritable journal must not block the analysis itself:
+            # run without a campaign.
+            log.warning(
+                "cannot write checkpoint: %s; running without one", exc
+            )
 
     def _sigterm(signum, frame):
         # Funnel SIGTERM through the KeyboardInterrupt path so a polite
@@ -1244,7 +1235,7 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if previous_sigterm is not None:
             signal.signal(signal.SIGTERM, previous_sigterm)
-        if isinstance(args.campaign, CampaignJournal):
+        if args.campaign is not None:
             try:
                 args.campaign.close()
             except OSError:

@@ -21,11 +21,11 @@ bound into a layered system, :class:`ConsensusChecker` explores every
   decision variable (a malformed protocol; none of the shipped protocols
   trigger it, but the checker guards the "system for consensus"
   condition (ii) of Section 3 rather than assuming it);
-* ``UNKNOWN`` — the exploration :class:`~repro.resilience.Budget`
+* ``UNKNOWN`` — the exploration :class:`~repro.resilience.budget.Budget`
   (states, edges, wall clock, memory) was exhausted, or the search was
   interrupted, before the state space was covered.  The report carries
-  :class:`~repro.resilience.BudgetStats` and a resumable
-  :class:`~repro.resilience.ExplorationCheckpoint`;
+  :class:`~repro.resilience.budget.BudgetStats` and a resumable
+  :class:`~repro.resilience.checkpoint.ExplorationCheckpoint`;
 * ``ILL_FORMED`` — the default-on contract checks
   (:mod:`repro.core.contracts`, run inside the search) found the *system
   itself* violating a model-side hygiene condition (nondeterministic
@@ -50,19 +50,18 @@ actions from an initial state.  Replaying it through the layering
 (:func:`replay_witness`) reproduces the violation — with the contract
 checks on, the checker replays every refuting witness through the
 uncached system, run without the search's protocol tables, before
-reporting it, and the fault-injection harness
-(:mod:`repro.resilience.mutation`) uses the same replay to validate the
-checker itself.
+reporting it, and the fault-injection harness (``tests/mutation.py``)
+uses the same replay to validate the checker itself.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Hashable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Any, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional, Union
 
 from repro.core.run import Execution, RunWitness
 from repro.core.state import GlobalState, StateFacts, revoked_decision
@@ -73,18 +72,15 @@ from repro.resilience.budget import (
     BudgetStats,
     DEFAULT_MAX_STATES,
 )
-from repro.resilience.chaos import crashpoint
 from repro.resilience.checkpoint import (
     CheckAllCheckpoint,
     ExplorationCheckpoint,
     system_fingerprint,
 )
-from repro.resilience.pool import (
-    PoolConfig,
-    UnitOutcome,
-    run_units,
-    with_workers,
-)
+from repro.resilience.crashpoint import crashpoint
+
+if TYPE_CHECKING:
+    from repro.resilience.pool import PoolConfig
 
 
 class Verdict(Enum):
@@ -126,7 +122,7 @@ class ConsensusReport:
         checkpoint: a resumable exploration snapshot, present exactly on
             ``UNKNOWN`` verdicts.  Pass it back to ``check`` /
             ``check_all`` (or save it with
-            :func:`repro.resilience.save_checkpoint`) to continue.
+            :func:`repro.resilience.checkpoint.save_checkpoint`) to continue.
         preflight: the :class:`~repro.core.contracts.PreflightReport` behind an
             ``ILL_FORMED`` verdict (findings with witness edges, and the
             states and edges checked before the finding); None on every
@@ -186,7 +182,7 @@ class ConsensusChecker:
         system: a :class:`SuccessorSystem` (layering or model).
         max_states: exploration budget per input assignment — a legacy
             state count (deprecated alias) or a full
-            :class:`~repro.resilience.Budget`.
+            :class:`~repro.resilience.budget.Budget`.
         strict: if True, budget exhaustion raises
             :class:`ExplorationLimitExceeded` as it historically did;
             by default it degrades to an ``UNKNOWN`` report carrying
@@ -277,7 +273,7 @@ class ConsensusChecker:
         or an aggregate SATISFIED report.
 
         On budget exhaustion the aggregate verdict is ``UNKNOWN`` with a
-        :class:`~repro.resilience.CheckAllCheckpoint` recording the
+        :class:`~repro.resilience.checkpoint.CheckAllCheckpoint` recording the
         deterministic assignment cursor plus the in-flight assignment's
         exploration snapshot; pass it back to resume.
 
@@ -293,9 +289,10 @@ class ConsensusChecker:
         assignment order**, so the returned report (verdict, witness,
         statistics, checkpoint) is identical to the sequential run's,
         whatever the stealing schedule.  The sweep runs as a campaign of
-        one: the pooled path of :func:`run_campaign`.  The merge runs as soon as the
-        sweep is decided — its completed shards reach, in assignment
-        order, the first non-SATISFIED report — and the shards after
+        one: the pooled path of
+        :func:`repro.analysis.campaign.run_campaign`.  The merge runs as
+        soon as the sweep is decided — its completed shards reach, in
+        assignment order, the first non-SATISFIED report — and the shards after
         that point are withdrawn: unstarted ones are never dispatched
         and running ones are stopped, so a refuting sweep does no work
         past the moment it is decided.  A shard whose worker crashes
@@ -310,7 +307,10 @@ class ConsensusChecker:
         plan = _SweepPlan(self, model, value_domain, checkpoint, shard_states)
         assignments = plan.assignments
         if workers is not None and workers > 1 and len(assignments) - plan.start > 1:
-            _run_sweeps({None: plan}, with_workers(pool, workers))
+            # The pool is a driver: the engine loads it only on this path.
+            from repro.analysis.campaign import run_sweeps
+
+            run_sweeps({None: plan}, pool, workers)
             return plan.report
         for lo, hi, inner in plan.spans:
             plan.offer(
@@ -496,7 +496,14 @@ class ConsensusChecker:
                 if self._all_nonfailed_decided(state, facts):
                     terminal.add(state)
                     continue
-                succs = system.successors(state)
+                try:
+                    succs = system.successors(state)
+                except ValueError:
+                    # The batch fold refused a layer action: RP202's
+                    # walk names it, or the error is not the layering's.
+                    if guard is None or not guard.refused(state):
+                        raise
+                    return None
                 if guard is not None and guard.check(state, succs):
                     return None
                 edges[state] = succs
@@ -894,199 +901,6 @@ class _SweepPlan:
             ),
             states_explored=self.total,
         )
-
-
-# -- the pooled sweep path ---------------------------------------------------
-#
-# A parallel ``check_all`` and a parallel campaign run the same way: each
-# sweep's plan is split into shards (index spans), and the shards of all
-# sweeps share one fault-isolated pool.  ``check_all(workers=N)`` is a
-# campaign of one sweep.
-
-def _sweep_shard(payload, context: dict) -> list:
-    """Pool unit: one shard ``(key, lo, hi, inner)`` of one sweep.
-
-    *context* maps each sweep key to its checker, model, assignments and
-    first assignment.  It ships to each worker **once** via
-    ``run_units(..., context=...)``, never per shard, so every shard of a
-    sweep that lands on a worker shares one checker and one warm
-    successor cache (a ``CachedSystem`` pickles only its configuration,
-    so caches never cross processes).  Sharing one checker across shards
-    is sound because cache transparency guarantees verdicts, witnesses
-    and checkpoints are byte-identical cached or uncached, warm or cold.
-    """
-    key, lo, hi, inner = payload
-    checker, model, assignments, start = context[key]
-    return checker._check_span(model, assignments, lo, hi, inner, start)
-
-
-def _run_sweeps(plans: dict, config: PoolConfig, on_decided=None) -> None:
-    """Run the shards of the ``{key: _SweepPlan}`` sweeps on one pool.
-
-    Shards are dispatched breadth-first — every sweep's first shard before
-    any sweep's second — so idle workers open new sweeps rather than
-    reading deeper into one that its first violation may already have
-    decided.  A sweep is merged the moment its verdict is decided: its
-    plan's report is set, ``on_decided(key, report)`` is called (at once
-    for a sweep resumed past its last assignment), and its remaining
-    shards are withdrawn from the pool: unstarted ones are dropped and
-    running ones stopped.  Pool unit keys are ``(key, lo)``.
-    """
-    ranked = []
-    for key, plan in plans.items():
-        if plan.report is not None and on_decided is not None:
-            on_decided(key, plan.report)
-        for index, span in enumerate(plan.spans):
-            ranked.append((index, ((key, span[0]), (key, *span))))
-    if not ranked:
-        return
-    ranked.sort(key=lambda entry: entry[0])  # stable: sweep order breaks ties
-
-    def decide(outcome: UnitOutcome) -> Optional[list]:
-        key, lo = outcome.key
-        plan = plans[key]
-        unread = plan.offer(
-            lo, outcome.value, outcome.cause() if outcome.quarantined else ""
-        )
-        if unread is None:
-            return None
-        if on_decided is not None:
-            on_decided(key, plan.report)
-        return [(key, start) for start in unread]
-
-    context = {
-        key: (p.checker, p.model, p.assignments, p.start)
-        for key, p in plans.items()
-    }
-    run_units(
-        _sweep_shard,
-        [unit for _, unit in ranked],
-        config,
-        on_complete=decide,
-        context=context,
-    )
-
-
-@dataclass(frozen=True)
-class SweepUnit:
-    """One campaign unit: a full ``check_all`` over one layered system.
-
-    *system* and *model* are usually ``layering`` and ``layering.model``
-    but may coincide (the full synchronous model checks itself).
-    *resume* carries the in-flight
-    :class:`~repro.resilience.CheckAllCheckpoint` when a campaign is
-    resumed.  *cache* is the checker's ``cache=`` spec; a
-    ``CachedSystem`` passed here (or as *system*) ships only its
-    configuration across the process boundary, so each pool worker warms
-    one private cache per unit — preserving the deterministic merge.
-    """
-
-    system: object
-    model: object
-    budget: Budget
-    resume: Optional[CheckAllCheckpoint] = None
-    cache: object = None
-    preflight: bool = True
-
-    def checker(self) -> ConsensusChecker:
-        """The checker this unit's sweep runs on."""
-        return ConsensusChecker(
-            self.system, self.budget, cache=self.cache,
-            preflight=self.preflight,
-        )
-
-
-def run_campaign(
-    units: Sequence[tuple],
-    campaign=None,
-    workers: Optional[int] = None,
-    pool: Optional[PoolConfig] = None,
-    shard_states: Optional[int] = None,
-) -> list[tuple]:
-    """Run ``(key, SweepUnit)`` campaign units with shared resilience
-    semantics; the engine behind the analysis drivers' ``workers=N``.
-
-    Sequentially (``workers`` None or <= 1) units run one at a time in
-    submission order, stopping after the first inconclusive report —
-    continuing a sweep whose budget already tripped would be futile.
-    With ``workers > 1`` every pending sweep's root frontier is split
-    into shards of ``shard_states`` input assignments (default 1) and
-    the shards — not the whole sweeps — are scheduled across the
-    fault-isolated pool (:mod:`repro.resilience.pool`), so a campaign of
-    even a *single* heavyweight sweep parallelizes.  This is the same
-    pooled path a parallel ``check_all`` takes: shards dispatch
-    breadth-first across sweeps, and a sweep is merged the moment its
-    verdict is decided, its unstarted shards dropped and its running
-    ones stopped.  Reports are merged **in submission order, in
-    assignment order within each sweep** with the same early-stop rule,
-    so both paths return identical results for identical inputs; a
-    shard the pool quarantined merges its sweep as UNKNOWN at the
-    shard's cursor (resumable) without failing its neighbours.
-
-    A :class:`~repro.resilience.CampaignCheckpoint` is honoured and
-    maintained either way: completed units are reused instantly,
-    conclusive reports are recorded **the moment their sweep is
-    decided** (an interrupt loses at most undecided units), and the
-    first inconclusive unit's partial progress is suspended for resume.
-
-    Returns ``(key, report)`` pairs in submission order, truncated at
-    the first inconclusive report.
-    """
-    cached: dict = {}
-    pending: dict = {}
-    for key, unit in units:
-        done = campaign.report_for(key) if campaign is not None else None
-        if done is not None:
-            cached[key] = done
-            continue
-        resume = campaign.resume_point(key) if campaign is not None else None
-        if resume is not None:
-            unit = replace(unit, resume=resume)
-        pending[key] = unit
-
-    def finish(key, report: ConsensusReport) -> None:
-        crashpoint("campaign.unit.finish")
-        if campaign is not None:
-            if report.inconclusive:
-                campaign.suspend(key, report.checkpoint)
-            else:
-                campaign.record(key, report)
-
-    def decided(key, report: ConsensusReport) -> None:
-        # The campaign suspends only its first inconclusive sweep (below).
-        if not report.inconclusive:
-            finish(key, report)
-
-    pooled: dict = {}
-    if workers is not None and workers > 1 and pending:
-        plans = {
-            key: _SweepPlan(
-                unit.checker(), unit.model, (0, 1), unit.resume, shard_states
-            )
-            for key, unit in pending.items()
-        }
-        _run_sweeps(plans, with_workers(pool, workers), decided)
-        pooled = {key: plan.report for key, plan in plans.items()}
-
-    out: list[tuple] = []
-    for key, _ in units:
-        if key in cached:
-            report = cached[key]
-        elif key in pooled:
-            report = pooled[key]
-            if report.inconclusive and campaign is not None:
-                campaign.suspend(key, report.checkpoint)
-        else:
-            unit = pending[key]
-            crashpoint("campaign.unit.start")
-            report = unit.checker().check_all(
-                unit.model, checkpoint=unit.resume
-            )
-            finish(key, report)
-        out.append((key, report))
-        if report.inconclusive:
-            break
-    return out
 
 
 def replay_witness(system, report: ConsensusReport) -> bool:

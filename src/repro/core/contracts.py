@@ -142,6 +142,8 @@ class ContractWitness:
     def describe(self) -> str:
         if self.action is None:
             return f"at state {self.state!r}"
+        if self.child is None:
+            return f"at state {self.state!r}, layer action {self.action!r}"
         return (
             f"on edge {self.state!r} --{self.action!r}--> {self.child!r}"
         )
@@ -310,6 +312,32 @@ class ContractGuard:
                 None,
             )
 
+    def refused(self, state: GlobalState) -> bool:
+        """Record RP202 after ``successors(state)`` raised ``ValueError``.
+
+        The batch fold checks each primitive before the guard sees the
+        state, so a layer action the model refuses surfaces as that
+        error.  The embedding walk over every layer action, whatever the
+        sample limit, names the first action it refuses; False when it
+        refuses none (the error is then not the layering's).
+        """
+        from repro.layerings.base import Layering, embedding_trace
+
+        if not (isinstance(self.system, Layering) and self.enabled(RP202)):
+            return False
+        stepped: dict = {}
+        for action in self.system.layer_actions(state):
+            try:
+                embedding_trace(self.system, state, action, stepped)
+            except AssertionError as exc:
+                self.record(
+                    RP202,
+                    f"layer action does not embed into the model: {exc}",
+                    ContractWitness(state, action),
+                )
+                return True
+        return False
+
     def _check_determinism(self, state: GlobalState, first: list) -> None:
         second = list(self.system.successors(state))
         if len(first) != len(second):
@@ -463,7 +491,13 @@ def preflight_system(
                 truncated = True
                 break
             state = queue.popleft()
-            succs = list(guard.system.successors(state))
+            try:
+                succs = list(guard.system.successors(state))
+            except ValueError:
+                if not guard.refused(state):
+                    raise
+                truncated = True
+                break
             guard.check(state, succs)
             for _, child in succs:
                 if child not in visited:

@@ -10,7 +10,7 @@ representation buys.
 The shared budgeted BFS (:func:`repro.core.graph.walk`) does the walking,
 bounded by ``max_depth``; :func:`reachable_states` and :func:`explore` are
 two views of it.  The walk charges a cooperative
-:class:`~repro.resilience.Budget` (states, edges, wall clock, best-effort
+:class:`~repro.resilience.budget.Budget` (states, edges, wall clock, best-effort
 memory); the legacy ``max_states: int`` parameter is kept as a deprecated
 alias that builds a states-only budget via :meth:`Budget.of`.
 :func:`explore` degrades gracefully by default: on exhaustion it returns
@@ -32,7 +32,7 @@ from repro.core.graph import EDGE, SEEDING, STATE, walk
 from repro.core.state import GlobalState
 from repro.core.valence import ExplorationLimitExceeded
 from repro.resilience.budget import Budget, DEFAULT_MAX_STATES
-from repro.resilience.chaos import crashpoint
+from repro.resilience.crashpoint import crashpoint
 
 
 @dataclass

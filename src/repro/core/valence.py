@@ -145,7 +145,7 @@ class ValenceAnalyzer:
         system: any object with ``successors``, ``failed_at`` and
             ``decisions`` (a model or a layering).
         max_states: exploration budget shared across all queries — a
-            legacy state count or a full :class:`~repro.resilience.Budget`
+            legacy state count or a full :class:`~repro.resilience.budget.Budget`
             (states, edges, wall clock, memory).
         strict: if True, budget exhaustion raises
             :class:`ExplorationLimitExceeded` (the historical behaviour);

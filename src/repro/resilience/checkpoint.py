@@ -37,7 +37,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.resilience.chaos import crashpoint
+from repro.resilience.crashpoint import crashpoint
 
 _FORMAT = "repro-checkpoint"
 _VERSION = 1

@@ -31,8 +31,7 @@ import struct
 import zlib
 from typing import BinaryIO, Optional
 
-from repro.resilience import chaos
-from repro.resilience.chaos import crashpoint
+from repro.resilience.crashpoint import crashpoint, is_armed
 
 __all__ = [
     "FRAME_HEADER",
@@ -138,7 +137,7 @@ def append_frame(
     frame = encode_frame(payload)
     fh.write(frame[: FRAME_HEADER.size])
     if crash_prefix is not None:
-        if chaos.is_armed():
+        if is_armed():
             fh.flush()
         crashpoint(f"{crash_prefix}.mid")
     fh.write(frame[FRAME_HEADER.size :])

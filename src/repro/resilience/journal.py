@@ -38,8 +38,8 @@ campaign, substitutes state wholesale at each ``base``, and applies
 *load → heal torn tail → replay → (eventually) compact*.
 
 :class:`CampaignJournal` subclasses ``CampaignCheckpoint`` so the
-campaign engines (:func:`repro.core.checker.run_campaign`, the analysis
-drivers, the CLI) need no new call sites: ``record``/``suspend``
+campaign engines (:func:`repro.analysis.campaign.run_campaign`, the
+analysis drivers, the CLI) need no new call sites: ``record``/``suspend``
 transparently append.  Fingerprint validation is unchanged — it lives
 in the inner checkpoints, which travel through the journal intact.
 """
@@ -54,12 +54,12 @@ import zlib
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.resilience.chaos import crashpoint
 from repro.resilience.checkpoint import (
     CampaignCheckpoint,
     CheckpointCorrupt,
     _fsync_directory,
 )
+from repro.resilience.crashpoint import crashpoint
 from repro.resilience.frames import (
     FRAME_HEADER,
     FRAME_MAGIC,

@@ -95,7 +95,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 from repro.log import get_logger
-from repro.resilience.chaos import crashpoint
+from repro.resilience.crashpoint import crashpoint
 from repro.resilience.retry import Deadline, RetryPolicy
 from repro.resilience.wire import dumps as _dumps
 from repro.resilience.wire import loads as _loads

@@ -8,7 +8,7 @@ rejection into a ``REJECTED`` response with the machine-readable
 reason.  Nothing here blocks and nothing grows without bound: overload
 is shed, never buffered.
 
-Tenant quotas reuse :class:`repro.resilience.Budget` /
+Tenant quotas reuse :class:`repro.resilience.budget.Budget` /
 ``BudgetMeter`` — the same cooperative accounting the checker's
 exploration budgets use.  A tenant's completed jobs charge their
 explored-state counts to the tenant's meter; once the meter reports a

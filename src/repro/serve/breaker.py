@@ -8,7 +8,7 @@ directory) makes **every** job quarantine, each one burning its full
 retry budget before failing.  The breaker cuts that cascade off: after
 *threshold* consecutive quarantines it opens, and jobs complete
 immediately as structured UNKNOWN-degraded responses (no workers
-spawned, nothing stored) until a cooldown :class:`~repro.resilience.Deadline`
+spawned, nothing stored) until a cooldown :class:`~repro.resilience.retry.Deadline`
 passes.  Then one probe job is let through (half-open): success closes
 the breaker, another quarantine re-opens it for a fresh cooldown.
 

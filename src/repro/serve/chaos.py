@@ -33,14 +33,13 @@ import time
 from collections import Counter
 from typing import Optional
 
-from repro.resilience.chaos import (
+from repro.resilience.chaos import _read_trace, _src_pythonpath
+from repro.resilience.crashpoint import (
     ENV_SCOPE,
     ENV_SPECS,
     ENV_TRACE,
     MODE_EXIT,
     MODE_KILL,
-    _read_trace,
-    _src_pythonpath,
 )
 from repro.resilience.frames import read_frames
 from repro.resilience.journal import KIND_UNIT

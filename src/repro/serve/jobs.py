@@ -17,8 +17,8 @@ kinds exist:
 
 Every job has a **fingerprint**: a sha256 over its canonical JSON form,
 which for refute jobs folds in the layered system's structural
-fingerprint (:func:`repro.resilience.system_fingerprint` — the same
-identity the checkpoint/cache layer keys on).  The fingerprint is the
+fingerprint (:func:`repro.resilience.checkpoint.system_fingerprint` — the
+same identity the checkpoint/cache layer keys on).  The fingerprint is the
 job's identity everywhere: dedupe at admission, the ledger's record
 keys, and the verdict store's content address.
 

@@ -8,12 +8,12 @@ conditions:
   passes :class:`~repro.serve.admission.AdmissionController`; overload
   produces a structured ``REJECTED`` response, never an unbounded queue
   or a crash;
-* **per-job deadlines** (:class:`~repro.resilience.Deadline`) and
-  **per-tenant quotas** (:class:`~repro.resilience.Budget`);
+* **per-job deadlines** (:class:`~repro.resilience.retry.Deadline`) and
+  **per-tenant quotas** (:class:`~repro.resilience.budget.Budget`);
 * **dedupe by fingerprint** — a job identical to one queued, running,
   or already stored never runs twice;
 * **durable exactly-once completion** — accepted jobs are recorded in a
-  :class:`~repro.resilience.CampaignJournal` ledger *before* they are
+  :class:`~repro.resilience.journal.CampaignJournal` ledger *before* they are
   acknowledged, and conclusive verdicts land in the content-addressed
   :class:`~repro.serve.store.VerdictStore` *before* the completion
   record.  The recovery rule at restart is therefore one line: a job
@@ -85,8 +85,8 @@ from typing import Optional
 from repro.exitcodes import EXIT_INTERRUPTED, EXIT_OK
 from repro.log import get_logger
 from repro.resilience.budget import Budget
-from repro.resilience.chaos import crashpoint
 from repro.resilience.checkpoint import CheckpointCorrupt
+from repro.resilience.crashpoint import crashpoint
 from repro.resilience.journal import CampaignJournal, is_journal
 from repro.resilience.pool import PoolConfig, WorkerPool, run_units
 from repro.resilience.retry import Deadline

@@ -44,8 +44,8 @@ import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.resilience.chaos import crashpoint
 from repro.resilience.checkpoint import _fsync_directory
+from repro.resilience.crashpoint import crashpoint
 from repro.resilience.frames import (
     append_frame,
     encode_frame,

@@ -95,7 +95,7 @@ class TaskChecker:
     accounting are the consensus checker's own.
 
     ``max_states`` accepts a state count or a full
-    :class:`~repro.resilience.Budget`.  The task checker is always
+    :class:`~repro.resilience.budget.Budget`.  The task checker is always
     *strict*: exhaustion raises
     :class:`~repro.core.valence.ExplorationLimitExceeded` (the
     solvability drivers interpret a SATISFIED report as a solvability

@@ -107,7 +107,7 @@ class OutcomeAnalyzer:
     """Memoized run-outcome sets over a layered system (module docstring).
 
     ``max_states`` accepts a state count or a full
-    :class:`~repro.resilience.Budget` (states, edges, wall clock,
+    :class:`~repro.resilience.budget.Budget` (states, edges, wall clock,
     memory).  Outcome analysis is always *strict* — the covering
     quantification acts on exact outcome sets, so a truncated set could
     flip always-valence-connectivity verdicts; budget exhaustion raises

@@ -12,6 +12,8 @@ from itertools import product
 
 import pytest
 
+from repro.analysis import campaign as campaign_module
+from repro.analysis.campaign import SweepUnit, run_campaign
 from repro.analysis.impossibility import refute_candidate
 from repro.analysis.solvability_experiments import solvability_matrix
 from repro.analysis.sync_lower_bound import (
@@ -20,8 +22,6 @@ from repro.analysis.sync_lower_bound import (
     verify_tight_protocols,
 )
 from repro.cli import EXIT_INCONCLUSIVE, EXIT_OK, main
-from repro.core import checker as checker_module
-from repro.core.checker import SweepUnit, run_campaign
 from repro.protocols.candidates import QuorumDecide
 from repro.protocols.floodset import FloodSet
 from repro.protocols.registry import PROTOCOLS
@@ -181,7 +181,7 @@ class TestCampaignIntegration:
         its record: the ones still running are stopped."""
         workers = 2
         events = []
-        run_units = checker_module.run_units
+        run_units = campaign_module.run_units
 
         def traced_run_units(fn, units, config, on_complete=None, context=None):
             def traced(outcome):
@@ -190,7 +190,7 @@ class TestCampaignIntegration:
 
             return run_units(fn, units, config, traced, context)
 
-        monkeypatch.setattr(checker_module, "run_units", traced_run_units)
+        monkeypatch.setattr(campaign_module, "run_units", traced_run_units)
         path = tmp_path / "campaign.journal"
         journal = CampaignJournal.create(path, checkpoint_interval=1)
         record = journal.record

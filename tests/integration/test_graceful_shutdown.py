@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.resilience.chaos import ENV_SCOPE, ENV_SPECS, ENV_TRACE
+from repro.resilience.crashpoint import ENV_SCOPE, ENV_SPECS, ENV_TRACE
 from repro.resilience.journal import is_journal
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")

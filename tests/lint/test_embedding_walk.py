@@ -7,7 +7,8 @@ prefix two actions share once.  In ``S^per`` at n=3 the full schedule
 prefix stage, recv, flush of process 0 and the stage of process 1, so a
 fault in the later action is met only after that shared prefix.  Each
 ill-formed system here is checked through the bounded probe and through
-the checks fused into a sequential and a pooled ``check_all``; the last
+the checks fused into a sequential and a pooled ``check_all``.  A layer
+the batch fold refuses outright is named by the same walk, and the last
 test pins the walk's cost.
 """
 
@@ -17,7 +18,7 @@ import pytest
 
 from repro.analysis.impossibility import standard_layerings
 from repro.core.checker import ConsensusChecker, Verdict
-from repro.core.contracts import ContractGuard
+from repro.core.contracts import ContractGuard, ContractWitness
 from repro.layerings.base import CompiledLayer, Layering
 from repro.layerings.permutation import (
     PermutationLayering,
@@ -135,6 +136,42 @@ def test_the_fault_after_a_shared_prefix_is_caught(name):
         finding = _rp202(report.preflight.findings, fragment)
         assert finding.message == probe.message
         assert finding.witness == probe.witness
+
+
+class _FlushesTwiceInEveryPair(PermutationLayering):
+    """Ill-formed: every pair schedule ends with a second flush of its
+    last process, which has nothing staged by then.  The batch fold
+    refuses the layer with a ``ValueError`` before the guard sees it."""
+
+    def expand(self, state, action):
+        steps = super().expand(state, action)
+        return (*steps, steps[-1]) if action[0] == "pair" else steps
+
+
+def test_a_layer_the_batch_fold_refuses_is_ill_formed():
+    """RP202 names the first action the walk refuses, in the probe, in
+    a sweep and in one assignment's check; the bare search raises."""
+    model = AsyncMessagePassingModel(QuorumDecide(2), 3)
+    layering = _FlushesTwiceInEveryPair(model)
+    root = model.initial_state((0, 0, 0))
+    with pytest.raises(ValueError, match="no staged messages"):
+        layering.successors(root)
+    first_pair = next(
+        a for a in layering.layer_actions(root) if a[0] == "pair"
+    )
+    fragment = "not enabled at an intermediate state"
+    probe = _rp202(
+        preflight_system(layering, model.initial_states()).findings, fragment
+    )
+    assert probe.witness == ContractWitness(root, first_pair)
+    swept = ConsensusChecker(layering).check_all(model)
+    one = ConsensusChecker(layering).check(root, (0, 0, 0))
+    for report in (swept, one):
+        assert report.verdict is Verdict.ILL_FORMED
+        finding = _rp202(report.preflight.findings, fragment)
+        assert finding.message == probe.message
+    with pytest.raises(ValueError, match="no staged messages"):
+        ConsensusChecker(layering, preflight=False).check_all(model)
 
 
 def test_the_walk_steps_each_distinct_prefix_once(monkeypatch):

@@ -14,17 +14,18 @@ import time
 import pytest
 
 import repro.resilience.chaos as chaos
-from repro.resilience.chaos import (
+from repro.resilience.chaos import _select_hits
+from repro.resilience.crashpoint import (
     ENV_SCOPE,
     ENV_SPECS,
     ENV_TRACE,
     ChaosInjected,
     CrashSpec,
-    _select_hits,
     active_plan,
     crashpoint,
     is_armed,
     parse_specs,
+    rearm_from_env,
 )
 from repro.serve.chaos import ServerTarget
 
@@ -98,7 +99,7 @@ class TestCrashpoint:
 
 def _child_hits_crashpoint(env: dict) -> None:
     os.environ.update(env)
-    chaos.rearm_from_env()
+    rearm_from_env()
     crashpoint("engine.point")
 
 

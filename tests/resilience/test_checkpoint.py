@@ -284,7 +284,7 @@ _CROSS_PROCESS_CHECK = textwrap.dedent(
     import pickle, sys
     from repro import AsyncMessagePassingModel, PermutationLayering, WaitForAll
     from repro.core.checker import ConsensusChecker
-    from repro.resilience import Budget
+    from repro.resilience.budget import Budget
 
     mode, path, budget = sys.argv[1], sys.argv[2], int(sys.argv[3])
     model = AsyncMessagePassingModel(WaitForAll(), 3)

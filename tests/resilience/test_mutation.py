@@ -10,7 +10,7 @@ a surviving mutant is a checker bug.
 import pytest
 
 from repro.core.checker import Verdict
-from repro.resilience.mutation import (
+from tests.mutation import (
     MUTATION_OPERATORS,
     DropRelayMutant,
     FlipDecisionMutant,

@@ -13,7 +13,8 @@ import sys
 
 import pytest
 
-from repro.resilience.chaos import ENV_SCOPE, ENV_SPECS, chaos_sweep
+from repro.resilience.chaos import chaos_sweep
+from repro.resilience.crashpoint import ENV_SCOPE, ENV_SPECS
 from repro.serve.chaos import ServerTarget, _ledger_done_counts, default_battery
 from repro.serve.client import ServerGone
 

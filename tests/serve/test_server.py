@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.resilience.chaos import ENV_SCOPE, ENV_SPECS, ENV_TRACE
+from repro.resilience.crashpoint import ENV_SCOPE, ENV_SPECS, ENV_TRACE
 from repro.serve.client import ServeClient, wait_for_endpoint
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")

@@ -10,7 +10,7 @@ frame that is not a verdict record, a duplicated fingerprint — must be
 
 import pytest
 
-from repro.resilience.chaos import ChaosInjected, active_plan
+from repro.resilience.crashpoint import ChaosInjected, active_plan
 from repro.resilience.frames import encode_frame
 from repro.serve.jobs import canonical_json
 from repro.serve.store import MAGIC, StoreCorrupt, VerdictStore
