@@ -30,108 +30,77 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 experiment-by-experiment reproduction record.
 """
 
-from repro.core import (
-    ConsensusChecker,
-    ConsensusReport,
-    Execution,
-    ExplorationLimitExceeded,
-    GlobalState,
-    RunWitness,
-    ValenceAnalyzer,
-    ValenceResult,
-    Verdict,
-    agree_modulo,
-    bivalent_successor,
-    build_bivalent_execution,
-    build_bivalent_lasso,
-    con0_chain,
-    find_bivalent,
-    is_similarity_connected,
-    is_valence_connected,
-    lemma_3_6,
-    similar,
-)
-from repro.layerings import (
-    Layering,
-    PermutationLayering,
-    S1MobileLayering,
-    StSynchronousLayering,
-    SynchronicMPLayering,
-    SynchronicRWLayering,
-    verify_layering_embedding,
-)
-from repro.models import (
-    AsyncMessagePassingModel,
-    MobileModel,
-    SharedMemoryModel,
-    SynchronousModel,
-)
-from repro.protocols import (
-    EIG,
-    FloodSet,
-    FullInformationProtocol,
-    QuorumDecide,
-    WaitForAll,
-    decide_constant,
-    decide_min_observed,
-    decide_own_input,
-)
-from repro.resilience.budget import Budget, BudgetStats
-from repro.resilience.checkpoint import (
-    CampaignCheckpoint,
-    CheckAllCheckpoint,
-    ExplorationCheckpoint,
-    load_checkpoint,
-    save_checkpoint,
-)
+import importlib
+import sys
+from collections.abc import Callable
+from typing import Any
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AsyncMessagePassingModel",
-    "Budget",
-    "BudgetStats",
-    "CampaignCheckpoint",
-    "CheckAllCheckpoint",
-    "ConsensusChecker",
-    "ConsensusReport",
-    "EIG",
-    "ExplorationCheckpoint",
-    "load_checkpoint",
-    "save_checkpoint",
-    "Execution",
-    "ExplorationLimitExceeded",
-    "FloodSet",
-    "FullInformationProtocol",
-    "GlobalState",
-    "Layering",
-    "MobileModel",
-    "PermutationLayering",
-    "QuorumDecide",
-    "RunWitness",
-    "S1MobileLayering",
-    "SharedMemoryModel",
-    "StSynchronousLayering",
-    "SynchronicMPLayering",
-    "SynchronicRWLayering",
-    "SynchronousModel",
-    "ValenceAnalyzer",
-    "ValenceResult",
-    "Verdict",
-    "WaitForAll",
-    "agree_modulo",
-    "bivalent_successor",
-    "build_bivalent_execution",
-    "build_bivalent_lasso",
-    "con0_chain",
-    "decide_constant",
-    "decide_min_observed",
-    "decide_own_input",
-    "find_bivalent",
-    "is_similarity_connected",
-    "is_valence_connected",
-    "lemma_3_6",
-    "similar",
-    "verify_layering_embedding",
-    "__version__",
-]
+#: Where each top-level name is defined: loading ``repro`` loads none of
+#: them, so ``import repro.core.state`` or ``repro.resilience.budget``
+#: does not load the engine.  A name is imported on first use.
+_EXPORTS = {
+    "repro.core.bivalence": (
+        "bivalent_successor", "build_bivalent_execution", "build_bivalent_lasso",
+    ),
+    "repro.core.checker": ("ConsensusChecker", "ConsensusReport", "Verdict"),
+    "repro.core.connectivity": (
+        "con0_chain", "find_bivalent", "is_valence_connected", "lemma_3_6",
+    ),
+    "repro.core.run": ("Execution", "RunWitness"),
+    "repro.core.similarity": ("is_similarity_connected", "similar"),
+    "repro.core.state": ("GlobalState", "agree_modulo"),
+    "repro.core.valence": (
+        "ExplorationLimitExceeded", "ValenceAnalyzer", "ValenceResult",
+    ),
+    "repro.layerings.base": ("Layering", "verify_layering_embedding"),
+    "repro.layerings.permutation": ("PermutationLayering",),
+    "repro.layerings.s1_mobile": ("S1MobileLayering",),
+    "repro.layerings.st_synchronous": ("StSynchronousLayering",),
+    "repro.layerings.synchronic_mp": ("SynchronicMPLayering",),
+    "repro.layerings.synchronic_rw": ("SynchronicRWLayering",),
+    "repro.models.async_mp": ("AsyncMessagePassingModel",),
+    "repro.models.mobile": ("MobileModel",),
+    "repro.models.shared_memory": ("SharedMemoryModel",),
+    "repro.models.sync": ("SynchronousModel",),
+    "repro.protocols.candidates": ("QuorumDecide", "WaitForAll"),
+    "repro.protocols.eig": ("EIG",),
+    "repro.protocols.floodset": ("FloodSet",),
+    "repro.protocols.full_information": (
+        "FullInformationProtocol", "decide_constant", "decide_min_observed",
+        "decide_own_input",
+    ),
+    "repro.resilience.budget": ("Budget", "BudgetStats"),
+    "repro.resilience.checkpoint": (
+        "CampaignCheckpoint", "CheckAllCheckpoint", "ExplorationCheckpoint",
+        "load_checkpoint", "save_checkpoint",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__all__.append("__version__")
+
+
+def _lazy_getattr(
+    package: str, exports: dict[str, tuple[str, ...]]
+) -> Callable[[str], Any]:
+    """A module ``__getattr__`` for *package* serving the names of
+    *exports* (submodule -> names): each is imported from its submodule
+    on first use and then kept on the package."""
+    where = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str) -> Any:
+        module = where.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        value = getattr(importlib.import_module(module), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _lazy_getattr(__name__, _EXPORTS)

@@ -6,103 +6,46 @@ the exhaustive consensus checker.  Concrete models plug in underneath
 (:mod:`repro.models`), layerings on top (:mod:`repro.layerings`).
 """
 
-from repro.core.cache import (
-    CachedSystem,
-    CacheStats,
-    aggregate_stats,
-    merge_cache_stats,
-    resolve_cache,
-)
-from repro.core.bivalence import (
-    BivalenceStep,
-    NoBivalentSuccessor,
-    bivalent_successor,
-    build_bivalent_execution,
-    build_bivalent_lasso,
-)
-from repro.core.checker import ConsensusChecker, ConsensusReport, Verdict
-from repro.core.connectivity import (
-    con0_chain,
-    find_bivalent,
-    is_valence_connected,
-    lemma_3_3_edges,
-    lemma_3_4,
-    lemma_3_5,
-    lemma_3_6,
-    shared_valence,
-    valence_graph,
-)
-from repro.core.exploration import ExplorationStats, explore, reachable_states
-from repro.core.faulty import (
-    agree_modulo_refined,
-    check_crash_display,
-    check_fault_independence,
-    displays_no_finite_failure,
-)
-from repro.core.run import Execution, RunWitness, paste, pasting_violations
-from repro.core.similarity import (
-    is_similarity_connected,
-    s_diameter,
-    similar,
-    similarity_graph,
-    similarity_witnesses,
-)
-from repro.core.state import (
-    GlobalState,
-    agree_modulo,
-    agreement_witnesses,
-    differing_processes,
-)
-from repro.core.valence import (
-    ExplorationLimitExceeded,
-    ValenceAnalyzer,
-    ValenceResult,
-)
+from repro import _lazy_getattr
 
-__all__ = [
-    "BivalenceStep",
-    "CacheStats",
-    "CachedSystem",
-    "ConsensusChecker",
-    "ConsensusReport",
-    "ExplorationLimitExceeded",
-    "ExplorationStats",
-    "Execution",
-    "GlobalState",
-    "NoBivalentSuccessor",
-    "RunWitness",
-    "ValenceAnalyzer",
-    "ValenceResult",
-    "Verdict",
-    "aggregate_stats",
-    "agree_modulo",
-    "agree_modulo_refined",
-    "agreement_witnesses",
-    "bivalent_successor",
-    "build_bivalent_execution",
-    "build_bivalent_lasso",
-    "check_crash_display",
-    "check_fault_independence",
-    "con0_chain",
-    "differing_processes",
-    "displays_no_finite_failure",
-    "explore",
-    "find_bivalent",
-    "is_similarity_connected",
-    "is_valence_connected",
-    "lemma_3_3_edges",
-    "lemma_3_4",
-    "lemma_3_5",
-    "lemma_3_6",
-    "merge_cache_stats",
-    "paste",
-    "pasting_violations",
-    "reachable_states",
-    "resolve_cache",
-    "s_diameter",
-    "shared_valence",
-    "similar",
-    "similarity_graph",
-    "similarity_witnesses",
-    "valence_graph",
-]
+#: Where each name is defined; a name is imported on first use, so
+#: ``import repro.core.state`` loads no other module of the engine.
+_EXPORTS = {
+    "repro.core.bivalence": (
+        "BivalenceStep", "NoBivalentSuccessor", "bivalent_successor",
+        "build_bivalent_execution", "build_bivalent_lasso",
+    ),
+    "repro.core.cache": (
+        "CacheStats", "CachedSystem", "aggregate_stats", "merge_cache_stats",
+        "resolve_cache",
+    ),
+    "repro.core.checker": ("ConsensusChecker", "ConsensusReport", "Verdict"),
+    "repro.core.connectivity": (
+        "con0_chain", "find_bivalent", "is_valence_connected",
+        "lemma_3_3_edges", "lemma_3_4", "lemma_3_5", "lemma_3_6",
+        "shared_valence", "valence_graph",
+    ),
+    "repro.core.exploration": (
+        "ExplorationStats", "explore", "reachable_states",
+    ),
+    "repro.core.faulty": (
+        "agree_modulo_refined", "check_crash_display",
+        "check_fault_independence", "displays_no_finite_failure",
+    ),
+    "repro.core.run": ("Execution", "RunWitness", "paste", "pasting_violations"),
+    "repro.core.similarity": (
+        "is_similarity_connected", "s_diameter", "similar",
+        "similarity_graph", "similarity_witnesses",
+    ),
+    "repro.core.state": (
+        "GlobalState", "agree_modulo", "agreement_witnesses",
+        "differing_processes",
+    ),
+    "repro.core.valence": (
+        "ExplorationLimitExceeded", "ValenceAnalyzer", "ValenceResult",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__ = _lazy_getattr(__name__, _EXPORTS)

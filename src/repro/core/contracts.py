@@ -377,11 +377,11 @@ class ContractGuard:
                     ContractWitness(state),
                 )
             return
+        if self.states > self.embedding_samples:
+            return
         from repro.layerings.base import Layering, embedding_trace
 
-        if self.states > self.embedding_samples or not isinstance(
-            self.system, Layering
-        ):
+        if not isinstance(self.system, Layering):
             return
         # successors() runs a layer compiled ahead of the state; it must
         # label its children with exactly the state's layer actions.

@@ -44,15 +44,9 @@ so the model displays no finite failure.
 from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
-from typing import Optional
 
 from repro.core.state import GlobalState
-from repro.models.base import (
-    PrefixFoldModel,
-    PrefixProgram,
-    ProtocolTables,
-    prefix_fold,
-)
+from repro.models.base import PrefixFoldModel, ProtocolTables
 from repro.protocols.base import MessageBatch, MessagePassingProtocol
 
 NO_OUTBOX = None
@@ -88,9 +82,24 @@ def flush_action(i: int) -> tuple:
 class AsyncMessagePassingModel(PrefixFoldModel):
     """The asynchronous MP model driving a :class:`MessagePassingProtocol`."""
 
+    KINDS = ("stage", "recv", "flush")
+
     def __init__(self, protocol: MessagePassingProtocol, n: int) -> None:
         super().__init__(n)
         self._protocol = protocol
+
+    def _layout(self) -> dict:
+        """Also the channel labels of a scratch bag, channel ``(sender,
+        dest)`` at index ``sender * n + dest``, an empty column of the
+        bag, and whom each process may send to."""
+        n = self._n
+        channels = [(s, d) for s in range(n) for d in range(n)]
+        return {
+            **super()._layout(),
+            "_channels": channels,
+            "_no_mail": (0,) * n,
+            "_peers": [frozenset(range(n)) - {i} for i in range(n)],
+        }
 
     @property
     def protocol(self) -> MessagePassingProtocol:
@@ -143,43 +152,46 @@ class AsyncMessagePassingModel(PrefixFoldModel):
                 out.append(flush_action(i))
         return out
 
-    def run(
-        self,
-        state: GlobalState,
-        program: PrefixProgram,
-        tables: Optional[ProtocolTables] = None,
-    ) -> list[GlobalState]:
-        """Fold stage/recv/flush primitives on scratch ids and bag.
+    def _enter(self, tables: ProtocolTables, env: Hashable) -> list[int]:
+        """The scratch bag of *env*: per channel, the id of its entry
+        ``((sender, dest), payloads)``, or 0 if it is empty."""
+        tag, entries = env
+        if tag != "mp":
+            raise ValueError(f"not an async-MP state: {env!r}")
+        n, intern = self._n, tables.intern_value
+        chans = [0] * (n * n)
+        for entry in entries:
+            sender, dest = entry[0]
+            chans[sender * n + dest] = intern(entry)
+        return chans
 
-        All expansions are folded along their shared prefixes
-        (:func:`repro.models.base.prefix_fold`).  For as long as *tables*
-        live, each process's ``outgoing`` runs once per local state it
-        stages from, and its ``transition`` once per local state and
-        delivery.
-        """
-        return prefix_fold(
-            state, program, self.bag(state), self._fold,
-            lambda bag: mp_env(tuple(sorted(bag.items()))), tables,
-        )
+    def _seal(self, entries: Sequence, chans: Sequence[int]) -> tuple:
+        """The canonical bag of a scratch bag: its nonempty channels'
+        entries, in ascending ``(sender, dest)`` order."""
+        return mp_env(tuple(map(entries.__getitem__, filter(None, chans))))
 
     def _fold(
-        self, tables: ProtocolTables, ids_in: Sequence, bag_in: dict,
+        self, tables: ProtocolTables, ids_in: Sequence, chans_in: Sequence,
         actions: Sequence[tuple],
-    ) -> tuple[list, dict]:
+    ) -> tuple[list, list]:
         """:func:`prefix_fold`'s fold: *actions* from scratch ids and bag.
 
         ``tables.phase`` maps a local id to the id its stage (its
-        outbox empty) or its flush (its outbox full) leads to, and
-        ``tables.step`` a local id and delivery to the id after
-        ``transition``.
+        outbox empty) leads to, ``tables.step`` a local id and the entry
+        ids of its incoming channels to the id after ``transition``, and
+        ``tables.write`` a local id (its outbox full) and the entry ids
+        of its outgoing channels to the id after its flush and the
+        channels' new entry ids.  So for as long as *tables* live, each
+        process's ``outgoing`` runs once per local state it stages from,
+        and its ``transition`` once per local state and delivery.
         """
-        n, protocol = self.n, self._protocol
+        n, protocol = self._n, self._protocol
         locals_, phase, step = tables.locals, tables.phase, tables.step
-        ids, bag = list(ids_in), dict(bag_in)
+        ids, chans = list(ids_in), list(chans_in)
         for action in actions:
             kind, i = action
+            local_id = ids[i]
             if kind == "stage":
-                local_id = ids[i]
                 _, proto_local, outbox = locals_[local_id]
                 if outbox is not NO_OUTBOX:
                     raise ValueError(
@@ -188,67 +200,77 @@ class AsyncMessagePassingModel(PrefixFoldModel):
                 next_id = phase.get(local_id)
                 if next_id is None:
                     outgoing = protocol.outgoing(i, n, proto_local)
-                    if i in outgoing:
+                    peers = self._peers[i]
+                    if not peers.issuperset(outgoing):
+                        if i in outgoing:
+                            raise ValueError(
+                                f"process {i} attempted a self-message"
+                            )
+                        stray = [d for d in outgoing if d not in peers]
                         raise ValueError(
-                            f"process {i} attempted a self-message"
+                            f"message to unknown destination {stray[0]!r}"
                         )
                     next_id = phase[local_id] = tables.intern(
                         i, ("amp", proto_local, tuple(sorted(outgoing.items())))
                     )
             elif kind == "recv":
-                local_id = ids[i]
-                _, proto_local, outbox = locals_[local_id]
-                # Senders in ascending order, as in the canonical bag.
-                delivered = []
-                for sender in range(n):
-                    payloads = bag.pop((sender, i), None)
-                    if payloads is not None:
-                        delivered.append((sender, payloads))
-                key = (local_id, tuple(delivered))
+                # The incoming channels, senders in ascending order.
+                key = (local_id, tuple(chans[i::n]))
                 next_id = step.get(key)
                 if next_id is None:
+                    _, proto_local, outbox = locals_[local_id]
+                    entries = tables.values
                     new_proto = protocol.transition(
                         i, n, proto_local,
                         {
-                            sender: MessageBatch(payloads)
-                            for sender, payloads in delivered
+                            sender: MessageBatch(entries[entry][1])
+                            for sender, entry in enumerate(key[1])
+                            if entry
                         },
                     )
                     next_id = step[key] = tables.intern(
                         i, ("amp", new_proto, outbox)
                     )
+                chans[i::n] = self._no_mail
             elif kind == "flush":
-                local_id = ids[i]
                 _, proto_local, outbox = locals_[local_id]
                 if outbox is NO_OUTBOX:
                     raise ValueError(
                         f"process {i} has no staged messages to flush"
                     )
-                for dest, payload in outbox:
-                    channel = (i, dest)
-                    queue = bag.get(channel, ())
-                    # Idempotent channel compression: consecutive
-                    # identical undelivered payloads collapse into one.
-                    # Without this, a protocol that keeps gossiping a
-                    # stabilized value at a never-scheduled process grows
-                    # the channel without bound and no exhaustive
-                    # analysis terminates.  The quotient is faithful for
-                    # the monotone-emission protocols this library ships
-                    # (a sender's successive payloads change only when
-                    # its state does), and it only ever merges *adjacent
-                    # equal* messages, so FIFO order and message
-                    # distinctness are preserved.
-                    if not (queue and queue[-1] == payload):
-                        bag[channel] = queue + (payload,)
-                next_id = phase.get(local_id)
-                if next_id is None:
-                    next_id = phase[local_id] = tables.intern(
-                        i, ("amp", proto_local, NO_OUTBOX)
+                row = i * n
+                key = (local_id, tuple(chans[row:row + n]))
+                write = tables.write
+                entry = write.get(key)
+                if entry is None:
+                    entries, sent = tables.values, list(key[1])
+                    for dest, payload in outbox:
+                        queue = entries[sent[dest]][1] if sent[dest] else ()
+                        # Idempotent channel compression: consecutive
+                        # identical undelivered payloads collapse into
+                        # one.  Without this, a protocol that keeps
+                        # gossiping a stabilized value at a
+                        # never-scheduled process grows the channel
+                        # without bound and no exhaustive analysis
+                        # terminates.  The quotient is faithful for the
+                        # monotone-emission protocols this library ships
+                        # (a sender's successive payloads change only
+                        # when its state does), and it only ever merges
+                        # *adjacent equal* messages, so FIFO order and
+                        # message distinctness are preserved.
+                        if not (queue and queue[-1] == payload):
+                            sent[dest] = tables.intern_value(
+                                (self._channels[row + dest], queue + (payload,))
+                            )
+                    entry = write[key] = (
+                        tables.intern(i, ("amp", proto_local, NO_OUTBOX)),
+                        tuple(sent),
                     )
+                next_id, chans[row:row + n] = entry
             else:
                 raise ValueError(f"unknown async-MP action {action!r}")
             ids[i] = next_id
-        return ids, bag
+        return ids, chans
 
     def local_phase(self, state: GlobalState, i: int) -> GlobalState:
         """One complete sequential local phase of *i* (Section 5.1)."""

@@ -387,14 +387,27 @@ class ProtocolTables:
       and the small int it is interned to, its index in ``locals``.
       ``ids`` is keyed by ``(process, local)``.  A fold's scratch holds
       one id per process, never the local states themselves;
+    * ``values`` and ``value_ids``: each environment component the
+      folds met (a channel's entry, its label and FIFO payload queue;
+      a register's or a cell's value), interned the same way, with the
+      empty queue ``()`` as id 0 (an empty channel).  A fold's scratch
+      environment is one id per component (per channel, per register),
+      so it is copied, compared and hashed as a list of small ints;
     * ``phase``: local id -> what a primitive that reads no environment
-      gives there (the staged messages of ``outgoing``, the value of
+      gives there (the staged messages of ``outgoing``, the value id of
       ``write_value``), with the id it leads to;
-    * ``step``: ``(local id, delivered)`` -> the id a primitive that
+    * ``step``: ``(local id, ids read)`` -> the id a primitive that
       reads the environment leads to (``transition`` on a delivery,
-      ``after_reads`` on a collect or scan, one read of a register);
-    * ``endpoints``: ``(sealed environment, ids)`` -> the one
-      :class:`GlobalState` built for that endpoint.
+      ``after_reads`` on a scan, one read of a register);
+    * ``write``: ``(local id, ids written)`` -> the id a primitive
+      whose write depends on what it overwrites leads to, and the ids
+      it leaves there (a flush appends to its sender's channels);
+    * ``endpoints``: the scratch ``(*environment ids, *local ids)`` ->
+      the one :class:`GlobalState` built for that endpoint.
+
+    Component ids map one-to-one onto components, so a memo keyed by
+    ids runs each protocol call once per distinct input, as one keyed
+    by the components would.
 
     The round models (:func:`synchronous_round`) fill ``rounds``:
     environment -> primitive -> its :data:`RoundOutcome` there, for the
@@ -412,32 +425,64 @@ class ProtocolTables:
     processes: a pickled layering carries none.
     """
 
-    __slots__ = ("ids", "locals", "phase", "step", "endpoints", "rounds")
+    __slots__ = (
+        "ids", "locals", "value_ids", "values", "phase", "step", "write",
+        "endpoints", "rounds",
+    )
 
     def __init__(self) -> None:
         self.ids: dict[tuple[int, Hashable], int] = {}
         self.locals: list[Hashable] = []
+        self.value_ids: dict[Hashable, int] = {(): 0}
+        self.values: list[Hashable] = [()]
         self.phase: dict[int, Any] = {}
         self.step: dict[tuple[int, Hashable], int] = {}
-        self.endpoints: dict[tuple[Hashable, tuple[int, ...]], GlobalState] = {}
+        self.write: dict[tuple[int, Hashable], tuple[int, tuple]] = {}
+        self.endpoints: dict[tuple[int, ...], GlobalState] = {}
         self.rounds: dict[Hashable, dict[Hashable, RoundOutcome]] = {}
 
     def intern(self, i: int, local: Hashable) -> int:
         """The id of process *i*'s local state *local*."""
-        key = (i, local)
-        local_id = self.ids.get(key)
-        if local_id is None:
-            local_id = self.ids[key] = len(self.locals)
+        # One lookup, so *local* is hashed once whether it is new or not.
+        local_id = self.ids.setdefault((i, local), len(self.locals))
+        if local_id == len(self.locals):
             self.locals.append(local)
         return local_id
 
+    def intern_locals(self, locals_: Sequence[Hashable]) -> list[int]:
+        """The id of each process's local state in *locals_*."""
+        ids, interned = self.ids, self.locals
+        out = []
+        for key in enumerate(locals_):
+            local_id = ids.setdefault(key, len(interned))
+            if local_id == len(interned):
+                interned.append(key[1])
+            out.append(local_id)
+        return out
+
+    def intern_value(self, value: Hashable) -> int:
+        """The id of the environment component *value*."""
+        value_id = self.value_ids.setdefault(value, len(self.values))
+        if value_id == len(self.values):
+            self.values.append(value)
+        return value_id
+
+    def intern_values(self, values: Iterable[Hashable]) -> list[int]:
+        """The id of each environment component of *values*, in order."""
+        value_ids, interned = self.value_ids, self.values
+        out = []
+        for value in values:
+            value_id = value_ids.setdefault(value, len(interned))
+            if value_id == len(interned):
+                interned.append(value)
+            out.append(value_id)
+        return out
+
 
 def prefix_fold(
+    model: "PrefixFoldModel",
     state: GlobalState,
     program: PrefixProgram,
-    env: Any,
-    fold: Callable[[ProtocolTables, Sequence, Any, Sequence], tuple[list, Any]],
-    seal: Callable[[Any], Hashable],
     tables: Optional[ProtocolTables] = None,
 ) -> list[GlobalState]:
     """:meth:`Model.run` for a model whose layers are many primitives.
@@ -445,24 +490,33 @@ def prefix_fold(
     Runs the steps of *program* (:func:`prefix_program`) from *state*:
 
     * each distinct prefix of the layer's expansions is stepped once;
-    * scratch ids and environment are copied only where expansions
-      diverge, or where one ends inside another;
+    * scratch ids are copied only where expansions diverge, or where
+      one ends inside another;
     * equal endpoints are one object, built and hashed once for as long
       as *tables* live: within the layer, duplicates and the empty
       expansion included, and across every state folded with them.
 
-    The scratch of a process is the id of its local state in *tables*
-    (:class:`ProtocolTables`; None: tables of this call alone).  *env*
-    is the environment of *state* in the model's scratch form (a message
-    bag as a ``dict``, a register array as a sequence).
-    ``fold(tables, ids, env, primitives)`` folds a run of primitives
-    from a scratch state, one primitive at a time, checking each as the
-    one-primitive path does and raising ``ValueError`` if it is illegal
-    there.  It looks up and files its protocol calls in *tables*, copies
-    its other arguments rather than change them, and returns the new
-    scratch ``(ids, env)``, so every step starts from its source slot's
-    scratch.  ``seal(env)`` turns a scratch environment into the
-    endpoint's environment state.
+    The scratch is two lists of small ints in *tables*
+    (:class:`ProtocolTables`; None: tables of this call alone): the id
+    of each process's local state, and the id of each component of the
+    environment.  The *model* (:class:`PrefixFoldModel`) supplies three
+    hooks:
+
+    * ``_enter(tables, env)`` turns *state*'s environment into scratch
+      ids, checking that it is the model's;
+    * ``_fold(tables, ids, env, primitives)`` folds a run of primitives
+      from a scratch state, one primitive at a time, checking each as
+      the one-primitive path does and raising ``ValueError`` if it is
+      illegal there.  It looks up and files its protocol calls in
+      *tables*, copies its other arguments rather than change them, and
+      returns the new scratch ``(ids, env)``, so every step starts from
+      its source slot's scratch;
+    * ``_seal(values, env)`` turns a scratch environment into the
+      model's environment state, reading each component from
+      ``tables.values``.
+
+    An endpoint is keyed by its scratch ``(*env, *ids)``, and only an
+    endpoint not yet in ``tables.endpoints`` is sealed and built.
 
     The steps run in the program's depth-first order.  So an expansion
     that is legal alone never fails here, and one that is illegal alone
@@ -471,22 +525,23 @@ def prefix_fold(
     """
     if tables is None:
         tables = ProtocolTables()
-    ids = [tables.intern(i, local) for i, local in enumerate(state.locals)]
-    built, locals_ = tables.endpoints, tables.locals
+    built, locals_, values = tables.endpoints, tables.locals, tables.values
     endpoints: list = [None] * program.count
-    scratch = [(ids, env)]
+    scratch = [
+        (tables.intern_locals(state.locals), model._enter(tables, state.env))
+    ]
     for source, primitives, ends in program.steps:
         ids, env = scratch[source]
         if primitives:
-            ids, env = fold(tables, ids, env, primitives)
+            ids, env = model._fold(tables, ids, env, primitives)
         scratch.append((ids, env))
         if ends:
-            sealed = seal(env)
-            key = (sealed, tuple(ids))
+            key = (*env, *ids)
             endpoint = built.get(key)
             if endpoint is None:
                 endpoint = built[key] = GlobalState(
-                    sealed, tuple([locals_[local_id] for local_id in ids])
+                    model._seal(values, env),
+                    tuple(map(locals_.__getitem__, ids)),
                 )
             for index in ends:
                 endpoints[index] = endpoint
@@ -494,14 +549,76 @@ def prefix_fold(
 
 
 class PrefixFoldModel(Model):
-    """A model whose layers are many primitives, run by :func:`prefix_fold`
-    (the asynchronous models).  A subclass's :meth:`Model.run` calls
-    :func:`prefix_fold` with its scratch environment and fold."""
+    """A model whose layers are many primitives (the asynchronous
+    models): its :meth:`Model.run` is :func:`prefix_fold`, over the
+    scratch its three hooks define."""
+
+    #: The kinds of primitive; each primitive is ``(kind, process)``.
+    KINDS: tuple[str, ...] = ()
+
+    def __init__(self, n: int) -> None:
+        super().__init__(n)
+        vars(self).update(self._layout())
+
+    def _layout(self) -> dict[str, Any]:
+        """The attributes the fold derives from ``n`` alone.  They are
+        set by the constructor and again on unpickling, and never
+        pickled, so a model pickles to what its constructor was given.
+        Here: the one-step program of each primitive, for :meth:`apply`.
+        """
+        return {
+            "_one_step": {
+                (kind, i): PrefixProgram(1, ((0, ((kind, i),), (0,)),))
+                for kind in self.KINDS
+                for i in range(self._n)
+            }
+        }
+
+    def __getstate__(self) -> dict:
+        state = dict(vars(self))
+        for name in self._layout():
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        vars(self).update(self._layout())
+
+    def run(
+        self,
+        state: GlobalState,
+        program: PrefixProgram,
+        tables: Optional[ProtocolTables] = None,
+    ) -> list[GlobalState]:
+        """Fold the expansions of *program* along their shared prefixes
+        on scratch ids (:func:`prefix_fold`).  For as long as *tables*
+        live, each protocol call runs once per distinct input (see the
+        model's ``_fold``)."""
+        return prefix_fold(self, state, program, tables)
+
+    @abstractmethod
+    def _enter(self, tables: ProtocolTables, env: Hashable) -> list[int]:
+        """The scratch ids of the environment state *env*."""
+
+    @abstractmethod
+    def _fold(
+        self, tables: ProtocolTables, ids: Sequence[int], env: Sequence[int],
+        primitives: Sequence[Hashable],
+    ) -> tuple[list[int], list[int]]:
+        """The scratch ``(ids, env)`` after *primitives*, from a copy of
+        the scratch ``(ids, env)``."""
+
+    @abstractmethod
+    def _seal(self, values: Sequence, env: Sequence[int]) -> Hashable:
+        """The environment state of the scratch environment *env*."""
 
     def apply(self, state: GlobalState, action: Hashable) -> GlobalState:
-        """One primitive: a one-step program, run with tables of this
+        """One primitive: a one-step program, folded with tables of this
         call."""
-        return self.run(state, PrefixProgram(1, ((0, (action,), (0,)),)))[0]
+        program = self._one_step.get(action)
+        if program is None:  # not a primitive: the fold refuses it
+            program = PrefixProgram(1, ((0, (action,), (0,)),))
+        return prefix_fold(self, state, program)[0]
 
     def apply_many(
         self, state: GlobalState, actions: Iterable[Hashable]

@@ -24,15 +24,9 @@ displays no finite failure (Section 3), as in FLP-style analyses.
 from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
-from typing import Optional
 
 from repro.core.state import GlobalState
-from repro.models.base import (
-    PrefixFoldModel,
-    PrefixProgram,
-    ProtocolTables,
-    prefix_fold,
-)
+from repro.models.base import PrefixFoldModel, ProtocolTables
 from repro.protocols.base import SharedMemoryProtocol
 
 BOT: str = "⊥"
@@ -63,6 +57,8 @@ def _wrapper(proto_local: Hashable, stage: int, reads: tuple) -> tuple:
 
 class SharedMemoryModel(PrefixFoldModel):
     """``M^rw`` driving a :class:`SharedMemoryProtocol`."""
+
+    KINDS = ("step",)
 
     def __init__(self, protocol: SharedMemoryProtocol, n: int) -> None:
         super().__init__(n)
@@ -108,22 +104,16 @@ class SharedMemoryModel(PrefixFoldModel):
     def actions(self, state: GlobalState) -> list[tuple]:
         return [step_action(i) for i in range(self.n)]
 
-    def run(
-        self,
-        state: GlobalState,
-        program: PrefixProgram,
-        tables: Optional[ProtocolTables] = None,
-    ) -> list[GlobalState]:
-        """Fold ``step`` primitives on scratch ids and registers.
+    def _enter(self, tables: ProtocolTables, env: Hashable) -> list[int]:
+        """The scratch registers of *env*: one value id per register."""
+        tag, registers = env
+        if tag != "rw":
+            raise ValueError(f"not a shared-memory state: {env!r}")
+        return tables.intern_values(registers)
 
-        All expansions are folded along their shared prefixes
-        (:func:`repro.models.base.prefix_fold`).  For as long as *tables*
-        live, each process's ``write_value`` runs once per local state,
-        and its ``after_reads`` once per local state and collect.
-        """
-        return prefix_fold(
-            state, program, self.registers(state), self._fold, rw_env, tables
-        )
+    def _seal(self, values: Sequence, registers: Sequence[int]) -> tuple:
+        """The register array of scratch registers."""
+        return rw_env(tuple(map(values.__getitem__, registers)))
 
     def _fold(
         self, tables: ProtocolTables, ids_in: Sequence,
@@ -133,12 +123,16 @@ class SharedMemoryModel(PrefixFoldModel):
         registers.
 
         ``tables.phase`` maps the local id of a phase's start to the
-        value it writes and the id after the write, and ``tables.step``
-        a local id and the value of the register it reads to the id
-        after the read (after ``after_reads``, for the last register).
+        value id it writes (None: no write) and the id after the write,
+        and ``tables.step`` a local id and the value id of the register
+        it reads to the id after the read (after ``after_reads``, for
+        the last register).  So for as long as *tables* live, each
+        process's ``write_value`` runs once per local state, and its
+        ``after_reads`` once per local state and collect.
         """
-        n, protocol = self.n, self._protocol
-        locals_, phase, step = tables.locals, tables.phase, tables.step
+        n, protocol = self._n, self._protocol
+        locals_, values = tables.locals, tables.values
+        phase, step = tables.phase, tables.step
         ids, registers = list(ids_in), list(registers_in)
         for action in actions:
             kind, i = action
@@ -149,20 +143,20 @@ class SharedMemoryModel(PrefixFoldModel):
             if stage == 0:
                 entry = phase.get(local_id)
                 if entry is None:
+                    value = protocol.write_value(i, n, proto_local)
                     entry = phase[local_id] = (
-                        protocol.write_value(i, n, proto_local),
+                        None if value is None else tables.intern_value(value),
                         tables.intern(i, _wrapper(proto_local, 1, ())),
                     )
-                value, ids[i] = entry
-                if value is not None:
-                    registers[i] = value
+                value_id, ids[i] = entry
+                if value_id is not None:
+                    registers[i] = value_id
                 continue
             # A read of register ``stage - 1``.
-            read = registers[stage - 1]
-            key = (local_id, read)
+            key = (local_id, registers[stage - 1])
             next_id = step.get(key)
             if next_id is None:
-                new_reads = reads + (read,)
+                new_reads = reads + (values[key[1]],)
                 if stage < n:
                     next_local = _wrapper(proto_local, stage + 1, new_reads)
                 else:

@@ -28,15 +28,9 @@ The model displays no finite failure (crashes are scheduling phenomena).
 from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
-from typing import Optional
 
 from repro.core.state import GlobalState
-from repro.models.base import (
-    PrefixFoldModel,
-    PrefixProgram,
-    ProtocolTables,
-    prefix_fold,
-)
+from repro.models.base import PrefixFoldModel, ProtocolTables
 from repro.protocols.base import SharedMemoryProtocol
 
 BOT: str = "⊥"
@@ -59,6 +53,8 @@ def scan_action(i: int) -> tuple:
 
 class SnapshotMemoryModel(PrefixFoldModel):
     """Snapshot shared memory driving a :class:`SharedMemoryProtocol`."""
+
+    KINDS = ("update", "scan")
 
     def __init__(self, protocol: SharedMemoryProtocol, n: int) -> None:
         super().__init__(n)
@@ -104,23 +100,16 @@ class SnapshotMemoryModel(PrefixFoldModel):
             (self.pending_op(state, i), i) for i in range(self.n)
         ]
 
-    def run(
-        self,
-        state: GlobalState,
-        program: PrefixProgram,
-        tables: Optional[ProtocolTables] = None,
-    ) -> list[GlobalState]:
-        """Fold update/scan primitives on scratch ids and cells.
+    def _enter(self, tables: ProtocolTables, env: Hashable) -> list[int]:
+        """The scratch cells of *env*: one value id per cell."""
+        tag, cells = env
+        if tag != "snap":
+            raise ValueError(f"not a snapshot-memory state: {env!r}")
+        return tables.intern_values(cells)
 
-        All expansions are folded along their shared prefixes
-        (:func:`repro.models.base.prefix_fold`).  For as long as *tables*
-        live, each process's ``write_value`` runs once per local state,
-        and its ``after_reads`` once per local state and scan.
-        """
-        return prefix_fold(
-            state, program, self.cells(state), self._fold, snapshot_env,
-            tables,
-        )
+    def _seal(self, values: Sequence, cells: Sequence[int]) -> tuple:
+        """The cell array of scratch cells."""
+        return snapshot_env(tuple(map(values.__getitem__, cells)))
 
     def _fold(
         self, tables: ProtocolTables, ids_in: Sequence, cells_in: Sequence,
@@ -129,11 +118,15 @@ class SnapshotMemoryModel(PrefixFoldModel):
         """:func:`prefix_fold`'s fold: *actions* from scratch ids and cells.
 
         ``tables.phase`` maps the local id before an update to the value
-        written and the id after it, and ``tables.step`` a local id and
-        scan to the id after ``after_reads``.
+        id written (None: no write) and the id after it, and
+        ``tables.step`` a local id and the cells' value ids to the id
+        after ``after_reads``.  So for as long as *tables* live, each
+        process's ``write_value`` runs once per local state, and its
+        ``after_reads`` once per local state and scan.
         """
-        n, protocol = self.n, self._protocol
-        locals_, phase, step = tables.locals, tables.phase, tables.step
+        n, protocol = self._n, self._protocol
+        locals_, values = tables.locals, tables.values
+        phase, step = tables.phase, tables.step
         ids, cells = list(ids_in), list(cells_in)
         for action in actions:
             kind, i = action
@@ -146,22 +139,24 @@ class SnapshotMemoryModel(PrefixFoldModel):
             if kind == "update":
                 entry = phase.get(local_id)
                 if entry is None:
+                    value = protocol.write_value(i, n, proto_local)
                     entry = phase[local_id] = (
-                        protocol.write_value(i, n, proto_local),
+                        None if value is None else tables.intern_value(value),
                         tables.intern(i, ("sn", proto_local, "scan")),
                     )
-                value, ids[i] = entry
-                if value is not None:
-                    cells[i] = value
+                value_id, ids[i] = entry
+                if value_id is not None:
+                    cells[i] = value_id
             elif kind == "scan":
                 key = (local_id, tuple(cells))
                 next_id = step.get(key)
                 if next_id is None:
+                    scanned = tuple(map(values.__getitem__, key[1]))
                     next_id = step[key] = tables.intern(
                         i,
                         (
                             "sn",
-                            protocol.after_reads(i, n, proto_local, key[1]),
+                            protocol.after_reads(i, n, proto_local, scanned),
                             "update",
                         ),
                     )

@@ -175,6 +175,52 @@ def test_the_engine_loads_no_driver_or_front(run):
     assert "multiprocessing" not in loaded
 
 
+#: Packages whose ``__init__`` only names where their exports live.
+_TABLE_ONLY = ("repro", "repro.core")
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.core.state", "repro.resilience.budget"]
+)
+def test_a_bottom_module_loads_no_engine_module(module):
+    """A fresh interpreter that imports a bottom-layer module loads only
+    the bottom layer and the packages on the way, whose ``__init__``
+    imports nothing of the engine."""
+    src = str(PACKAGE.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    script = f"import {module}\nimport sys\nprint(*sorted(sys.modules))\n"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    loaded = [
+        name for name in done.stdout.split()
+        if name.split(".")[0] == "repro" and name not in _TABLE_ONLY
+    ]
+    assert module in loaded
+    assert [
+        name for name in loaded if layer_of(_module_path(name)) != "bottom"
+    ] == []
+
+
+def test_the_top_level_names_are_served_on_first_use():
+    """``repro`` and ``repro.core`` hold a table, not the names: each is
+    imported from its submodule on first use and is that object."""
+    import repro
+    import repro.core
+    from repro.core.checker import ConsensusChecker
+    from repro.resilience.budget import Budget
+
+    assert repro.ConsensusChecker is ConsensusChecker
+    assert repro.core.ConsensusChecker is ConsensusChecker
+    assert repro.Budget is Budget
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        repro.nonesuch  # noqa: B018
+
+
 def test_the_layer_table_files_the_infrastructure_above_the_engine():
     infrastructure = [
         "repro.resilience.pool", "repro.resilience.journal",

@@ -31,8 +31,18 @@ from repro.layerings.base import verify_layering_embedding
 from repro.layerings.permutation import PermutationLayering
 from repro.layerings.st_synchronous import StSynchronousLayering, st_action
 from repro.models import sync
-from repro.models.async_mp import AsyncMessagePassingModel
+from repro.models.async_mp import (
+    AsyncMessagePassingModel,
+    flush_action,
+    stage_action,
+)
 from repro.models.base import ProtocolTables, synchronous_round
+from repro.models.shared_memory import SharedMemoryModel, step_action
+from repro.models.snapshot import (
+    SnapshotMemoryModel,
+    scan_action,
+    update_action,
+)
 from repro.models.sync import SynchronousModel, fail_action, sync_env
 from repro.protocols.candidates import QuorumDecide
 from repro.protocols.floodset import FloodSet
@@ -285,3 +295,65 @@ def test_an_illegal_primitive_raises_at_every_state():
         with pytest.raises(ValueError, match="resilience bound"):
             model.run(failed, program, tables)
     assert over_budget not in tables.rounds.get(failed.env, {})
+
+
+# -- the fold models' memos never stand in for a legality check ---------------
+
+
+def _memo_sizes(tables):
+    return (
+        len(tables.ids), len(tables.value_ids), len(tables.phase),
+        len(tables.step), len(tables.write), len(tables.endpoints),
+    )
+
+
+#: (model class, the step from the initial state to the other state, the
+#: primitive run at both, whether it is legal at the initial state, and
+#: the error where it is not).  The tables learn every legal primitive
+#: first; the illegal one still raises, every time.
+ILLEGAL_AFTER_LEGAL = [
+    pytest.param(
+        AsyncMessagePassingModel, stage_action(0), stage_action(0), True,
+        "already has staged messages", id="stage-twice",
+    ),
+    pytest.param(
+        AsyncMessagePassingModel, stage_action(0), flush_action(0), False,
+        "no staged messages to flush", id="flush-empty",
+    ),
+    pytest.param(
+        SnapshotMemoryModel, update_action(0), update_action(0), True,
+        "must scan next, cannot update", id="snapshot-update-twice",
+    ),
+    pytest.param(
+        SnapshotMemoryModel, update_action(0), scan_action(0), False,
+        "must update next, cannot scan", id="snapshot-scan-first",
+    ),
+    pytest.param(
+        SharedMemoryModel, step_action(0), ("read", 0), False,
+        "unknown M\\^rw action", id="rw-unknown-kind",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "model_cls, step, primitive, legal_first, error", ILLEGAL_AFTER_LEGAL
+)
+def test_an_illegal_fold_primitive_raises_at_every_state(
+    model_cls, step, primitive, legal_first, error
+):
+    model = model_cls(QuorumDecide(2), N)
+    root = model.initial_state((0, 1, 1))
+    states = [root, model.apply(root, step)]
+    legal, illegal = states if legal_first else states[::-1]
+    tables = ProtocolTables()
+    model.run(root, model.compile([[step]]), tables)
+    program = model.compile([[primitive]])
+    if primitive[0] in model.KINDS:
+        [child] = model.run(legal, program, tables)
+        assert child == model.apply(legal, primitive)
+    sizes = _memo_sizes(tables)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=error):
+            model.run(illegal, program, tables)
+    # A refused primitive files no memo and no endpoint.
+    assert _memo_sizes(tables)[2:] == sizes[2:]

@@ -139,6 +139,19 @@ class TestMisc:
         with pytest.raises(ValueError):
             model.apply(state, stage_action(0))
 
+    @pytest.mark.parametrize("dest", [3, -1])
+    def test_message_to_unknown_destination_rejected(self, dest):
+        # A scratch bag has one slot per channel (sender, dest) with
+        # 0 <= dest < n; a destination outside that has no channel.
+        class Astray(FloodSet):
+            def outgoing(self, i, n, local):
+                return {dest: local.known}
+
+        model = AsyncMessagePassingModel(Astray(2), 3)
+        state = model.initial_state((0, 1, 1))
+        with pytest.raises(ValueError, match="unknown destination"):
+            model.apply(state, stage_action(0))
+
     def test_no_finite_failure(self, model):
         state = model.initial_state((0, 1, 1))
         assert model.failed_at(state) == frozenset()
