@@ -2,8 +2,8 @@
 
 A parallel ``check_all`` and a parallel campaign run the same way: each
 sweep's :class:`~repro.core.checker._SweepPlan` is split into shards
-(index spans), and the shards of all sweeps share one fault-isolated
-pool (:mod:`repro.resilience.pool`).  ``check_all(workers=N)`` is a
+of one input assignment each, and the shards of all sweeps share one
+fault-isolated pool (:mod:`repro.resilience.pool`).  ``check_all(workers=N)`` is a
 campaign of one sweep: it imports this module only on that path, so the
 engine loads no pool until a run asks for workers.
 """
@@ -22,7 +22,9 @@ from repro.resilience.pool import PoolConfig, UnitOutcome, run_units, with_worke
 
 
 def _sweep_shard(payload, context: dict) -> list:
-    """Pool unit: one shard ``(key, lo, hi, inner)`` of one sweep.
+    """Pool unit: one shard ``(key, index, inner)``, assignment *index*
+    of one sweep; its value is the shard's reports in assignment order
+    (one), the shape the pool's report sink hands its readers.
 
     *context* maps each sweep key to its checker, model, assignments and
     first assignment.  It ships to each worker **once** via
@@ -33,9 +35,9 @@ def _sweep_shard(payload, context: dict) -> list:
     is sound because cache transparency guarantees verdicts, witnesses
     and checkpoints are byte-identical cached or uncached, warm or cold.
     """
-    key, lo, hi, inner = payload
+    key, index, inner = payload
     checker, model, assignments, start = context[key]
-    return checker._check_span(model, assignments, lo, hi, inner, start)
+    return [checker._check_assignment(model, assignments, index, inner, start)]
 
 
 def run_sweeps(
@@ -55,29 +57,30 @@ def run_sweeps(
     plan's report is set, ``on_decided(key, report)`` is called (at once
     for a sweep resumed past its last assignment), and its remaining
     shards are withdrawn from the pool: unstarted ones are dropped and
-    running ones stopped.  Pool unit keys are ``(key, lo)``.
+    running ones stopped.  Pool unit keys are ``(key, index)``.
     """
     ranked = []
     for key, plan in plans.items():
         if plan.report is not None and on_decided is not None:
             on_decided(key, plan.report)
-        for index, span in enumerate(plan.spans):
-            ranked.append((index, ((key, span[0]), (key, *span))))
+        for rank, (index, inner) in enumerate(plan.spans):
+            ranked.append((rank, ((key, index), (key, index, inner))))
     if not ranked:
         return
     ranked.sort(key=lambda entry: entry[0])  # stable: sweep order breaks ties
 
     def decide(outcome: UnitOutcome) -> Optional[list]:
-        key, lo = outcome.key
+        key, index = outcome.key
         plan = plans[key]
+        report = None if outcome.value is None else outcome.value[0]
         unread = plan.offer(
-            lo, outcome.value, outcome.cause() if outcome.quarantined else ""
+            index, report, outcome.cause() if outcome.quarantined else ""
         )
         if unread is None:
             return None
         if on_decided is not None:
             on_decided(key, plan.report)
-        return [(key, start) for start in unread]
+        return [(key, index) for index in unread]
 
     context = {
         key: (p.checker, p.model, p.assignments, p.start)
@@ -126,7 +129,6 @@ def run_campaign(
     campaign=None,
     workers: Optional[int] = None,
     pool: Optional[PoolConfig] = None,
-    shard_states: Optional[int] = None,
 ) -> list[tuple]:
     """Run ``(key, SweepUnit)`` campaign units with shared resilience
     semantics; the engine behind the analysis drivers' ``workers=N``.
@@ -135,10 +137,10 @@ def run_campaign(
     submission order, stopping after the first inconclusive report —
     continuing a sweep whose budget already tripped would be futile.
     With ``workers > 1`` every pending sweep's root frontier is split
-    into shards of ``shard_states`` input assignments (default 1) and
-    the shards — not the whole sweeps — are scheduled across the
-    fault-isolated pool (:mod:`repro.resilience.pool`), so a campaign of
-    even a *single* heavyweight sweep parallelizes.  This is the same
+    into shards of one input assignment each, and the shards — not the
+    whole sweeps — are scheduled across the fault-isolated pool
+    (:mod:`repro.resilience.pool`), so a campaign of even a *single*
+    heavyweight sweep parallelizes.  This is the same
     pooled path a parallel ``check_all`` takes: shards dispatch
     breadth-first across sweeps, and a sweep is merged the moment its
     verdict is decided, its unstarted shards dropped and its running
@@ -186,7 +188,7 @@ def run_campaign(
     if workers is not None and workers > 1 and pending:
         plans = {
             key: _SweepPlan(
-                unit.checker(), unit.model, (0, 1), unit.resume, shard_states
+                unit.checker(), unit.model, (0, 1), unit.resume
             )
             for key, unit in pending.items()
         }

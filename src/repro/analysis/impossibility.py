@@ -131,7 +131,6 @@ def refute_candidate(
     pool: Optional[PoolConfig] = None,
     cache: CacheSpec = True,
     preflight: bool = True,
-    shard_states: Optional[int] = None,
 ) -> list[Refutation]:
     """Run one candidate through every applicable layered model.
 
@@ -170,10 +169,7 @@ def refute_candidate(
         for name, layering in layerings.items()
     ]
     crashpoint("driver.impossibility.campaign")
-    results = run_campaign(
-        units, campaign=campaign, workers=workers, pool=pool,
-        shard_states=shard_states,
-    )
+    results = run_campaign(units, campaign=campaign, workers=workers, pool=pool)
     return [
         Refutation(model_name=name, protocol_name=protocol.name(), report=report)
         for name, (_, report) in zip(layerings, results)

@@ -83,7 +83,6 @@ def _campaign_rows(
     campaign: Optional[CampaignCheckpoint],
     workers: Optional[int],
     pool: Optional[PoolConfig],
-    shard_states: Optional[int] = None,
 ) -> list[LowerBoundRow]:
     """Run ``(label, key, unit, n, t, rounds)`` specs through the shared
     campaign engine and rebuild the table rows, truncated (like the
@@ -94,7 +93,6 @@ def _campaign_rows(
         campaign=campaign,
         workers=workers,
         pool=pool,
-        shard_states=shard_states,
     )
     return [
         LowerBoundRow(label, n, t, rounds, report)
@@ -111,7 +109,6 @@ def defeat_fast_candidates(
     pool: Optional[PoolConfig] = None,
     cache: CacheSpec = True,
     preflight: bool = True,
-    shard_states: Optional[int] = None,
 ) -> list[LowerBoundRow]:
     """Defeat every shipped candidate deciding within ``t`` rounds.
 
@@ -145,7 +142,7 @@ def defeat_fast_candidates(
                     rounds,
                 )
             )
-    return _campaign_rows(specs, campaign, workers, pool, shard_states)
+    return _campaign_rows(specs, campaign, workers, pool)
 
 
 def verify_tight_protocols(
@@ -159,7 +156,6 @@ def verify_tight_protocols(
     pool: Optional[PoolConfig] = None,
     cache: CacheSpec = True,
     preflight: bool = True,
-    shard_states: Optional[int] = None,
 ) -> list[LowerBoundRow]:
     """Verify FloodSet/EIG at ``t+1`` rounds — the bound is tight.
 
@@ -202,7 +198,7 @@ def verify_tight_protocols(
                     t + 1,
                 )
             )
-    return _campaign_rows(specs, campaign, workers, pool, shard_states)
+    return _campaign_rows(specs, campaign, workers, pool)
 
 
 def lemma_6_1(

@@ -182,7 +182,6 @@ def _cmd_lower_bound(args: argparse.Namespace) -> int:
         pool=args.pool,
         cache=args.cache,
         preflight=args.preflight,
-        shard_states=args.shard_states,
     )
     verified = []
     if not any(r.inconclusive for r in defeated):
@@ -196,7 +195,6 @@ def _cmd_lower_bound(args: argparse.Namespace) -> int:
             pool=args.pool,
             cache=args.cache,
             preflight=args.preflight,
-            shard_states=args.shard_states,
         )
     rows = defeated + verified
     print(render_verdict_rows(rows))
@@ -232,7 +230,6 @@ def _cmd_impossibility(args: argparse.Namespace) -> int:
         pool=args.pool,
         cache=args.cache,
         preflight=args.preflight,
-        shard_states=args.shard_states,
     )
     if args.model != "all":
         refutations = [
@@ -735,15 +732,6 @@ def _add_budget_flags(parser, suppress: bool = False) -> None:
         default=default(None),
         metavar="K",
         help="retries before a crashing parallel unit is quarantined",
-    )
-    parser.add_argument(
-        "--shard-states",
-        type=int,
-        default=default(None),
-        metavar="N",
-        help="root states (input assignments) per parallel shard; "
-        "smaller shards steal better, the merged verdict is identical "
-        "for any value (default 1)",
     )
     parser.add_argument(
         "--cache",

@@ -63,6 +63,7 @@ from enum import Enum
 from itertools import product
 from typing import TYPE_CHECKING, Any, Optional, Union
 
+from repro.core.graph import Walk, walk
 from repro.core.run import Execution, RunWitness
 from repro.core.state import GlobalState, StateFacts, revoked_decision
 from repro.core.valence import ExplorationLimitExceeded
@@ -267,7 +268,6 @@ class ConsensusChecker:
         checkpoint: Optional[CheckAllCheckpoint] = None,
         workers: Optional[int] = None,
         pool: Optional[PoolConfig] = None,
-        shard_states: Optional[int] = None,
     ) -> ConsensusReport:
         """Check every input assignment; return the first violation found,
         or an aggregate SATISFIED report.
@@ -278,12 +278,11 @@ class ConsensusChecker:
         exploration snapshot; pass it back to resume.
 
         With ``workers > 1`` the sweep's root frontier (its input
-        assignments) is split into shards of ``shard_states`` assignments
-        each (default 1 — maximal stealing granularity) and run across a
-        fault-isolated worker pool (:mod:`repro.resilience.pool`).  The
-        system and model ship **once per worker** as shared context;
-        shard payloads carry only an index span, so dispatch cost is
-        O(shard descriptor).  Each assignment's BFS runs against its own
+        assignments) is split into shards of one assignment each and run
+        across a fault-isolated worker pool (:mod:`repro.resilience.pool`).
+        The system and model ship **once per worker** as shared context;
+        shard payloads carry only an assignment index, so dispatch cost
+        is O(shard descriptor).  Each assignment's BFS runs against its own
         budget meter — exactly the per-assignment metering of the
         sequential path — and the per-assignment reports are merged **in
         assignment order**, so the returned report (verdict, witness,
@@ -304,7 +303,7 @@ class ConsensusChecker:
         under time pressure a parallel run covers more assignments
         before tripping.
         """
-        plan = _SweepPlan(self, model, value_domain, checkpoint, shard_states)
+        plan = _SweepPlan(self, model, value_domain, checkpoint)
         assignments = plan.assignments
         if workers is not None and workers > 1 and len(assignments) - plan.start > 1:
             # The pool is a driver: the engine loads it only on this path.
@@ -312,46 +311,39 @@ class ConsensusChecker:
 
             run_sweeps({None: plan}, pool, workers)
             return plan.report
-        for lo, hi, inner in plan.spans:
+        for index, inner in plan.spans:
             plan.offer(
-                lo,
-                self._check_span(model, assignments, lo, hi, inner, plan.start),
+                index,
+                self._check_assignment(
+                    model, assignments, index, inner, plan.start
+                ),
             )
             if plan.report is not None:
                 break
         return plan.report
 
-    def _check_span(
+    def _check_assignment(
         self,
         model,
         assignments: list,
-        lo: int,
-        hi: int,
+        index: int,
         inner: Optional[ExplorationCheckpoint],
         start: int,
-    ) -> list[ConsensusReport]:
-        """Check assignments ``lo .. hi-1`` of a sweep, the first resuming
-        from *inner*; their reports in assignment order, truncated at the
-        first non-SATISFIED one (the sweep stops there).
+    ) -> ConsensusReport:
+        """Check assignment *index* of a sweep, resuming from *inner*.
 
         Each assignment charges its own fresh budget meter; the sweep's
         first assignment *start* also runs the sampled contract checks,
         so sequential and pooled sweeps sample the same states.
         """
-        reports: list[ConsensusReport] = []
-        for index in range(lo, hi):
-            assignment = assignments[index]
-            report = self._check_one(
-                model.initial_state(assignment),
-                assignment,
-                self._budget.meter(),
-                inner if index == lo else None,
-                sampled=index == start,
-            )
-            reports.append(report)
-            if not report.satisfied:
-                break
-        return reports
+        assignment = assignments[index]
+        return self._check_one(
+            model.initial_state(assignment),
+            assignment,
+            self._budget.meter(),
+            inner,
+            sampled=index == start,
+        )
 
     # -- internals ----------------------------------------------------------
     def _check_one(
@@ -398,7 +390,7 @@ class ConsensusChecker:
             # The search is done but its maps are not kept: checkpoint an
             # empty search, which resumes from the root.
             return self._unknown_report(
-                inputs, {}, deque(), set(), {}, meter, meter.mark_interrupted()
+                inputs, Walk(), meter, meter.mark_interrupted()
             )
         if gap:
             guard.record(
@@ -430,150 +422,80 @@ class ConsensusChecker:
         facts: StateFacts,
         guard,
     ) -> Optional[ConsensusReport]:
-        """The BFS and lasso passes; None when *guard* recorded a finding
-        on a state it expanded.
+        """The walk and the lasso pass; None when *guard* recorded a
+        finding on a state the walk expanded.
 
-        The safety predicate runs once per state, when the state is first
-        filed in *parent*; the write-once test runs on every edge.  Every
-        state in *parent* is queued, expanded or terminal, also in the
-        checkpoint of an interrupted search: an interrupt rolls back the
-        children the half-expanded state filed, so its re-expansion on
-        resume files and checks them again.
+        The walk (:func:`~repro.core.graph.walk`) stops at terminal
+        states, tests the safety predicate once per state, when the
+        state is first filed, and, with the guard off, the write-once
+        test on every edge.  An interrupt leaves the walk a consistent
+        checkpoint: every filed state is queued, expanded or terminal.
         """
         system = self._system
-
+        graph = Walk()
         if checkpoint is not None:
             checkpoint.validate_for(system, inputs)
-            parent = checkpoint.parent
-            queue: deque[GlobalState] = deque(checkpoint.queue)
-            terminal = checkpoint.terminal
-            edges = checkpoint.edges
-        else:
-            parent, queue, terminal, edges = {}, deque(), set(), {}
-
-        def interrupted(filed: list) -> ConsensusReport:
-            """Undo the filing of *filed*, then degrade to a checkpoint."""
-            for child in filed:
-                parent.pop(child, None)
-            while queue and queue[-1] in filed:
-                queue.pop()
-            return self._unknown_report(
-                inputs,
-                parent,
-                queue,
-                terminal,
-                edges,
-                meter,
-                meter.mark_interrupted(),
+            graph = Walk(
+                parent=checkpoint.parent,
+                queue=deque(checkpoint.queue),
+                terminal=checkpoint.terminal,
+                succ=checkpoint.edges,
             )
 
-        if not parent:
-            # Seeding files the root as an expansion files a child.
-            filed = [initial_state]
-            try:
-                parent[initial_state] = None
-                meter.charge_state(initial_state)
-                problem = self._state_problem(initial_state, inputs, facts)
-                if problem is not None:
-                    return self._safety_report(
-                        problem[0], initial_state, parent, inputs, problem[1], 1
-                    )
-                queue.append(initial_state)
-            except KeyboardInterrupt:
-                if self._strict:
-                    raise
-                return interrupted(filed)
+        def sink(state: GlobalState) -> bool:
+            # Terminal: every non-failed process has decided.
+            failed, decided = facts[state]
+            return all(i in decided for i in range(state.n) if i not in failed)
 
-        while queue:
-            tripped = meter.poll()
-            if tripped is not None:
-                return self._unknown_report(
-                    inputs, parent, queue, terminal, edges, meter, tripped
-                )
-            state = queue.popleft()
-            filed = []
-            try:
-                if self._all_nonfailed_decided(state, facts):
-                    terminal.add(state)
-                    continue
-                try:
-                    succs = system.successors(state)
-                except ValueError:
-                    # The batch fold refused a layer action: RP202's
-                    # walk names it, or the error is not the layering's.
-                    if guard is None or not guard.refused(state):
-                        raise
-                    return None
-                if guard is not None and guard.check(state, succs):
-                    return None
-                edges[state] = succs
-                for action, child in succs:
-                    meter.charge_edge()
-                    fresh = child not in parent
-                    if fresh:
-                        filed.append(child)
-                        parent[child] = (state, action)
-                        meter.charge_state(child)
-                    # With the guard on, its RP204 check saw this edge.
-                    write_once = guard is None and revoked_decision(
-                        facts[state][1], facts[child][1]
-                    )
-                    if write_once:
-                        # Witness the edge it was SEEN on: the BFS parent
-                        # of an already-discovered child may reach it by a
-                        # path on which the register never held the old
-                        # value, which would not replay.
-                        return self._safety_report(
-                            Verdict.WRITE_ONCE,
-                            state,
-                            parent,
-                            inputs,
-                            write_once,
-                            len(parent),
-                            via=(action, child),
-                        )
-                    if not fresh:
-                        # Checked when it was filed.
-                        continue
-                    problem = self._state_problem(child, inputs, facts)
-                    if problem is not None:
-                        return self._safety_report(
-                            problem[0],
-                            child,
-                            parent,
-                            inputs,
-                            problem[1],
-                            len(parent),
-                        )
-                    queue.append(child)
-            except KeyboardInterrupt:
-                if self._strict:
-                    raise
-                # Re-queue the half-processed state; re-expanding it on
-                # resume files its children again.
-                queue.appendleft(state)
-                return interrupted(filed)
+        def filed(state: GlobalState) -> Optional[tuple]:
+            problem = self._state_problem(state, inputs, facts)
+            if problem is None:
+                return None
+            return problem[0], state, problem[1], None
+
+        def write_once(state: GlobalState, action, child) -> Optional[tuple]:
+            # With the guard on, its RP204 check sees every edge.  The
+            # witness is the edge the revocation was SEEN on: the BFS
+            # parent of an already-filed child may reach it by a path on
+            # which the register never held the old value.
+            revoked = revoked_decision(facts[state][1], facts[child][1])
+            if revoked is None:
+                return None
+            return Verdict.WRITE_ONCE, state, revoked, (action, child)
 
         try:
-            lasso = self._find_undecided_lasso(
-                initial_state, parent, edges, terminal, facts, meter
+            walk(
+                system,
+                (initial_state,),
+                meter,
+                sink,
+                graph=graph,
+                guard=guard,
+                filed=filed,
+                edge=write_once if guard is None else None,
             )
+            lasso = None
+            if graph.found is None and graph.tripped is None:
+                lasso = self._find_undecided_lasso(
+                    initial_state, graph, facts, meter
+                )
         except KeyboardInterrupt:
             if self._strict:
                 raise
             return self._unknown_report(
-                inputs,
-                parent,
-                queue,
-                terminal,
-                edges,
-                meter,
-                meter.mark_interrupted(),
+                inputs, graph, meter, meter.mark_interrupted()
             )
+        if graph.found is True:
+            return None
+        if graph.found is not None:
+            verdict, state, detail, via = graph.found
+            return self._safety_report(
+                verdict, state, graph.parent, inputs, detail, via
+            )
+        if graph.tripped is not None:
+            return self._unknown_report(inputs, graph, meter, graph.tripped)
         if lasso == "tripped":
-            return self._unknown_report(
-                inputs, parent, queue, terminal, edges, meter, meter.tripped
-            )
+            return self._unknown_report(inputs, graph, meter, meter.tripped)
         if lasso is not None:
             prefix, cycle = lasso
             return ConsensusReport(
@@ -585,7 +507,7 @@ class ConsensusChecker:
                     "fair infinite run on which some non-failed process "
                     "never decides"
                 ),
-                states_explored=len(parent),
+                states_explored=len(graph.parent),
                 budget_stats=meter.stats(),
             )
         return ConsensusReport(
@@ -594,37 +516,35 @@ class ConsensusChecker:
             execution=None,
             cycle=None,
             detail="all runs decide, agree and are valid",
-            states_explored=len(parent),
+            states_explored=len(graph.parent),
             budget_stats=meter.stats(),
         )
 
     def _unknown_report(
         self,
         inputs: tuple,
-        parent: dict,
-        queue: deque,
-        terminal: set,
-        edges: dict,
+        graph: Walk,
         meter: BudgetMeter,
         tripped: Optional[str],
     ) -> ConsensusReport:
         """Build the graceful-degradation report (or raise when strict)."""
         crashpoint("checker.budget.trip")
+        explored = len(graph.parent)
         if self._strict:
             raise ExplorationLimitExceeded(
                 f"exploration budget exhausted ({tripped}) after "
-                f"{len(parent)} states from inputs {inputs!r}"
+                f"{explored} states from inputs {inputs!r}"
             )
-        stats = meter.stats(frontier=len(queue))
+        stats = meter.stats(frontier=len(graph.queue))
         cp = ExplorationCheckpoint(
             fingerprint=system_fingerprint(self._system),
             inputs=inputs,
-            parent=parent,
-            queue=list(queue),
-            terminal=terminal,
-            edges=edges,
+            parent=graph.parent,
+            queue=list(graph.queue),
+            terminal=graph.terminal,
+            edges=graph.succ,
             limit=tripped,
-            states_seen=len(parent),
+            states_seen=explored,
         )
         return ConsensusReport(
             verdict=Verdict.UNKNOWN,
@@ -636,15 +556,10 @@ class ConsensusChecker:
                 "before the budget tripped (resume from the checkpoint "
                 "to continue)"
             ),
-            states_explored=len(parent),
+            states_explored=explored,
             budget_stats=stats,
             checkpoint=cp,
         )
-
-    @staticmethod
-    def _all_nonfailed_decided(state: GlobalState, facts: StateFacts) -> bool:
-        failed, decided = facts[state]
-        return all(i in decided for i in range(state.n) if i not in failed)
 
     @staticmethod
     def _state_problem(
@@ -680,9 +595,11 @@ class ConsensusChecker:
         parent: dict,
         inputs: tuple,
         detail: str,
-        explored: int,
-        via: Optional[tuple] = None,
+        via: Optional[tuple],
     ) -> ConsensusReport:
+        """A safety refutation at *state*, counting the states filed so
+        far: the walk stops on the spot, before the state's later
+        siblings are filed."""
         execution = _path_to(state, parent)
         if via is not None:
             # Append the specific offending edge (action, child) so the
@@ -698,17 +615,15 @@ class ConsensusChecker:
             execution=execution,
             cycle=None,
             detail=detail,
-            states_explored=explored,
+            states_explored=len(parent),
         )
 
     def _find_undecided_lasso(
         self,
         initial_state: GlobalState,
-        parent: dict,
-        edges: dict[GlobalState, list[tuple[Hashable, GlobalState]]],
-        terminal: set[GlobalState],
+        graph: Walk,
         facts: StateFacts,
-        meter: Optional[BudgetMeter] = None,
+        meter: BudgetMeter,
     ):
         """A fair infinite run starving a nonfaulty process, as a lasso.
 
@@ -722,7 +637,7 @@ class ConsensusChecker:
         per-process decomposition is complete: any violating run starves
         some specific nonfaulty process.  The prefix from the initial
         state to the cycle may use arbitrary edges: it is the search's BFS
-        path to the cycle's first state, read off *parent*.
+        path to the cycle's first state, read off the walk's parent pointers.
 
         Returns the ``(prefix, cycle)`` pair, None when no process can be
         starved, or the sentinel string ``"tripped"`` when the wall-clock
@@ -732,12 +647,12 @@ class ConsensusChecker:
         nonfaulty_under = self._system.nonfaulty_under
         # action -> nonfaulty_under(action), asked once per distinct action.
         nonfaulty: dict[Hashable, frozenset[int]] = {}
-        n = initial_state.n
-        for i in range(n):
-            if meter is not None and meter.poll() is not None:
+        terminal = graph.terminal
+        for i in range(initial_state.n):
+            if meter.poll() is not None:
                 return "tripped"
             restricted: dict[GlobalState, list[tuple[Hashable, GlobalState]]] = {}
-            for state, succs in edges.items():
+            for state, succs in graph.succ.items():
                 failed, decided = facts[state]
                 if i in decided or i in failed:
                     continue
@@ -757,7 +672,7 @@ class ConsensusChecker:
                     restricted[state] = kept
             cycle = _find_cycle(restricted)
             if cycle is not None:
-                return _path_to(cycle.initial, parent), cycle
+                return _path_to(cycle.initial, graph.parent), cycle
         return None
 
 
@@ -766,20 +681,17 @@ class _SweepPlan:
     shard spans, and the merge of their reports.
 
     Built once per sweep from its resume checkpoint.  ``spans`` are
-    ``(lo, hi, inner)``: assignments ``lo .. hi-1``, ``shard_states`` of
-    them each (default 1), with the resumed assignment's exploration
-    checkpoint on the first span only.  Span reports may be offered in
-    any order.  Walking the spans in assignment order, the sweep is
-    *decided* at the first quarantined span or non-SATISFIED report (the
-    sequential sweep stops there), or once every span is in; the merge is
-    a left fold over the per-assignment reports of that prefix, so the
-    report is the same under any schedule, and the spans after the
-    prefix could never change it.
+    ``(index, inner)``: one assignment each, with the resumed
+    assignment's exploration checkpoint on the first span only.  Span
+    reports may be offered in any order.  Walking the spans in
+    assignment order, the sweep is *decided* at the first quarantined
+    span or non-SATISFIED report (the sequential sweep stops there), or
+    once every span is in; the merge is a left fold over the reports of
+    that prefix, so the report is the same under any schedule, and the
+    spans after the prefix could never change it.
     """
 
-    def __init__(self, checker, model, domain, checkpoint, shard_states):
-        if shard_states is not None and shard_states < 1:
-            raise ValueError("shard_states must be >= 1")
+    def __init__(self, checker, model, domain, checkpoint):
         self.checker = checker
         self.model = model
         self.domain = tuple(domain)
@@ -790,11 +702,9 @@ class _SweepPlan:
             self.start = checkpoint.assignment_index
             self.total = checkpoint.states_total
             inner = checkpoint.inner
-        size = shard_states or 1
-        stop = len(self.assignments)
         self.spans = [
-            (lo, min(lo + size, stop), inner if lo == self.start else None)
-            for lo in range(self.start, stop, size)
+            (index, inner if index == self.start else None)
+            for index in range(self.start, len(self.assignments))
         ]
         self._offered: dict = {}
         self._cursor = 0
@@ -803,80 +713,76 @@ class _SweepPlan:
         )
 
     def offer(
-        self, lo: int, reports: Optional[list], cause: str = ""
+        self, index: int, report: Optional[ConsensusReport], cause: str = ""
     ) -> Optional[list]:
-        """Fold the reports of the span starting at *lo* (None, with the
-        pool's *cause*, when the span was quarantined).
+        """Fold the report of the span at *index* (None, with the pool's
+        *cause*, when the span was quarantined).
 
         Returns None while the sweep is undecided, and for spans offered
         after it was decided; on the span that decides it, sets
-        :attr:`report` and returns the starts of the spans not offered.
+        :attr:`report` and returns the indices of the spans not offered.
         """
         if self.report is not None:
             return None
-        self._offered[lo] = (reports, cause)
+        self._offered[index] = (report, cause)
         while self.report is None:
             if self._cursor == len(self.spans):
                 self.report = self._satisfied()
                 break
-            lo, hi, _ = self.spans[self._cursor]
-            if lo not in self._offered:
+            index, _ = self.spans[self._cursor]
+            if index not in self._offered:
                 return None
             self._cursor += 1
-            reports, cause = self._offered[lo]
-            if reports is None:
-                self.report = self._quarantined(lo, hi, cause)
+            report, cause = self._offered[index]
+            if report is None:
+                self.report = self._quarantined(index, cause)
             else:
-                self.report = self._fold(lo, reports)
+                self.report = self._fold(index, report)
         return [
-            lo for lo, _, _ in self.spans[self._cursor:]
-            if lo not in self._offered
+            index for index, _ in self.spans[self._cursor:]
+            if index not in self._offered
         ]
 
-    def _fold(self, lo: int, reports: list) -> Optional[ConsensusReport]:
-        """The sweep's report if it stops in this span, else None."""
-        for index, report in enumerate(reports, lo):
-            if report.inconclusive:
-                assignment = self.assignments[index]
-                return ConsensusReport(
-                    verdict=Verdict.UNKNOWN,
-                    inputs=assignment,
-                    execution=None,
-                    cycle=None,
-                    detail=(
-                        f"budget exhausted on assignment {index + 1} of "
-                        f"{len(self.assignments)} ({assignment!r}): "
-                        f"{report.detail}"
-                    ),
-                    states_explored=self.total + report.states_explored,
-                    budget_stats=report.budget_stats,
-                    checkpoint=self._checkpoint(index, report.checkpoint),
-                )
-            if not report.satisfied:
-                return report
-            self.total += report.states_explored
+    def _fold(
+        self, index: int, report: ConsensusReport
+    ) -> Optional[ConsensusReport]:
+        """The sweep's report if it stops at this assignment, else None."""
+        if report.inconclusive:
+            assignment = self.assignments[index]
+            return ConsensusReport(
+                verdict=Verdict.UNKNOWN,
+                inputs=assignment,
+                execution=None,
+                cycle=None,
+                detail=(
+                    f"budget exhausted on assignment {index + 1} of "
+                    f"{len(self.assignments)} ({assignment!r}): "
+                    f"{report.detail}"
+                ),
+                states_explored=self.total + report.states_explored,
+                budget_stats=report.budget_stats,
+                checkpoint=self._checkpoint(index, report.checkpoint),
+            )
+        if not report.satisfied:
+            return report
+        self.total += report.states_explored
         return None
 
-    def _quarantined(self, lo: int, hi: int, cause: str) -> ConsensusReport:
-        """UNKNOWN at the cursor of a span whose worker kept crashing."""
-        count = len(self.assignments)
-        where = (
-            f"assignment {lo + 1} of {count} ({self.assignments[lo]!r})"
-            if hi - lo == 1
-            else f"assignments {lo + 1}-{hi} of {count}"
-        )
+    def _quarantined(self, index: int, cause: str) -> ConsensusReport:
+        """UNKNOWN at an assignment whose worker kept crashing."""
         return ConsensusReport(
             verdict=Verdict.UNKNOWN,
-            inputs=self.assignments[lo],
+            inputs=self.assignments[index],
             execution=None,
             cycle=None,
             detail=(
-                f"{where} quarantined: {cause} "
+                f"assignment {index + 1} of {len(self.assignments)} "
+                f"({self.assignments[index]!r}) quarantined: {cause} "
                 "(resume from the checkpoint to re-run it)"
             ),
             states_explored=self.total,
             budget_stats=None,
-            checkpoint=self._checkpoint(lo, None),
+            checkpoint=self._checkpoint(index, None),
         )
 
     def _checkpoint(self, index: int, inner) -> CheckAllCheckpoint:

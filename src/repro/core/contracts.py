@@ -5,10 +5,9 @@ module is the dynamic backstop.  One :class:`ContractGuard` checks the
 states a search expands.  The consensus checker runs it inside its own
 search, on edges it computes anyway (see
 :class:`~repro.core.checker.ConsensusChecker`; the task checker runs the
-same search); :func:`preflight_system` drives it with a bounded
-breadth-first probe for the engines that still check before they
-explore (the explorers, ``repro lint --protocol``).  The conditions
-(:data:`CONTRACT_RULES`):
+same search); :func:`preflight_system` drives it with a bounded walk
+for the engines that still check before they explore (the explorers,
+``repro lint --protocol``).  The conditions (:data:`CONTRACT_RULES`):
 
 * **RP201 — successor determinism**: two calls to ``successors`` on the
   same state must return identical ``(action, child)`` lists.  Cached
@@ -59,12 +58,13 @@ module's names.
 from __future__ import annotations
 
 import weakref
-from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.graph import Walk, walk
 from repro.core.state import GlobalState, StateFacts, revoked_decision
+from repro.resilience.budget import Budget
 
 #: The contract rule codes and their one-line summaries.
 CONTRACT_RULES = {
@@ -230,10 +230,11 @@ def independent_view(system):
 class ContractGuard:
     """The RP2xx checks, run on the states a search expands.
 
-    One copy of the contract logic with two drivers: the consensus
-    checker hands it every state its search expands, with the edges the
-    search computed anyway, and :func:`preflight_system` drives it with a
-    bounded BFS of its own.  The per-edge checks (RP202 closure, RP203,
+    One copy of the contract logic with two drivers, both on the one
+    walk (:func:`~repro.core.graph.walk`): the consensus checker hands
+    it every state its search expands, with the edges the search
+    computed anyway, and :func:`preflight_system` drives it with a
+    bounded walk.  The per-edge checks (RP202 closure, RP203,
     RP204) read the *facts* table the driver already holds; RP201's second
     ``successors`` call and RP202's per-primitive embedding run only on
     the first *determinism_samples* and *embedding_samples* states.  The
@@ -461,52 +462,49 @@ def preflight_system(
 ) -> PreflightReport:
     """Probe a successor system's contracts from the given roots.
 
-    A bounded BFS of at most *max_states* states, each handed to a
-    :class:`ContractGuard`: the determinism double-call on the first
-    *determinism_samples* of them and the layering-embedding re-check on
-    the first *embedding_samples*; closure, ``Faulty`` monotonicity and
-    decision write-once on every probed state/edge.
+    A walk (:func:`~repro.core.graph.walk`) that expands at most
+    *max_states* states, each handed to a :class:`ContractGuard`: the
+    determinism double-call on the first *determinism_samples* of them
+    and the layering-embedding re-check on the first
+    *embedding_samples*; closure, ``Faulty`` monotonicity and decision
+    write-once on every probed state/edge.
 
     Returns a :class:`PreflightReport` with at most one finding (and one
     concrete witness) per rule code.  ``codes`` restricts which contract
     rules run (None = all); the report's ``complete`` flag records
     whether the bounded probe actually exhausted the reachable space.
     """
-    guard = ContractGuard(
+    guard = _Probe(
         system,
         codes=codes,
         determinism_samples=determinism_samples,
         embedding_samples=embedding_samples,
     )
-    queue: deque[GlobalState] = deque()
-    visited: set[GlobalState] = set()
-    truncated = False
+    graph = Walk()
     try:
-        for root in roots:
-            if root not in visited:
-                visited.add(root)
-                queue.append(root)
-        while queue:
-            if guard.states >= max_states:
-                truncated = True
-                break
-            state = queue.popleft()
-            try:
-                succs = list(guard.system.successors(state))
-            except ValueError:
-                if not guard.refused(state):
-                    raise
-                truncated = True
-                break
-            guard.check(state, succs)
-            for _, child in succs:
-                if child not in visited:
-                    visited.add(child)
-                    queue.append(child)
+        walk(
+            guard.system,
+            roots,
+            Budget().meter(),
+            lambda state: guard.states >= max_states,
+            graph=graph,
+            guard=guard,
+        )
     except TypeError as exc:
         guard.unhashable(exc)
-        truncated = True
-    return guard.report(complete=not truncated and not queue)
+        return guard.report()
+    # Complete when every filed state was expanded: the walk was not
+    # stopped by a refusal, nor any state by the bound.
+    return guard.report(complete=not (graph.found or graph.terminal))
+
+
+class _Probe(ContractGuard):
+    """The guard as the probe drives it: a finding does not stop the
+    walk, which looks on for one witness per rule."""
+
+    def check(self, state: GlobalState, succs: list) -> bool:
+        super().check(state, succs)
+        return False
 
 
 def preflight_once(

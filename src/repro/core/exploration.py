@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from repro.core.cache import CacheSpec, CacheStats, CachedSystem, resolve_cache
-from repro.core.graph import EDGE, SEEDING, STATE, walk
+from repro.core.graph import walk
 from repro.core.state import GlobalState
 from repro.core.valence import ExplorationLimitExceeded
 from repro.resilience.budget import Budget, DEFAULT_MAX_STATES
@@ -64,13 +64,6 @@ class ExplorationStats:
         if self.edges == 0:
             return 0.0
         return self.duplicate_hits / self.edges
-
-    @property
-    def states_per_second(self) -> float:
-        """Exploration throughput (0.0 when no time was measured)."""
-        if self.seconds <= 0.0:
-            return 0.0
-        return self.states / self.seconds
 
 
 def _preflight_or_raise(system, roots, enabled: bool) -> None:
@@ -128,11 +121,12 @@ def reachable_states(
         system, roots, max_depth, max_states, cache, preflight
     )
     if graph.tripped is not None and strict:
-        where = {
-            SEEDING: f"while seeding {meter.states} root states",
-            EDGE: f"after {meter.edges} generated edges",
-            STATE: f"after {meter.states} reachable states",
-        }[graph.site]
+        where = (
+            f"after {len(graph.depth)} reachable states and "
+            f"{meter.edges} generated edges"
+            if graph.succ
+            else f"while seeding {meter.states} root states"
+        )
         raise ExplorationLimitExceeded(
             f"exploration budget exhausted ({graph.tripped}) {where}"
         )

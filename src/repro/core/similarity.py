@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.core.state import GlobalState, differing_processes
-from repro.util.graphs import Graph, is_connected, shortest_path
+from repro.util.graphs import Graph, is_connected
 
 
 def _model_of(system):
@@ -71,13 +71,6 @@ def similarity_graph(states: Iterable[GlobalState], system) -> Graph:
 def is_similarity_connected(states: Iterable[GlobalState], system) -> bool:
     """Whether ``(X, ~s)`` is connected."""
     return is_connected(similarity_graph(states, system))
-
-
-def similarity_path(
-    x: GlobalState, y: GlobalState, states: Iterable[GlobalState], system
-):
-    """A ``~s`` path from *x* to *y* within *states*, or None."""
-    return shortest_path(similarity_graph(states, system), x, y)
 
 
 def s_diameter(states: Iterable[GlobalState], system) -> int:

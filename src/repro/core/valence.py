@@ -104,10 +104,6 @@ class ValenceResult:
     diverges: bool
     complete: bool = True
 
-    def is_v_valent(self, v: Hashable) -> bool:
-        """Whether some extension decides *v* (Section 3's v-valence)."""
-        return v in self.values
-
     @property
     def bivalent(self) -> bool:
         """At least two distinct decision values are reachable.
@@ -298,7 +294,7 @@ class ValenceAnalyzer:
             values |= own_of[state]
             for child in children[state]:
                 if child in members:
-                    if child is state:
+                    if child == state:
                         diverges = True
                     continue
                 child_result = self._memo[child]

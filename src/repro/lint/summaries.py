@@ -124,9 +124,6 @@ class Taint:
     def extended(self, step: ChainStep) -> "Taint":
         return Taint(self.kind, self.detail, (step,) + self.chain)
 
-    def format_chain(self) -> str:
-        return " -> ".join(step.format() for step in self.chain)
-
 
 class EffectSummary:
     """The mutable per-function summary the fixpoint grows.
@@ -170,12 +167,6 @@ class EffectSummary:
             return False
         bucket[key] = taint
         return True
-
-    def impurities(self) -> list[Taint]:
-        """Global writes + receiver writes, in discovery order."""
-        return list(self.global_writes.values()) + list(
-            self.receiver_writes.values()
-        )
 
 
 #: Constructor-family methods whose ``self.x = ...`` stores are fine.

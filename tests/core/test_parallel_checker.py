@@ -13,8 +13,6 @@ import os
 import re
 import signal
 
-import pytest
-
 from repro.analysis.sync_lower_bound import make_st_system
 from repro.core.checker import ConsensusChecker, Verdict
 from repro.layerings.st_synchronous import StSynchronousLayering
@@ -206,7 +204,7 @@ class TestCrashTolerance:
 
 
 class TestShardingKnobs:
-    """``shard_states`` changes the schedule, never the verdict: the
+    """One-assignment shards change the schedule, never the verdict: the
     ordered-span merge is schedule-independent."""
 
     def test_finest_shards_identical_verdicts(self, st_floodset_tight):
@@ -214,36 +212,9 @@ class TestShardingKnobs:
             st_floodset_tight.model
         )
         parallel = ConsensusChecker(st_floodset_tight).check_all(
-            st_floodset_tight.model, workers=3, shard_states=1
+            st_floodset_tight.model, workers=3
         )
         _assert_reports_equal(parallel, sequential)
-
-    def test_coarse_shards_identical_verdicts(self, st_floodset_fast):
-        sequential = ConsensusChecker(st_floodset_fast).check_all(
-            st_floodset_fast.model
-        )
-        parallel = ConsensusChecker(st_floodset_fast).check_all(
-            st_floodset_fast.model, workers=2, shard_states=3
-        )
-        assert sequential.refuted
-        _assert_reports_equal(parallel, sequential)
-
-    def test_shard_larger_than_sweep_identical_verdicts(
-        self, st_floodset_fast
-    ):
-        sequential = ConsensusChecker(st_floodset_fast).check_all(
-            st_floodset_fast.model
-        )
-        parallel = ConsensusChecker(st_floodset_fast).check_all(
-            st_floodset_fast.model, workers=2, shard_states=10_000
-        )
-        _assert_reports_equal(parallel, sequential)
-
-    def test_invalid_shard_states_rejected(self, st_floodset_fast):
-        with pytest.raises(ValueError):
-            ConsensusChecker(st_floodset_fast).check_all(
-                st_floodset_fast.model, workers=2, shard_states=0
-            )
 
 
 class TestOrderedWithdrawal:

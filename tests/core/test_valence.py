@@ -169,7 +169,9 @@ class TestLimits:
 
 
 class TestEdgeBudget:
-    """The edge budget must trip *inside* one state's expansion.
+    """The edge budget must trip within one state's expansion: the walk
+    reads the meter at the next dequeue, so one high-degree state
+    overshoots an exhausted edge budget by at most its own out-degree.
 
     Regression: ``_explore`` discarded the ``charge_edge`` return, so a
     single high-degree state (degree far below the 256-op slow-check

@@ -103,7 +103,7 @@ class TestScrambledSchedules:
         )
         scrambled_schedule(seed)
         parallel = ConsensusChecker(st_floodset_tight).check_all(
-            st_floodset_tight.model, workers=3, shard_states=1
+            st_floodset_tight.model, workers=3
         )
         assert sequential.satisfied
         _assert_byte_parity(parallel, sequential)
@@ -119,7 +119,7 @@ class TestScrambledSchedules:
         )
         scrambled_schedule(seed)
         parallel = ConsensusChecker(st_floodset_fast).check_all(
-            st_floodset_fast.model, workers=3, shard_states=1
+            st_floodset_fast.model, workers=3
         )
         assert sequential.refuted
         _assert_byte_parity(parallel, sequential)
@@ -138,7 +138,6 @@ class TestMidShardCrashWithStealing:
         parallel = ConsensusChecker(flaky).check_all(
             flaky.model,
             workers=2,
-            shard_states=1,
             pool=PoolConfig(workers=2, max_retries=2, retry_backoff=0.01),
         )
         assert os.path.exists(marker)  # the mid-shard kill happened
@@ -160,7 +159,6 @@ class TestMidShardCrashWithStealing:
         parallel = ConsensusChecker(flaky).check_all(
             flaky.model,
             workers=3,
-            shard_states=1,
             pool=PoolConfig(workers=3, max_retries=2, retry_backoff=0.01),
         )
         assert os.path.exists(marker)

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.checker import ConsensusChecker
+from repro.resilience.budget import Budget
 from repro.resilience.checkpoint import (
     CampaignCheckpoint,
     CheckAllCheckpoint,
@@ -59,6 +60,18 @@ class TestResumeEqualsUninterrupted:
             st_floodset_tight.model
         )
         resumed = _resume_to_verdict(st_floodset_tight, per_hop_budget=5)
+        assert baseline.satisfied
+        _assert_same_outcome(resumed, baseline)
+
+    def test_edge_budget_smaller_than_one_expansion(self, st_floodset_tight):
+        # The root's layer alone has 12 edges: every hop must still get
+        # past the state it stopped before.
+        baseline = ConsensusChecker(st_floodset_tight).check_all(
+            st_floodset_tight.model
+        )
+        resumed = _resume_to_verdict(
+            st_floodset_tight, per_hop_budget=Budget(max_edges=3)
+        )
         assert baseline.satisfied
         _assert_same_outcome(resumed, baseline)
 

@@ -111,7 +111,7 @@ class TestOutcomeAnalyzer:
 
     def test_edge_budget_trips_within_one_expansion(self):
         # One state with 40 successors, each deciding 0: a budget of 10
-        # edges must stop the walk inside that state's expansion.
+        # edges must stop the walk at the dequeue after that expansion.
         edges = {"x": [(f"a{i}", f"c{i}") for i in range(40)]}
         decisions = {}
         for i in range(40):
