@@ -4,21 +4,25 @@ A parallel ``check_all`` and a parallel campaign run the same way: each
 sweep's :class:`~repro.core.checker._SweepPlan` is split into shards
 of one input assignment each, and the shards of all sweeps share one
 fault-isolated pool (:mod:`repro.resilience.pool`).  ``check_all(workers=N)`` is a
-campaign of one sweep: it imports this module only on that path, so the
-engine loads no pool until a run asks for workers.
+campaign of one sweep: it imports this module only on that path, and
+this module imports the pool only in :func:`run_sweeps`, so neither the
+engine nor a sequential campaign loads a pool until a run asks for
+workers.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.checker import ConsensusChecker, ConsensusReport, _SweepPlan
 from repro.resilience.budget import Budget
 from repro.resilience.checkpoint import CheckAllCheckpoint
 from repro.resilience.crashpoint import crashpoint
-from repro.resilience.pool import PoolConfig, UnitOutcome, run_units, with_workers
+
+if TYPE_CHECKING:
+    from repro.resilience.pool import PoolConfig, UnitOutcome
 
 
 def _sweep_shard(payload, context: dict) -> list:
@@ -59,6 +63,8 @@ def run_sweeps(
     shards are withdrawn from the pool: unstarted ones are dropped and
     running ones stopped.  Pool unit keys are ``(key, index)``.
     """
+    from repro.resilience.pool import run_units, with_workers
+
     ranked = []
     for key, plan in plans.items():
         if plan.report is not None and on_decided is not None:

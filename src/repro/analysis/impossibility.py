@@ -23,7 +23,7 @@ dual protocol, so experiments can sweep protocols × models uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.analysis.campaign import SweepUnit, run_campaign
 from repro.core.bivalence import build_bivalent_lasso
@@ -43,7 +43,9 @@ from repro.protocols.base import DualProtocol, MessagePassingProtocol
 from repro.resilience.budget import Budget, DEFAULT_MAX_STATES
 from repro.resilience.checkpoint import CampaignCheckpoint
 from repro.resilience.crashpoint import crashpoint
-from repro.resilience.pool import PoolConfig
+
+if TYPE_CHECKING:
+    from repro.resilience.pool import PoolConfig
 
 
 def standard_layering_classes(protocol) -> dict[str, tuple[type, type]]:

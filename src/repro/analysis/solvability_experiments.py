@@ -17,7 +17,7 @@ construction against an explicit covering of a layered system's outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.core.cache import CacheSpec
 from repro.core.similarity import is_similarity_connected
@@ -31,7 +31,6 @@ from repro.protocols.tasks import (
 )
 from repro.resilience.budget import Budget, DEFAULT_MAX_STATES
 from repro.resilience.crashpoint import crashpoint
-from repro.resilience.pool import PoolConfig, run_units, with_workers
 from repro.tasks.catalog import CATALOG, EXPECTED_SOLVABLE
 from repro.tasks.covering import Covering, OutcomeAnalyzer
 from repro.tasks.diameter import check_lemma_7_6, theorem_7_7_series
@@ -40,6 +39,9 @@ from repro.tasks.solvability import (
     corollary_7_3_row,
     defeat_in_every_model,
 )
+
+if TYPE_CHECKING:
+    from repro.resilience.pool import PoolConfig
 
 SOLVERS = {
     "identity": DecideOwnInput,
@@ -171,6 +173,8 @@ def solvability_matrix(
     )
     units = [(name, name) for name in names]
     if workers is not None and workers > 1 and len(units) > 1:
+        from repro.resilience.pool import run_units, with_workers
+
         outcomes = run_units(
             _matrix_unit, units, with_workers(pool, workers), context=context
         ).outcomes

@@ -23,7 +23,7 @@ The supporting lemmas are replayed with witnesses:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.analysis.campaign import SweepUnit, run_campaign
 from repro.analysis.lemmas import LemmaReport
@@ -42,7 +42,9 @@ from repro.protocols.floodset import FloodSet
 from repro.resilience.budget import Budget, DEFAULT_MAX_STATES
 from repro.resilience.checkpoint import CampaignCheckpoint
 from repro.resilience.crashpoint import crashpoint
-from repro.resilience.pool import PoolConfig
+
+if TYPE_CHECKING:
+    from repro.resilience.pool import PoolConfig
 
 
 def make_st_system(

@@ -88,10 +88,6 @@ import os
 import signal
 import sys
 
-from repro.analysis.reports import render_table, render_verdict_rows
-from repro.core.cache import aggregate_stats
-from repro.core.contracts import IllFormedSystemError
-from repro.core.valence import ExplorationLimitExceeded
 from repro.exitcodes import (
     EXIT_INCONCLUSIVE,
     EXIT_INTERRUPTED,
@@ -101,16 +97,9 @@ from repro.exitcodes import (
 )
 from repro.log import configure as configure_logging
 from repro.log import get_logger
-from repro.protocols.registry import PROTOCOLS
-from repro.resilience.budget import Budget
-from repro.resilience.checkpoint import (
-    CampaignCheckpoint,
-    CheckpointMismatch,
-    load_checkpoint,
-)
-from repro.resilience.journal import CampaignJournal, is_journal
-from repro.resilience.pool import pool_config_for
 
+# Every other import is made where it is used, so a subcommand loads
+# only the modules it runs (DESIGN.md, "Layers").
 log = get_logger("cli")
 
 
@@ -143,6 +132,8 @@ def _log_cache_stats(args: argparse.Namespace) -> None:
     """
     if not getattr(args, "cache", True):
         return
+    from repro.core.cache import aggregate_stats
+
     stats = aggregate_stats()
     if stats.hits or stats.misses:
         log.info("cache: %s", stats.describe())
@@ -167,6 +158,7 @@ def _finish_inconclusive(args: argparse.Namespace, report) -> int:
 
 
 def _cmd_lower_bound(args: argparse.Namespace) -> int:
+    from repro.analysis.reports import render_verdict_rows
     from repro.analysis.sync_lower_bound import (
         defeat_fast_candidates,
         verify_tight_protocols,
@@ -216,6 +208,8 @@ def _cmd_impossibility(args: argparse.Namespace) -> int:
         refute_candidate,
         standard_layerings,
     )
+    from repro.analysis.reports import render_table
+    from repro.protocols.registry import PROTOCOLS
 
     protocol = PROTOCOLS[args.protocol](args.n)
     print(
@@ -267,6 +261,7 @@ def _cmd_impossibility(args: argparse.Namespace) -> int:
 
 
 def _cmd_solvability(args: argparse.Namespace) -> int:
+    from repro.analysis.reports import render_table
     from repro.analysis.solvability_experiments import solvability_matrix
     from repro.tasks.catalog import EXPECTED_SOLVABLE
 
@@ -311,6 +306,7 @@ def _cmd_solvability(args: argparse.Namespace) -> int:
 
 def _cmd_lemmas(args: argparse.Namespace) -> int:
     from repro.analysis.lemmas import lemma_3_6_report, lemma_5_1
+    from repro.analysis.reports import render_table
     from repro.core.valence import ValenceAnalyzer
     from repro.layerings.s1_mobile import S1MobileLayering, similarity_chain
     from repro.models.mobile import MobileModel
@@ -338,6 +334,7 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
 
 
 def _cmd_diameter(args: argparse.Namespace) -> int:
+    from repro.analysis.reports import render_table
     from repro.analysis.solvability_experiments import diameter_table
     from repro.core.cache import resolve_cache
     from repro.layerings.s1_mobile import S1MobileLayering
@@ -398,6 +395,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     """
     import dataclasses
 
+    from repro.analysis.reports import render_table
     from repro.lint import LintError, lint_paths, preflight_system
     from repro.lint.engine import flow_codes, resolve_codes, rule_table
 
@@ -441,6 +439,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 )
         if args.protocol:
             from repro.analysis.impossibility import standard_layerings
+            from repro.protocols.registry import PROTOCOLS
 
             protocol = PROTOCOLS[args.protocol](args.n)
             layerings = standard_layerings(protocol, args.n)
@@ -568,6 +567,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     nothing tested or a usage error; EX_UNAVAILABLE (69): the ``--net``
     clean-network baseline never served.
     """
+    from repro.analysis.reports import render_table
     from repro.resilience.chaos import CampaignTarget, ChaosSweep, chaos_sweep
     from repro.serve.chaos import ServerTarget, default_battery
     from repro.serve.netchaos import NetChaosSweep, netchaos_sweep
@@ -766,6 +766,8 @@ def _add_budget_flags(parser, suppress: bool = False) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser for ``python -m repro`` (module docstring)."""
+    from repro.protocols.registry import PROTOCOLS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Executable layered analysis of consensus "
@@ -1106,13 +1108,28 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     configure_logging(args.verbose - args.quiet)
+    from repro.core.contracts import IllFormedSystemError
+    from repro.core.valence import ExplorationLimitExceeded
+    from repro.resilience.budget import Budget
+    from repro.resilience.checkpoint import (
+        CampaignCheckpoint,
+        CheckpointMismatch,
+        load_checkpoint,
+    )
+
     args.budget = Budget(
         max_states=args.max_states, max_seconds=args.timeout
     )
-    args.pool = pool_config_for(
-        args.workers, args.unit_timeout, args.max_retries
-    )
+    args.pool = None
+    if args.workers is not None:
+        from repro.resilience.pool import pool_config_for
+
+        args.pool = pool_config_for(
+            args.workers, args.unit_timeout, args.max_retries
+        )
     args.campaign = None
+    if args.resume or args.checkpoint:
+        from repro.resilience.journal import CampaignJournal, is_journal
     if args.resume:
         target = args.checkpoint or args.resume
         try:

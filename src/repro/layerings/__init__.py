@@ -17,58 +17,32 @@ the monotone-embedding property that makes it a *layering* (Section 4) is
 constructive and testable (:func:`verify_layering_embedding`).
 """
 
-from repro.layerings.base import Layering, SuccessorSystem, verify_layering_embedding
-from repro.layerings.iterated_snapshot import (
-    IteratedSnapshotLayering,
-    blocks_schedule,
-    short_blocks_schedule,
-    solo_diamond,
-    split_merge_edges,
-)
-from repro.layerings.permutation import (
-    PermutationLayering,
-    diamond,
-    full_schedule,
-    pair_schedule,
-    short_schedule,
-    transposition_edges,
-)
-from repro.layerings.s1_mobile import S1MobileLayering, similarity_chain
-from repro.layerings.st_synchronous import StSynchronousLayering, st_action
-from repro.layerings.synchronic_mp import SynchronicMPLayering, absent_mp, sync_mp
-from repro.layerings.synchronic_rw import (
-    SynchronicRWLayering,
-    absent_diamond,
-    absent_rw,
-    sync_rw,
-    y_chain,
-)
+from repro import _lazy_getattr
 
-__all__ = [
-    "IteratedSnapshotLayering",
-    "Layering",
-    "PermutationLayering",
-    "S1MobileLayering",
-    "StSynchronousLayering",
-    "SuccessorSystem",
-    "SynchronicMPLayering",
-    "SynchronicRWLayering",
-    "absent_diamond",
-    "absent_mp",
-    "blocks_schedule",
-    "absent_rw",
-    "diamond",
-    "full_schedule",
-    "pair_schedule",
-    "short_blocks_schedule",
-    "short_schedule",
-    "similarity_chain",
-    "solo_diamond",
-    "split_merge_edges",
-    "st_action",
-    "sync_mp",
-    "sync_rw",
-    "transposition_edges",
-    "verify_layering_embedding",
-    "y_chain",
-]
+#: Where each name is defined; a name is imported on first use.
+_EXPORTS = {
+    "repro.layerings.base": (
+        "Layering", "SuccessorSystem", "verify_layering_embedding",
+    ),
+    "repro.layerings.iterated_snapshot": (
+        "IteratedSnapshotLayering", "blocks_schedule", "short_blocks_schedule",
+        "solo_diamond", "split_merge_edges",
+    ),
+    "repro.layerings.permutation": (
+        "PermutationLayering", "diamond", "full_schedule", "pair_schedule",
+        "short_schedule", "transposition_edges",
+    ),
+    "repro.layerings.s1_mobile": ("S1MobileLayering", "similarity_chain"),
+    "repro.layerings.st_synchronous": ("StSynchronousLayering", "st_action"),
+    "repro.layerings.synchronic_mp": (
+        "SynchronicMPLayering", "absent_mp", "sync_mp",
+    ),
+    "repro.layerings.synchronic_rw": (
+        "SynchronicRWLayering", "absent_diamond", "absent_rw", "sync_rw",
+        "y_chain",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__ = _lazy_getattr(__name__, _EXPORTS)

@@ -44,37 +44,22 @@ gates both the shipped source trees and a ``--deep`` self-sweep of
 ``src/repro`` against a checked-in baseline on every push.
 """
 
-from repro.lint.ast_rules import AST_RULES
-from repro.lint.contracts import (
-    ContractWitness,
-    IllFormedSystemError,
-    PreflightReport,
-    preflight_system,
-)
-from repro.lint.engine import (
-    LintError,
-    LintFinding,
-    all_rules,
-    lint_paths,
-    lint_source,
-    resolve_codes,
-    rule_table,
-)
-from repro.lint.flow_rules import FLOW_RULES, deep_lint_paths
+from repro import _lazy_getattr
 
-__all__ = [
-    "AST_RULES",
-    "FLOW_RULES",
-    "ContractWitness",
-    "IllFormedSystemError",
-    "LintError",
-    "LintFinding",
-    "PreflightReport",
-    "all_rules",
-    "deep_lint_paths",
-    "lint_paths",
-    "lint_source",
-    "preflight_system",
-    "resolve_codes",
-    "rule_table",
-]
+#: Where each name is defined; a name is imported on first use.
+_EXPORTS = {
+    "repro.lint.ast_rules": ("AST_RULES",),
+    "repro.lint.contracts": (
+        "ContractWitness", "IllFormedSystemError", "PreflightReport",
+        "preflight_system",
+    ),
+    "repro.lint.engine": (
+        "LintError", "LintFinding", "all_rules", "lint_paths", "lint_source",
+        "resolve_codes", "rule_table",
+    ),
+    "repro.lint.flow_rules": ("FLOW_RULES", "deep_lint_paths"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__ = _lazy_getattr(__name__, _EXPORTS)

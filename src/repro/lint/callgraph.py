@@ -21,7 +21,10 @@ against the nondeterminism tables.  What we do resolve:
   base classes that resolve inside the analyzed module set (single
   inheritance chains are enough for this tree);
 * calls through module-level import aliases (``import random as r``,
-  ``from time import time as now``, ``from repro.util import graphs``);
+  ``from time import time as now``, ``from repro.util import graphs``),
+  and through the names a package re-exports, by import or by an
+  ``_EXPORTS`` table of lazily served names (``from repro.models
+  import SynchronousModel``);
 * ``SomeClass(...)`` constructor calls, which resolve to
   ``SomeClass.__init__`` when the class is in the analyzed set.
 """
@@ -212,6 +215,16 @@ def _index_statement(index: ModuleIndex, node: ast.stmt) -> None:
     elif isinstance(node, (ast.Assign, ast.AnnAssign)):
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
         value = node.value
+        if [getattr(t, "id", None) for t in targets] == ["_EXPORTS"] and (
+            isinstance(value, ast.Dict)
+        ):
+            # A ``{"module": ("name", ...)}`` table of lazily served names.
+            for module, names in zip(value.keys, value.values):
+                for name in getattr(names, "elts", ()):
+                    if isinstance(module, ast.Constant) and isinstance(
+                        name, ast.Constant
+                    ):
+                        index.imports[name.value] = f"{module.value}.{name.value}"
         if value is not None and _is_mutable_value(value):
             for target in targets:
                 if isinstance(target, ast.Name):
@@ -421,8 +434,9 @@ class CallGraph:
             return mod, cls
         return None
 
-    def _lookup(self, dotted: str) -> Optional[str]:
-        """A dotted spelling that lands on an analyzed function/method."""
+    def _lookup(self, dotted: str, hops: int = 8) -> Optional[str]:
+        """A dotted spelling that lands on an analyzed function/method,
+        following at most *hops* re-exports."""
         if dotted in self.functions:
             return dotted
         module_name, _, attr = dotted.rpartition(".")
@@ -432,6 +446,8 @@ class CallGraph:
                 return mod.functions[attr]
             if attr in mod.classes:
                 return mod.classes[attr].get("__init__")
+            if attr in mod.imports and hops:
+                return self._lookup(mod.imports[attr], hops - 1)
         # Class.method spelled through an import of the class
         head, _, method = module_name.rpartition(".")
         mod = self.modules.get(head)

@@ -14,55 +14,29 @@ Five models, each binding a deterministic protocol to ``n`` processes:
   announced full-version extension).
 """
 
-from repro.models.async_mp import (
-    AsyncMessagePassingModel,
-    flush_action,
-    mp_env,
-    recv_action,
-    stage_action,
-)
-from repro.models.base import Model
-from repro.models.mobile import ENV_MF, MobileModel, omit_action, prefix_action
-from repro.models.shared_memory import (
-    BOT,
-    SharedMemoryModel,
-    rw_env,
-    step_action,
-)
-from repro.models.snapshot import (
-    SnapshotMemoryModel,
-    scan_action,
-    snapshot_env,
-    update_action,
-)
-from repro.models.sync import (
-    NO_FAILURE,
-    SynchronousModel,
-    fail_action,
-    sync_env,
-)
+from repro import _lazy_getattr
 
-__all__ = [
-    "AsyncMessagePassingModel",
-    "BOT",
-    "ENV_MF",
-    "Model",
-    "MobileModel",
-    "NO_FAILURE",
-    "SharedMemoryModel",
-    "SnapshotMemoryModel",
-    "SynchronousModel",
-    "fail_action",
-    "flush_action",
-    "mp_env",
-    "omit_action",
-    "prefix_action",
-    "recv_action",
-    "rw_env",
-    "scan_action",
-    "snapshot_env",
-    "stage_action",
-    "step_action",
-    "sync_env",
-    "update_action",
-]
+#: Where each name is defined; a name is imported on first use.
+_EXPORTS = {
+    "repro.models.async_mp": (
+        "AsyncMessagePassingModel", "flush_action", "mp_env", "recv_action",
+        "stage_action",
+    ),
+    "repro.models.base": ("Model",),
+    "repro.models.mobile": (
+        "ENV_MF", "MobileModel", "omit_action", "prefix_action",
+    ),
+    "repro.models.shared_memory": (
+        "BOT", "SharedMemoryModel", "rw_env", "step_action",
+    ),
+    "repro.models.snapshot": (
+        "SnapshotMemoryModel", "scan_action", "snapshot_env", "update_action",
+    ),
+    "repro.models.sync": (
+        "NO_FAILURE", "SynchronousModel", "fail_action", "sync_env",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__ = _lazy_getattr(__name__, _EXPORTS)

@@ -13,66 +13,33 @@
   violations).
 """
 
-from repro.protocols.base import (
-    DualProtocol,
-    MessageBatch,
-    MessagePassingProtocol,
-    Protocol,
-    SharedMemoryProtocol,
-)
-from repro.protocols.candidates import (
-    CoordinatorState,
-    GossipState,
-    QuorumDecide,
-    RotatingCoordinator,
-    WaitForAll,
-    make_rule_candidate,
-)
-from repro.protocols.early_deciding import (
-    EarlyDecidingFloodSet,
-    EarlyFloodState,
-)
-from repro.protocols.eig import EIG, EIGState
-from repro.protocols.floodset import FloodSet, FloodSetState
-from repro.protocols.tasks import (
-    DecideConstantProtocol,
-    DecideOwnInput,
-    EpsilonAgreementProtocol,
-    KSetAgreementProtocol,
-)
-from repro.protocols.full_information import (
-    FullInformationProtocol,
-    View,
-    decide_constant,
-    decide_min_observed,
-    decide_own_input,
-)
+from repro import _lazy_getattr
 
-__all__ = [
-    "DualProtocol",
-    "EIG",
-    "DecideConstantProtocol",
-    "DecideOwnInput",
-    "EarlyDecidingFloodSet",
-    "EarlyFloodState",
-    "EpsilonAgreementProtocol",
-    "KSetAgreementProtocol",
-    "EIGState",
-    "FloodSet",
-    "FloodSetState",
-    "FullInformationProtocol",
-    "GossipState",
-    "MessageBatch",
-    "MessagePassingProtocol",
-    "Protocol",
-    "CoordinatorState",
-    "QuorumDecide",
-    "RotatingCoordinator",
-    "SharedMemoryProtocol",
-    "View",
-    "WaitForAll",
-    "decide_constant",
-    "decide_min_observed",
-    "decide_own_input",
-    "make_rule_candidate",
-]
+#: Where each name is defined; a name is imported on first use.
+_EXPORTS = {
+    "repro.protocols.base": (
+        "DualProtocol", "MessageBatch", "MessagePassingProtocol", "Protocol",
+        "SharedMemoryProtocol",
+    ),
+    "repro.protocols.candidates": (
+        "CoordinatorState", "GossipState", "QuorumDecide",
+        "RotatingCoordinator", "WaitForAll", "make_rule_candidate",
+    ),
+    "repro.protocols.early_deciding": (
+        "EarlyDecidingFloodSet", "EarlyFloodState",
+    ),
+    "repro.protocols.eig": ("EIG", "EIGState"),
+    "repro.protocols.floodset": ("FloodSet", "FloodSetState"),
+    "repro.protocols.full_information": (
+        "FullInformationProtocol", "View", "decide_constant",
+        "decide_min_observed", "decide_own_input",
+    ),
+    "repro.protocols.tasks": (
+        "DecideConstantProtocol", "DecideOwnInput", "EpsilonAgreementProtocol",
+        "KSetAgreementProtocol",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__ = _lazy_getattr(__name__, _EXPORTS)

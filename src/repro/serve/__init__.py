@@ -12,49 +12,25 @@ reconnecting :class:`ResilientClient`, verdict-store GC, and the
 See :mod:`repro.serve.server` for the architecture overview.
 """
 
-from repro.serve.admission import (
-    Admission,
-    AdmissionController,
-    REJECT_DRAINING,
-    REJECT_INVALID,
-    REJECT_QUEUE_FULL,
-    REJECT_QUOTA,
-)
-from repro.serve.breaker import CircuitBreaker
-from repro.serve.client import (
-    ProtocolError,
-    ResilientClient,
-    ServeClient,
-    ServerGone,
-    wait_for_endpoint,
-)
-from repro.serve.jobs import InvalidJob, JobSpec, run_job
-from repro.serve.netchaos import FaultSchedule, NetChaosProxy, NetFault
-from repro.serve.server import ServeConfig, VerifyServer, run_serve
-from repro.serve.store import StoreCorrupt, VerdictStore
+from repro import _lazy_getattr
 
-__all__ = [
-    "Admission",
-    "AdmissionController",
-    "CircuitBreaker",
-    "FaultSchedule",
-    "InvalidJob",
-    "JobSpec",
-    "NetChaosProxy",
-    "NetFault",
-    "ProtocolError",
-    "REJECT_DRAINING",
-    "REJECT_INVALID",
-    "REJECT_QUEUE_FULL",
-    "REJECT_QUOTA",
-    "ResilientClient",
-    "ServeClient",
-    "ServeConfig",
-    "ServerGone",
-    "StoreCorrupt",
-    "VerdictStore",
-    "VerifyServer",
-    "run_job",
-    "run_serve",
-    "wait_for_endpoint",
-]
+#: Where each name is defined; a name is imported on first use.
+_EXPORTS = {
+    "repro.serve.admission": (
+        "Admission", "AdmissionController", "REJECT_DRAINING",
+        "REJECT_INVALID", "REJECT_QUEUE_FULL", "REJECT_QUOTA",
+    ),
+    "repro.serve.breaker": ("CircuitBreaker",),
+    "repro.serve.client": (
+        "ProtocolError", "ResilientClient", "ServeClient", "ServerGone",
+        "wait_for_endpoint",
+    ),
+    "repro.serve.jobs": ("InvalidJob", "JobSpec", "run_job"),
+    "repro.serve.netchaos": ("FaultSchedule", "NetChaosProxy", "NetFault"),
+    "repro.serve.server": ("ServeConfig", "VerifyServer", "run_serve"),
+    "repro.serve.store": ("StoreCorrupt", "VerdictStore"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__ = _lazy_getattr(__name__, _EXPORTS)

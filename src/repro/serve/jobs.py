@@ -218,6 +218,19 @@ def _layering_names(protocol: str, n: int) -> frozenset:
         raise InvalidJob(str(exc)) from None
 
 
+def load_engine() -> None:
+    """Import every module a refute job runs on.
+
+    The server calls this before it forks its pool workers, so a worker
+    imports nothing for its first job (DESIGN.md, "Layers")."""
+    from repro.analysis.impossibility import standard_layering_classes
+    from repro.core import cache, contracts  # noqa: F401  (used by check_all)
+    from repro.protocols.registry import PROTOCOLS
+
+    for factory in PROTOCOLS.values():
+        standard_layering_classes(factory(2))
+
+
 def _verdict_record(spec: JobSpec, report) -> dict:
     """The JSON-safe verdict body stored for a conclusive refute job.
 

@@ -92,7 +92,7 @@ from repro.resilience.pool import PoolConfig, WorkerPool, run_units
 from repro.resilience.retry import Deadline
 from repro.serve.admission import AdmissionController
 from repro.serve.breaker import CircuitBreaker
-from repro.serve.jobs import InvalidJob, JobSpec, run_job
+from repro.serve.jobs import InvalidJob, JobSpec, load_engine, run_job
 from repro.serve.store import VerdictStore
 
 log = get_logger("serve")
@@ -235,9 +235,11 @@ class VerifyServer:
         else:
             self._ledger = CampaignJournal.create(ledger_path)
         self._recover()
+        load_engine()
         if cfg.isolation:
-            # Forked here, before the listening socket and any thread
-            # exist, so the first job pays no spawn.
+            # Forked here, after the engine is loaded and before the
+            # listening socket and any thread exist, so the first job
+            # pays no spawn and no import.
             pool_cfg = PoolConfig(
                 workers=1,
                 max_retries=cfg.pool_retries,

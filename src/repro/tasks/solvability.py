@@ -28,11 +28,13 @@ from typing import Optional, Union
 
 from repro.core.cache import CacheSpec
 from repro.core.checker import Verdict
+from repro.layerings.iterated_snapshot import IteratedSnapshotLayering
 from repro.layerings.permutation import PermutationLayering
 from repro.layerings.synchronic_mp import SynchronicMPLayering
 from repro.layerings.synchronic_rw import SynchronicRWLayering
 from repro.models.async_mp import AsyncMessagePassingModel
 from repro.models.shared_memory import SharedMemoryModel
+from repro.models.snapshot import SnapshotMemoryModel
 from repro.protocols.base import DualProtocol
 from repro.resilience.budget import Budget, DEFAULT_MAX_STATES
 from repro.tasks.checker import TaskChecker, TaskReport
@@ -78,9 +80,6 @@ def one_resilient_layerings(
     (the paper's announced full-version addition) are the ones general
     task protocols target here.
     """
-    from repro.layerings.iterated_snapshot import IteratedSnapshotLayering
-    from repro.models.snapshot import SnapshotMemoryModel
-
     return {
         "synchronic-rw": SynchronicRWLayering(
             SharedMemoryModel(protocol, n)

@@ -8,30 +8,20 @@ chains used by the permutation-layering connectivity proof are produced by
 directly against the combinatorial claim in the paper).
 """
 
-from repro.util.graphs import (
-    Graph,
-    connected_components,
-    diameter,
-    is_connected,
-    shortest_path,
-    shortest_path_lengths,
-)
-from repro.util.orderings import (
-    adjacent_transposition_chain,
-    all_permutations,
-    apply_transposition,
-    rotations,
-)
+from repro import _lazy_getattr
 
-__all__ = [
-    "Graph",
-    "connected_components",
-    "diameter",
-    "is_connected",
-    "shortest_path",
-    "shortest_path_lengths",
-    "adjacent_transposition_chain",
-    "all_permutations",
-    "apply_transposition",
-    "rotations",
-]
+#: Where each name is defined; a name is imported on first use.
+_EXPORTS = {
+    "repro.util.graphs": (
+        "Graph", "connected_components", "diameter", "is_connected",
+        "shortest_path", "shortest_path_lengths",
+    ),
+    "repro.util.orderings": (
+        "adjacent_transposition_chain", "all_permutations",
+        "apply_transposition", "rotations",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+
+__getattr__ = _lazy_getattr(__name__, _EXPORTS)

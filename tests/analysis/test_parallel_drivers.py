@@ -12,7 +12,6 @@ from itertools import product
 
 import pytest
 
-from repro.analysis import campaign as campaign_module
 from repro.analysis.campaign import SweepUnit, run_campaign
 from repro.analysis.impossibility import refute_candidate
 from repro.analysis.solvability_experiments import solvability_matrix
@@ -25,6 +24,7 @@ from repro.cli import EXIT_INCONCLUSIVE, EXIT_OK, main
 from repro.protocols.candidates import QuorumDecide
 from repro.protocols.floodset import FloodSet
 from repro.protocols.registry import PROTOCOLS
+from repro.resilience import pool as pool_module
 from repro.resilience.budget import Budget
 from repro.resilience.checkpoint import CampaignCheckpoint
 from repro.resilience.journal import CampaignJournal, load_journal
@@ -181,7 +181,7 @@ class TestCampaignIntegration:
         its record: the ones still running are stopped."""
         workers = 2
         events = []
-        run_units = campaign_module.run_units
+        run_units = pool_module.run_units
 
         def traced_run_units(fn, units, config, on_complete=None, context=None):
             def traced(outcome):
@@ -190,7 +190,9 @@ class TestCampaignIntegration:
 
             return run_units(fn, units, config, traced, context)
 
-        monkeypatch.setattr(campaign_module, "run_units", traced_run_units)
+        # The campaign imports the pool's run_units when a run asks for
+        # workers, so the patch goes where it is defined.
+        monkeypatch.setattr(pool_module, "run_units", traced_run_units)
         path = tmp_path / "campaign.journal"
         journal = CampaignJournal.create(path, checkpoint_interval=1)
         record = journal.record

@@ -12,6 +12,8 @@ import pytest
 
 from benchmarks.src_lines import LAYERS, PACKAGE, layer_of
 
+#: The packages with exports; each ``__init__`` only names where they
+#: live (an ``_EXPORTS`` table), so importing it loads none of them.
 PACKAGES = [
     "repro",
     "repro.core",
@@ -20,6 +22,8 @@ PACKAGES = [
     "repro.protocols",
     "repro.tasks",
     "repro.analysis",
+    "repro.serve",
+    "repro.lint",
     "repro.util",
 ]
 
@@ -118,6 +122,21 @@ def test_every_module_level_import_points_down():
     assert not upward
 
 
+def _fresh_modules(script: str) -> list[str]:
+    """The modules loaded by a fresh interpreter that runs *script*."""
+    src = str(PACKAGE.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    script += "\nimport sys\nprint(*sorted(sys.modules))\n"
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return done.stdout.splitlines()[-1].split()
+
+
 _CHECK_ALL = """
 from repro.layerings.st_synchronous import StSynchronousLayering
 from repro.models.sync import SynchronousModel
@@ -155,17 +174,7 @@ def test_the_engine_loads_no_driver_or_front(run):
     """A fresh interpreter that imports an engine package, or runs a
     sequential sweep, loads no module above the engine layer and no
     ``multiprocessing``."""
-    src = str(PACKAGE.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    script = ENGINE_RUNS[run] + "\nimport sys\nprint(*sorted(sys.modules))\n"
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
-    )
-    loaded = done.stdout.split()
+    loaded = _fresh_modules(ENGINE_RUNS[run])
     above = [
         name for name in loaded
         if name.split(".")[0] == "repro"
@@ -175,10 +184,6 @@ def test_the_engine_loads_no_driver_or_front(run):
     assert "multiprocessing" not in loaded
 
 
-#: Packages whose ``__init__`` only names where their exports live.
-_TABLE_ONLY = ("repro", "repro.core")
-
-
 @pytest.mark.parametrize(
     "module", ["repro.core.state", "repro.resilience.budget"]
 )
@@ -186,24 +191,59 @@ def test_a_bottom_module_loads_no_engine_module(module):
     """A fresh interpreter that imports a bottom-layer module loads only
     the bottom layer and the packages on the way, whose ``__init__``
     imports nothing of the engine."""
-    src = str(PACKAGE.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    script = f"import {module}\nimport sys\nprint(*sorted(sys.modules))\n"
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
-    )
     loaded = [
-        name for name in done.stdout.split()
-        if name.split(".")[0] == "repro" and name not in _TABLE_ONLY
+        name for name in _fresh_modules(f"import {module}")
+        if name.split(".")[0] == "repro" and name not in PACKAGES
     ]
     assert module in loaded
     assert [
         name for name in loaded if layer_of(_module_path(name)) != "bottom"
     ] == []
+
+
+#: What ``import repro.cli`` must not load: the pool, the server's event
+#: loop, and the modules of the subcommands it does not run.
+_NOT_AT_CLI_IMPORT = (
+    "multiprocessing", "asyncio", "repro.serve", "repro.tasks",
+    "repro.lint.flow_rules", "repro.lint.callgraph", "repro.lint.summaries",
+)
+
+
+def _under(name: str, roots) -> bool:
+    return any(name == root or name.startswith(root + ".") for root in roots)
+
+
+def test_importing_the_cli_loads_only_the_cli():
+    """A fresh ``import repro.cli`` loads at most 25 ``repro`` modules,
+    none of the pool, the server or a subcommand's driver."""
+    loaded = _fresh_modules("import repro.cli")
+    assert [name for name in loaded if _under(name, _NOT_AT_CLI_IMPORT)] == []
+    assert len([name for name in loaded if _under(name, ["repro"])]) <= 25
+
+
+def test_a_sequential_cli_run_loads_no_pool():
+    loaded = _fresh_modules(
+        "import contextlib, io, repro.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert repro.cli.main(['impossibility', '--n', '2']) == 0"
+    )
+    assert "repro.analysis.impossibility" in loaded
+    assert "multiprocessing" not in loaded
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_every_export_is_served_from_its_submodule(package):
+    """Each name of a package's ``_EXPORTS`` table is the object its
+    submodule defines under that name, and ``__all__`` names exactly
+    the table."""
+    module = importlib.import_module(package)
+    names = [name for names in module._EXPORTS.values() for name in names]
+    exported = [name for name in module.__all__ if name != "__version__"]
+    assert sorted(exported) == sorted(set(names)) == sorted(names)
+    for where, defined in module._EXPORTS.items():
+        source = importlib.import_module(where)
+        for name in defined:
+            assert getattr(module, name) is getattr(source, name), name
 
 
 def test_the_top_level_names_are_served_on_first_use():

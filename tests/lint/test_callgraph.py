@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import textwrap
 
+import pytest
+
 from repro.lint.flow import build_call_graph
 
 
@@ -131,6 +133,33 @@ class TestResolution:
                 "pkg/a.py": "def util():\n    pass\n",
                 "pkg/b.py": """
                 from pkg.a import util
+
+                def f():
+                    util()
+                """,
+            },
+        )
+        graph = build_call_graph([str(tmp_path)])
+        assert ("pkg.a.util", False) in edges_of(graph, "pkg.b.f")
+
+    @pytest.mark.parametrize(
+        "init",
+        [
+            "from pkg.a import util\n",
+            '_EXPORTS = {"pkg.a": ("util",)}\n',
+        ],
+        ids=["import", "export-table"],
+    )
+    def test_call_through_a_package_level_name(self, tmp_path, init):
+        """A name the package re-exports, by import or by the lazy
+        ``_EXPORTS`` table, resolves to its definition."""
+        write_tree(
+            tmp_path,
+            {
+                "pkg/__init__.py": init,
+                "pkg/a.py": "def util():\n    pass\n",
+                "pkg/b.py": """
+                from pkg import util
 
                 def f():
                     util()

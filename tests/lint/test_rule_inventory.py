@@ -10,7 +10,10 @@ docstring's family overview) covers every registered code.
 
 from __future__ import annotations
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import repro.lint
@@ -50,3 +53,25 @@ class TestRegistryIsSourceOfTruth:
         assert not missing, (
             f"repro.lint docstring does not mention {sorted(missing)}"
         )
+
+    def test_the_engine_alone_registers_every_rule(self):
+        """A fresh interpreter that imports only ``repro.lint.engine``
+        (the package ``__init__`` imports no rule module) still lists
+        every rule: ``all_rules()`` imports the rule modules itself."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.lint.engine import all_rules; print(*all_rules())"],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert done.stdout.split() == [
+            "RP101", "RP102", "RP103", "RP104", "RP105",
+            "RP201", "RP202", "RP203", "RP204", "RP205",
+            "RP301", "RP302", "RP303",
+            "RP401", "RP402", "RP403",
+            "RP501", "RP502",
+        ]
