@@ -2,25 +2,19 @@
 
 The journaled campaign checkpoint (:mod:`repro.resilience.journal`)
 appends one CRC-framed record per finished unit and fsyncs at a
-configurable cadence.  The old format rewrote (pickle + fsync + rename +
-directory fsync) the *entire* campaign state after every unit, a cost
-that grows with campaign size.  This bench prices both against an
-uncheckpointed run on a campaign of small units — the harshest realistic
-shape, since per-unit checkpoint cost is amortized worst when units are
-cheap.
+configurable cadence.  This bench prices it against an uncheckpointed
+run on a campaign of small units — the harshest realistic shape, since
+per-unit checkpoint cost is amortized worst when units are cheap.
 
-Three arms over the same ``run_campaign`` workload (synchronic-rw
+Two arms over the same ``run_campaign`` workload (synchronic-rw
 QuorumDecide ``check_all`` units, the E12 grid cell):
 
 * ``none`` — no campaign checkpoint at all (the floor).
 * ``journal`` — :class:`CampaignJournal` with ``checkpoint_interval=1``:
   every unit appended *and* fsynced before the campaign proceeds.
-* ``legacy`` — the pre-journal behavior: a full atomic
-  :func:`save_checkpoint` rewrite after every unit.
 
 The acceptance bar: journaling at interval 1 costs < ``OVERHEAD_BAR``
-relative to no checkpointing.  The legacy arm is recorded, not asserted
-— it exists to show what the journal replaced.
+relative to no checkpointing.
 """
 
 import time
@@ -34,12 +28,6 @@ from repro.layerings.synchronic_rw import SynchronicRWLayering
 from repro.models.shared_memory import SharedMemoryModel
 from repro.protocols.candidates import QuorumDecide
 from repro.resilience.budget import Budget
-from repro.resilience.checkpoint import (
-    CampaignCheckpoint,
-    CheckpointCorrupt,
-    load_checkpoint,
-    save_checkpoint,
-)
 from repro.resilience.journal import CampaignJournal
 
 #: The allowed relative slowdown of interval-1 journaling vs none.
@@ -51,19 +39,7 @@ NOISE_ALLOWANCE = 0.10
 #: Units per campaign: enough appends that per-unit cost is visible.
 UNIT_COUNT = 32
 
-ARMS = ["none", "journal", "legacy"]
-
-
-class _FullRewriteCheckpoint(CampaignCheckpoint):
-    """The pre-journal autosave: rewrite the whole file every unit."""
-
-    def __init__(self, path):
-        super().__init__()
-        self._path = path
-
-    def record(self, key, report):
-        super().record(key, report)
-        save_checkpoint(self, self._path)
+ARMS = ["none", "journal"]
 
 
 def make_units():
@@ -89,8 +65,6 @@ def run_arm(arm: str, tmp_path):
         campaign = None
     elif arm == "journal":
         campaign = CampaignJournal.create(path, checkpoint_interval=1)
-    elif arm == "legacy":
-        campaign = _FullRewriteCheckpoint(path)
     else:
         raise ValueError(arm)
     results = run_campaign(units, campaign=campaign)
@@ -134,12 +108,8 @@ def test_e16_table(tmp_path):
             size or "-",
         ])
     journal_overhead = walls["journal"] / walls["none"] - 1.0
-    legacy_overhead = walls["legacy"] / walls["none"] - 1.0
     rows.append(
         ["journal-vs-none overhead", "-", f"{journal_overhead:+.1%}", "-", "-"]
-    )
-    rows.append(
-        ["legacy-vs-none overhead", "-", f"{legacy_overhead:+.1%}", "-", "-"]
     )
     save_table(
         "e16_checkpoint_overhead",
@@ -154,17 +124,3 @@ def test_e16_table(tmp_path):
         f"interval-1 journaling overhead {journal_overhead:.1%} is far "
         f"above the {OVERHEAD_BAR:.0%} target"
     )
-
-
-def test_e16_legacy_checkpoint_still_loads(tmp_path):
-    """The migration story the table rests on: old-format files load
-    (and migrate on resume), and garbled ones fail with the clean
-    CheckpointMismatch diagnostic — never a raw pickle traceback."""
-    legacy = tmp_path / "legacy.ckpt"
-    save_checkpoint(CampaignCheckpoint(completed={"unit": "report"}), legacy)
-    assert load_checkpoint(legacy).completed == {"unit": "report"}
-
-    garbled = tmp_path / "garbled.ckpt"
-    garbled.write_bytes(b"\x80\x05 not a checkpoint")
-    with pytest.raises(CheckpointCorrupt):
-        load_checkpoint(garbled)

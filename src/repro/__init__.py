@@ -74,7 +74,6 @@ _EXPORTS = {
     "repro.resilience.budget": ("Budget", "BudgetStats"),
     "repro.resilience.checkpoint": (
         "CampaignCheckpoint", "CheckAllCheckpoint", "ExplorationCheckpoint",
-        "load_checkpoint", "save_checkpoint",
     ),
 }
 

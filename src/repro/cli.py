@@ -31,9 +31,10 @@ Resource limits and resumability (the resilience layer):
 * Checkpoints are written as an append-only **journal**
   (:mod:`repro.resilience.journal`): one small record per finished unit
   (fsync cadence set by ``--checkpoint-interval``, default every unit),
-  self-healing on load if a crash tore the final record.  Legacy
-  whole-file checkpoints still resume (they are migrated into a journal
-  at the write target).
+  self-healing on load if a crash tore the final record.  A file that is
+  not a journal (such as the pickle envelopes of older versions) does
+  not resume: the command exits 2 naming its bad magic.  ``--resume A
+  --checkpoint B`` replays journal A into a fresh journal at B.
 * Ctrl-C and SIGTERM exit with code 130, after writing the checkpoint
   if requested.
 * ``repro chaos -- <subcommand ...>`` turns the crash tolerance on
@@ -1111,11 +1112,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.core.contracts import IllFormedSystemError
     from repro.core.valence import ExplorationLimitExceeded
     from repro.resilience.budget import Budget
-    from repro.resilience.checkpoint import (
-        CampaignCheckpoint,
-        CheckpointMismatch,
-        load_checkpoint,
-    )
+    from repro.resilience.checkpoint import CheckpointMismatch
 
     args.budget = Budget(
         max_states=args.max_states, max_seconds=args.timeout
@@ -1129,16 +1126,16 @@ def main(argv: list[str] | None = None) -> int:
         )
     args.campaign = None
     if args.resume or args.checkpoint:
-        from repro.resilience.journal import CampaignJournal, is_journal
+        from repro.resilience.journal import CampaignJournal, load_journal
+
+        journal_options = dict(
+            checkpoint_interval=args.checkpoint_interval,
+            compact_every=args.compact_every,
+        )
     if args.resume:
         target = args.checkpoint or args.resume
         try:
-            try:
-                empty = os.path.getsize(args.resume) == 0
-            except OSError as exc:
-                log.warning("cannot resume: %s", exc)
-                return EXIT_INCONCLUSIVE
-            if empty:
+            if os.path.getsize(args.resume) == 0:
                 # A zero-byte file is the signature of dying between
                 # creating the checkpoint and committing any bytes —
                 # nothing was saved, so a fresh start *is* the resume.
@@ -1147,43 +1144,24 @@ def main(argv: list[str] | None = None) -> int:
                     "anything); starting the campaign from scratch",
                     args.resume,
                 )
-                args.campaign = CampaignJournal.create(
-                    target,
-                    checkpoint_interval=args.checkpoint_interval,
-                    compact_every=args.compact_every,
-                )
-            elif is_journal(args.resume) and target == args.resume:
+            if target == args.resume:
                 args.campaign = CampaignJournal.resume(
-                    target,
-                    checkpoint_interval=args.checkpoint_interval,
-                    compact_every=args.compact_every,
+                    target, **journal_options
                 )
                 info = args.campaign.load_info
-                if info is not None and info.healed:
-                    log.warning(
-                        "journal %s had a torn tail (%d byte(s)) — "
-                        "healed, replaying from the last intact record",
-                        args.resume,
-                        info.healed_bytes,
-                    )
             else:
-                # Legacy whole-file checkpoint (or journal copied to a
-                # new target path): load it, then migrate the campaign
-                # into a fresh journal at the write target.
-                loaded = load_checkpoint(args.resume)
-                if not isinstance(loaded, CampaignCheckpoint):
-                    log.warning(
-                        "cannot resume: %s holds a %s, not a campaign "
-                        "checkpoint",
-                        args.resume,
-                        type(loaded).__name__,
-                    )
-                    return EXIT_INCONCLUSIVE
+                # Resuming into a new path: replay the source journal
+                # into a fresh one at the write target.
+                state, info = load_journal(args.resume)
                 args.campaign = CampaignJournal.adopt(
-                    target,
-                    loaded,
-                    checkpoint_interval=args.checkpoint_interval,
-                    compact_every=args.compact_every,
+                    target, state, **journal_options
+                )
+            if info is not None and info.healed:
+                log.warning(
+                    "journal %s had a torn tail (%d byte(s)) — "
+                    "healed, replaying from the last intact record",
+                    args.resume,
+                    info.healed_bytes,
                 )
         except (OSError, CheckpointMismatch) as exc:
             log.warning("cannot resume: %s", exc)
@@ -1192,9 +1170,7 @@ def main(argv: list[str] | None = None) -> int:
     elif args.checkpoint:
         try:
             args.campaign = CampaignJournal.create(
-                args.checkpoint,
-                checkpoint_interval=args.checkpoint_interval,
-                compact_every=args.compact_every,
+                args.checkpoint, **journal_options
             )
         except OSError as exc:
             # An unwritable journal must not block the analysis itself:

@@ -122,8 +122,8 @@ class ConsensusReport:
             reports produced before budgets existed.
         checkpoint: a resumable exploration snapshot, present exactly on
             ``UNKNOWN`` verdicts.  Pass it back to ``check`` /
-            ``check_all`` (or save it with
-            :func:`repro.resilience.checkpoint.save_checkpoint`) to continue.
+            ``check_all`` to continue (a campaign journal's ``suspend``
+            record keeps it on disk).
         preflight: the :class:`~repro.core.contracts.PreflightReport` behind an
             ``ILL_FORMED`` verdict (findings with witness edges, and the
             states and edges checked before the finding); None on every

@@ -21,26 +21,20 @@ Three granularities nest:
   (protocol, model) units: completed units keep their finished reports,
   the in-flight unit keeps its ``CheckAllCheckpoint``.
 
-Serialization uses :mod:`pickle` wrapped in a small versioned envelope
-(:func:`save_checkpoint` / :func:`load_checkpoint`).  Global states are
-frozen dataclasses over tuples/frozensets, so pickling round-trips
-equality — which is all resumption needs.  A textual *fingerprint* of the
-system under analysis is stored and re-checked on resume so a checkpoint
-cannot silently be replayed against a different protocol or model.
+The objects round-trip through :mod:`pickle`: global states are frozen
+dataclasses over tuples/frozensets, so pickling preserves equality —
+which is all resumption needs.  On disk a campaign lives in the
+append-only journal (:mod:`repro.resilience.journal`), whose ``suspend``
+records carry the in-flight :class:`CheckAllCheckpoint`.  A textual
+*fingerprint* of the system under analysis is stored and re-checked on
+resume so a checkpoint cannot silently be replayed against a different
+protocol or model.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import tempfile
 from dataclasses import dataclass, field
 from typing import Optional
-
-from repro.resilience.crashpoint import crashpoint
-
-_FORMAT = "repro-checkpoint"
-_VERSION = 1
 
 
 class CheckpointMismatch(ValueError):
@@ -188,113 +182,3 @@ class CampaignCheckpoint:
     def resume_point(self, key: str) -> Optional[CheckAllCheckpoint]:
         """The partial progress for *key* if it is the in-flight unit."""
         return self.inner if key == self.current else None
-
-
-def _fsync_directory(directory: str) -> None:
-    """fsync a directory so a just-renamed entry survives power loss.
-
-    ``os.replace`` makes the rename atomic with respect to *crashes of
-    this process*, but the new directory entry itself lives in the
-    directory inode — until that is flushed, a power failure can roll
-    the rename back (leaving the old file, or on a fresh path, nothing).
-    Platforms whose filesystems cannot open directories (e.g. Windows)
-    skip silently: the rename atomicity is unaffected, only the
-    power-failure window stays.
-    """
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
-def save_checkpoint(checkpoint, path) -> None:
-    """Serialize any checkpoint object to *path* — atomically and durably.
-
-    The envelope is written to a temporary file in the *same directory*,
-    fsynced, :func:`os.replace`'d over the target, and the directory is
-    fsynced, so a crash (or SIGKILL, or power failure) mid-write leaves
-    either the previous checkpoint or the new one — never a torn file,
-    and never a rename that evaporates with the directory cache.
-    """
-    envelope = {
-        "format": _FORMAT,
-        "version": _VERSION,
-        "kind": type(checkpoint).__name__,
-        "checkpoint": checkpoint,
-    }
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    crashpoint("checkpoint.write.pre")
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            pickle.dump(envelope, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            fh.flush()
-            os.fsync(fh.fileno())
-        crashpoint("checkpoint.rename.pre")
-        os.replace(tmp_path, path)
-        crashpoint("checkpoint.rename.post")
-        _fsync_directory(directory)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
-
-
-def load_checkpoint(path):
-    """Load a checkpoint — journaled or legacy whole-file format.
-
-    Journal files (:mod:`repro.resilience.journal` magic) are loaded
-    through the journal's heal-and-replay path and return the replayed
-    :class:`CampaignCheckpoint`.  Legacy pickle envelopes load exactly
-    as before, so checkpoints written by any prior version keep working.
-
-    Raises :class:`CheckpointCorrupt` (a :class:`CheckpointMismatch`)
-    with a clean diagnostic — no raw pickle traceback — when the file is
-    truncated, garbage, or references classes this version no longer
-    defines; :exc:`OSError` passes through for missing/unreadable files.
-    """
-    from repro.resilience import journal
-
-    if journal.is_journal(path):
-        state, _ = journal.load_journal(path, heal=True)
-        return state
-    with open(path, "rb") as fh:
-        try:
-            envelope = pickle.load(fh)
-        except (
-            pickle.UnpicklingError,
-            EOFError,
-            AttributeError,
-            ImportError,
-            IndexError,
-            MemoryError,
-            UnicodeDecodeError,
-            ValueError,
-        ) as exc:
-            raise CheckpointCorrupt(
-                f"{path}: corrupted checkpoint file "
-                f"({type(exc).__name__}: {exc}); delete it and restart "
-                "the run from scratch"
-            ) from None
-    if (
-        not isinstance(envelope, dict)
-        or envelope.get("format") != _FORMAT
-    ):
-        raise CheckpointMismatch(f"{path}: not a repro checkpoint file")
-    if envelope.get("version") != _VERSION:
-        raise CheckpointMismatch(
-            f"{path}: unsupported checkpoint version "
-            f"{envelope.get('version')!r}"
-        )
-    return envelope["checkpoint"]

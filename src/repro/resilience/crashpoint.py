@@ -2,7 +2,7 @@
 
 Engine code calls :func:`crashpoint` with a stable dotted name::
 
-    crashpoint("checkpoint.rename.pre")
+    crashpoint("journal.compact.rename.pre")
 
 When chaos is not armed this is a single attribute load and a falsy
 check — cheap enough for durability seams (crashpoints are deliberately

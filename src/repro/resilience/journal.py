@@ -1,10 +1,9 @@
 """Journaled incremental campaign checkpoints (append-only, CRC-framed).
 
-The original :func:`~repro.resilience.checkpoint.save_checkpoint` flow
-rewrote the *whole* campaign pickle on every save — O(campaign) bytes
-per completed unit, which makes fine-grained checkpointing (and the
-chaos harness's per-crashpoint resume sweeps) needlessly expensive.
-This module replaces the rewrite with a **journal**:
+A campaign checkpoint is a **journal** rather than a whole-file
+rewrite, so a save costs one small record, not O(campaign) bytes — which
+makes fine-grained checkpointing (and the chaos harness's per-crashpoint
+resume sweeps) cheap:
 
 * an append-only file of CRC32-framed records — a ``base`` snapshot
   followed by one small ``unit`` record per finished verification unit
@@ -17,9 +16,13 @@ This module replaces the rewrite with a **journal**:
   Determinism of the engines guarantees re-running the lost suffix
   reproduces byte-identical verdicts;
 * **periodic compaction** — once enough incremental records accumulate
-  the journal is rewritten as a single fresh ``base`` snapshot via the
-  same atomic temp-file/rename/dir-fsync dance the legacy writer uses,
-  so the file stays O(campaign state), not O(campaign history).
+  the journal is rewritten as a single fresh ``base`` snapshot by an
+  atomic rewrite, so the file stays O(campaign state), not O(campaign
+  history).
+
+Opening, appending, healing and the atomic rewrite are the shared
+framed-file layer's (:class:`repro.resilience.frames.FramedFile`); this
+module keeps only the record codec and the replay.
 
 On-disk format
 --------------
@@ -35,7 +38,11 @@ Each payload is a pickled ``(kind, data)`` pair with kinds ``"base"``
 (``(key, CheckAllCheckpoint | None)``).  Replay starts from an empty
 campaign, substitutes state wholesale at each ``base``, and applies
 ``unit``/``suspend`` records in order — the recovery state machine is
-*load → heal torn tail → replay → (eventually) compact*.
+*load → heal torn tail → replay → (eventually) compact*.  A file that is
+missing or zero bytes long opens as an empty campaign; a file with any
+other magic (such as the pickle envelopes older versions wrote) or a
+CRC-valid record that does not decode raises
+:class:`~repro.resilience.checkpoint.CheckpointCorrupt`.
 
 :class:`CampaignJournal` subclasses ``CampaignCheckpoint`` so the
 campaign engines (:func:`repro.analysis.campaign.run_campaign`, the
@@ -46,26 +53,13 @@ in the inner checkpoints, which travel through the journal intact.
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
-import tempfile
-import zlib
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.resilience.checkpoint import (
-    CampaignCheckpoint,
-    CheckpointCorrupt,
-    _fsync_directory,
-)
-from repro.resilience.crashpoint import crashpoint
-from repro.resilience.frames import (
-    FRAME_HEADER,
-    FRAME_MAGIC,
-    append_frame,
-    scan_frames,
-)
+from repro.resilience.checkpoint import CampaignCheckpoint, CheckpointCorrupt
+from repro.resilience.frames import FramedFile, stream_frame
 
 __all__ = [
     "CampaignJournal",
@@ -104,131 +98,50 @@ def is_journal(path) -> bool:
         return False
 
 
-class _CountingWriter:
-    """Forwards writes to *fh*, keeping their total length and crc32."""
-
-    def __init__(self, fh) -> None:
-        self.fh = fh
-        self.length = 0
-        self.crc = 0
-
-    def write(self, data) -> int:
-        self.length += memoryview(data).nbytes
-        self.crc = zlib.crc32(data, self.crc)
-        return self.fh.write(data)
+def _framed(path) -> FramedFile:
+    return FramedFile(path, MAGIC, CheckpointCorrupt, "checkpoint journal")
 
 
-def _write_frame(fh, kind: str, data) -> None:
-    """Write one journal frame for ``(kind, data)`` to the seekable *fh*.
-
-    The pickle streams straight into the file and the header is filled
-    in afterwards, so a base snapshot of a large ledger never exists as
-    one payload buffer in memory: compaction's transient memory stays
-    flat as the ledger grows.
-    """
-    start = fh.tell()
-    fh.write(bytes(FRAME_HEADER.size))
-    out = _CountingWriter(fh)
-    pickle.dump((kind, data), out, protocol=pickle.HIGHEST_PROTOCOL)
-    end = fh.tell()
-    fh.seek(start)
-    fh.write(FRAME_HEADER.pack(FRAME_MAGIC, out.length, out.crc))
-    fh.seek(end)
-
-
-def _scan(raw: bytes, path: str):
-    """Decode journal records out of the byte body after the magic.
-
-    The byte-level framing (and the torn-tail rule: a bad frame is
-    always the tail, because frames are strictly append-only) lives in
-    :func:`repro.resilience.frames.scan_frames`; this layer decodes each
-    intact payload as a pickled ``(kind, data)`` record.  Returns
-    ``(records, good_end)``.
-    """
-    payloads, good_end = scan_frames(raw)
-    records = []
-    for payload in payloads:
-        try:
-            record = pickle.loads(payload)
-        except (
-            pickle.UnpicklingError,
-            EOFError,
-            AttributeError,
-            ImportError,
-            IndexError,
-            MemoryError,
-            UnicodeDecodeError,
-            ValueError,
-        ) as exc:
-            # The frame round-tripped its CRC but the payload does not
-            # decode (e.g. a class this version no longer defines).
-            # That is corruption of the *campaign*, not a torn tail —
-            # healing would silently drop committed work.
-            raise CheckpointCorrupt(
-                f"{path}: journal record {len(records)} is undecodable "
-                f"({type(exc).__name__}: {exc}); delete the file and "
-                "restart the run from scratch"
-            ) from None
-        if (
-            not isinstance(record, tuple)
-            or len(record) != 2
-            or record[0] not in (KIND_BASE, KIND_UNIT, KIND_SUSPEND)
-        ):
-            raise CheckpointCorrupt(
-                f"{path}: journal record {len(records)} has unknown "
-                f"shape {type(record).__name__}; delete the file and "
-                "restart the run from scratch"
-            )
-        records.append(record)
-    return records, good_end
+def _decode(payload: bytes) -> tuple:
+    """One pickled ``(kind, data)`` record, checked so that its replay
+    cannot fail: a base record becomes ``(completed, current, inner)``,
+    a unit or suspend record a ``(hashable key, value)`` pair."""
+    kind, data = pickle.loads(payload)
+    if kind == KIND_BASE:
+        return kind, (dict(data.completed), data.current, data.inner)
+    if kind not in (KIND_UNIT, KIND_SUSPEND):
+        raise ValueError(f"unknown record kind {kind!r}")
+    key, value = data
+    hash(key)
+    return kind, (key, value)
 
 
 def _replay(records) -> CampaignCheckpoint:
     state = CampaignCheckpoint()
     for kind, data in records:
         if kind == KIND_BASE:
+            completed, current, inner = data
             state = CampaignCheckpoint(
-                completed=dict(data.completed),
-                current=data.current,
-                inner=data.inner,
+                completed=completed, current=current, inner=inner
             )
         elif kind == KIND_UNIT:
-            key, report = data
-            state.record(key, report)
-        elif kind == KIND_SUSPEND:
-            key, inner = data
-            state.suspend(key, inner)
+            state.record(*data)
+        else:
+            state.suspend(*data)
     return state
 
 
-def load_journal(
-    path, heal: bool = True
-) -> tuple[CampaignCheckpoint, JournalInfo]:
-    """Load a journal: verify frames, heal a torn tail, replay.
+def load_journal(path) -> tuple[CampaignCheckpoint, JournalInfo]:
+    """Open a journal (healing a torn tail) and replay it.
 
-    Raises :class:`~repro.resilience.checkpoint.CheckpointCorrupt` when
-    the file is not a journal or an *interior* record is undecodable;
-    a torn **tail** (the expected signature of dying mid-append) is
-    truncated away in place when *heal* is set, and silently skipped
-    otherwise.
+    A missing or zero-byte *path* becomes an empty journal.  Raises
+    :class:`~repro.resilience.checkpoint.CheckpointCorrupt` when the
+    file is not a journal or a record is undecodable.
     """
-    path = os.fspath(path)
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(MAGIC):
-        raise CheckpointCorrupt(
-            f"{path}: not a repro checkpoint journal (bad magic)"
-        )
-    body = blob[len(MAGIC) :]
-    records, good_end = _scan(body, path)
-    torn = len(body) - good_end
-    if torn and heal:
-        with open(path, "rb+") as fh:
-            fh.truncate(len(MAGIC) + good_end)
-            fh.flush()
-            os.fsync(fh.fileno())
+    framed = _framed(path)
+    records, torn = framed.load(_decode)
     return _replay(records), JournalInfo(
-        records=len(records), healed_bytes=torn, path=path
+        records=len(records), healed_bytes=torn, path=framed.path
     )
 
 
@@ -242,8 +155,9 @@ class CampaignJournal(CampaignCheckpoint):
     compaction always fsync — partial-progress snapshots are the
     expensive thing to lose.
 
-    Construct with :meth:`create` (fresh file) or :meth:`resume`
-    (load + heal + continue appending).
+    Construct with :meth:`create` (fresh file), :meth:`adopt` (fresh
+    file holding a given campaign) or :meth:`resume` (load + heal +
+    continue appending).
     """
 
     def __init__(
@@ -261,7 +175,7 @@ class CampaignJournal(CampaignCheckpoint):
         self.checkpoint_interval = checkpoint_interval
         self.compact_every = compact_every
         self.load_info: Optional[JournalInfo] = None
-        self._fh: Optional[io.BufferedWriter] = None
+        self._file = _framed(self.path)
         self._unsynced_units = 0
         self._records_since_base = 0
 
@@ -271,29 +185,22 @@ class CampaignJournal(CampaignCheckpoint):
         cls, path, checkpoint_interval: int = 1, compact_every: int = 64
     ) -> "CampaignJournal":
         """Start a fresh journal at *path* (truncating any previous one)."""
-        journal = cls(path, checkpoint_interval, compact_every)
-        journal._fh = open(journal.path, "wb")
-        journal._fh.write(MAGIC)
-        # Flush before the first append's crashpoints: a kill inside
-        # _append must leave a valid (if empty) journal, not the bare
-        # zero-byte file open("wb") created.
-        journal._fh.flush()
-        journal._append(KIND_BASE, journal.snapshot(), durable=True)
-        return journal
+        return cls.adopt(
+            path, CampaignCheckpoint(), checkpoint_interval, compact_every
+        )
 
     @classmethod
     def resume(
         cls, path, checkpoint_interval: int = 1, compact_every: int = 64
     ) -> "CampaignJournal":
-        """Load (healing a torn tail) and continue appending to *path*."""
+        """Open *path* (see :func:`load_journal`) and continue appending."""
         journal = cls(path, checkpoint_interval, compact_every)
-        state, info = load_journal(path, heal=True)
+        state, info = load_journal(path)
         journal.completed = state.completed
         journal.current = state.current
         journal.inner = state.inner
         journal.load_info = info
         journal._records_since_base = max(0, info.records - 1)
-        journal._fh = open(journal.path, "ab")
         return journal
 
     @classmethod
@@ -304,15 +211,13 @@ class CampaignJournal(CampaignCheckpoint):
         checkpoint_interval: int = 1,
         compact_every: int = 64,
     ) -> "CampaignJournal":
-        """Migrate an in-memory campaign (e.g. a legacy-format load)
-        into a fresh journal at *path*."""
+        """Start a fresh journal at *path* (truncating any previous one)
+        whose base record is *state*."""
         journal = cls(path, checkpoint_interval, compact_every)
         journal.completed = dict(state.completed)
         journal.current = state.current
         journal.inner = state.inner
-        journal._fh = open(journal.path, "wb")
-        journal._fh.write(MAGIC)
-        journal._fh.flush()
+        journal._file.create()
         journal._append(KIND_BASE, journal.snapshot(), durable=True)
         return journal
 
@@ -335,9 +240,6 @@ class CampaignJournal(CampaignCheckpoint):
         )
 
     def _append(self, kind: str, data, durable: bool = False) -> None:
-        fh = self._fh
-        if fh is None or fh.closed:
-            self._fh = fh = open(self.path, "ab")
         sync_now = durable
         if not sync_now and kind == KIND_UNIT:
             self._unsynced_units += 1
@@ -346,9 +248,7 @@ class CampaignJournal(CampaignCheckpoint):
         payload = pickle.dumps(
             (kind, data), protocol=pickle.HIGHEST_PROTOCOL
         )
-        append_frame(
-            fh, payload, crash_prefix="journal.append", durable=sync_now
-        )
+        self._file.append(payload, "journal.append", durable=sync_now)
         if sync_now:
             self._unsynced_units = 0
         if kind != KIND_BASE:
@@ -358,66 +258,40 @@ class CampaignJournal(CampaignCheckpoint):
 
     def sync(self) -> None:
         """Flush and fsync any buffered frames."""
-        fh = self._fh
-        if fh is not None and not fh.closed:
-            fh.flush()
-            os.fsync(fh.fileno())
-            self._unsynced_units = 0
+        self._file.sync()
+        self._unsynced_units = 0
 
     def compact(self) -> None:
-        """Rewrite the journal as a single fresh base snapshot.
+        """Atomically rewrite the journal as a single fresh base
+        snapshot (crashpoints ``journal.compact.*``)."""
+        # A view, not snapshot(): no copy of the ledger.
+        base = (KIND_BASE, CampaignCheckpoint(
+            completed=self.completed, current=self.current, inner=self.inner
+        ))
 
-        The same crash-safe sequence as the legacy whole-file writer:
-        temp file in the same directory, fsync, atomic rename, directory
-        fsync — interruptible at any point without losing the previous
-        journal.
-        """
-        crashpoint("journal.compact.pre")
-        directory = os.path.dirname(self.path) or "."
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=os.path.basename(self.path) + ".", suffix=".tmp",
-            dir=directory,
+        def rebased() -> None:
+            self._records_since_base = 0
+            self._unsynced_units = 0
+
+        self._file.rewrite(
+            lambda out: stream_frame(
+                out,
+                lambda w: pickle.dump(
+                    base, w, protocol=pickle.HIGHEST_PROTOCOL
+                ),
+            ),
+            rebased,
+            "journal.compact",
         )
-        try:
-            with os.fdopen(fd, "wb") as tmp:
-                tmp.write(MAGIC)
-                # A view, not snapshot(): no copy of the ledger.
-                _write_frame(tmp, KIND_BASE, CampaignCheckpoint(
-                    completed=self.completed,
-                    current=self.current,
-                    inner=self.inner,
-                ))
-                tmp.flush()
-                os.fsync(tmp.fileno())
-            if self._fh is not None and not self._fh.closed:
-                self._fh.close()
-            crashpoint("journal.compact.rename.pre")
-            os.replace(tmp_path, self.path)
-            _fsync_directory(directory)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        finally:
-            if self._fh is None or self._fh.closed:
-                self._fh = open(self.path, "ab")
-        self._records_since_base = 0
-        self._unsynced_units = 0
-        crashpoint("journal.compact.post")
 
     def close(self) -> None:
         """Sync and release the file handle (the journal stays loadable)."""
-        fh = self._fh
-        if fh is not None and not fh.closed:
-            fh.flush()
-            os.fsync(fh.fileno())
-            fh.close()
+        self._file.sync()
+        self._file.close()
 
-    # A journal that crosses a process boundary (or is handed to the
-    # legacy whole-file writer) degrades to its plain snapshot: the file
-    # handle is process-local, the state is what matters.
+    # A journal that crosses a process boundary degrades to its plain
+    # snapshot: the file handle is process-local, the state is what
+    # matters.
     def __reduce__(self):
         snap = self.snapshot()
         return (

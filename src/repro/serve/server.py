@@ -85,9 +85,8 @@ from typing import Optional
 from repro.exitcodes import EXIT_INTERRUPTED, EXIT_OK
 from repro.log import get_logger
 from repro.resilience.budget import Budget
-from repro.resilience.checkpoint import CheckpointCorrupt
 from repro.resilience.crashpoint import crashpoint
-from repro.resilience.journal import CampaignJournal, is_journal
+from repro.resilience.journal import CampaignJournal
 from repro.resilience.pool import PoolConfig, WorkerPool, run_units
 from repro.resilience.retry import Deadline
 from repro.serve.admission import AdmissionController
@@ -225,15 +224,9 @@ class VerifyServer:
         cfg = self.config
         os.makedirs(cfg.dir, exist_ok=True)
         self._store = VerdictStore(os.path.join(cfg.dir, STORE_NAME))
-        ledger_path = os.path.join(cfg.dir, LEDGER_NAME)
-        if os.path.exists(ledger_path) and os.path.getsize(ledger_path) > 0:
-            if not is_journal(ledger_path):
-                raise CheckpointCorrupt(
-                    f"{ledger_path}: not a server ledger (bad magic)"
-                )
-            self._ledger = CampaignJournal.resume(ledger_path)
-        else:
-            self._ledger = CampaignJournal.create(ledger_path)
+        self._ledger = CampaignJournal.resume(
+            os.path.join(cfg.dir, LEDGER_NAME)
+        )
         self._recover()
         load_engine()
         if cfg.isolation:

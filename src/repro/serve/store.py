@@ -13,7 +13,9 @@ pure function of the verdict content — the chaos harness byte-compares
 records across kill/restart cycles to prove recovery reruns produce
 *identical* results, not merely equivalent ones.
 
-Recovery semantics on open mirror the journal's:
+Opening, appending and rewriting are the shared framed-file layer's
+(:class:`repro.resilience.frames.FramedFile`), so recovery on open is
+the journal's:
 
 * missing or zero-byte file — a fresh store (created with its magic);
 * a torn tail (partial frame from a crash mid-append) — healed by
@@ -28,9 +30,9 @@ server may acknowledge a verdict as durable the moment the call
 completes.  ``put`` is idempotent by fingerprint, which combined with
 the server ledger's recovery rule gives exactly-once storage.
 
-Long-lived servers GC through :meth:`VerdictStore.compact`: an atomic
-whole-file rewrite (tmp + fsync + rename + directory fsync, the same
-shape as the journal's compaction) keeping the newest *retain* records.
+Long-lived servers GC through :meth:`VerdictStore.compact`: the
+layer's atomic rewrite (tmp + fsync + rename + directory fsync, as for
+the journal's compaction) keeping the newest *retain* records.
 The rewrite seams carry ``serve.store.compact.*`` crashpoints — a crash
 at any of them leaves either the complete old file or the complete new
 file, never a hybrid.
@@ -39,19 +41,10 @@ file, never a hybrid.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.resilience.checkpoint import _fsync_directory
-from repro.resilience.crashpoint import crashpoint
-from repro.resilience.frames import (
-    append_frame,
-    encode_frame,
-    heal_tail,
-    read_frames,
-)
+from repro.resilience.frames import FramedFile, encode_frame
 from repro.serve.jobs import canonical_json
 
 __all__ = ["MAGIC", "StoreCorrupt", "StoreInfo", "VerdictStore"]
@@ -77,6 +70,21 @@ class StoreInfo:
     path: str
 
 
+def _decode(payload: bytes) -> tuple[str, bytes]:
+    """``(fingerprint, payload)`` of one canonical-JSON verdict record."""
+    try:
+        record = json.loads(payload)
+    except ValueError:
+        raise ValueError("frame payload is not valid JSON") from None
+    if (
+        not isinstance(record, dict)
+        or not isinstance(record.get("fingerprint"), str)
+        or "record" not in record
+    ):
+        raise ValueError("frame payload is not a verdict record")
+    return record["fingerprint"], payload
+
+
 class VerdictStore:
     """Append-only fingerprint-addressed verdict persistence.
 
@@ -85,63 +93,24 @@ class VerdictStore:
     """
 
     def __init__(self, path) -> None:
-        self.path = os.fspath(path)
+        self._file = FramedFile(path, MAGIC, StoreCorrupt, "verdict store")
+        self.path = self._file.path
+        records, torn = self._file.load(_decode)
         self._index: dict[str, bytes] = {}
-        self._fh = None
-        self.load_info = self._open()
-
-    # -- lifecycle ---------------------------------------------------------
-    def _open(self) -> StoreInfo:
-        fresh = (
-            not os.path.exists(self.path)
-            or os.path.getsize(self.path) == 0
-        )
-        if fresh:
-            with open(self.path, "wb") as fh:
-                fh.write(MAGIC)
-                fh.flush()
-                os.fsync(fh.fileno())
-            self._fh = open(self.path, "ab")
-            return StoreInfo(records=0, healed_bytes=0, path=self.path)
-        try:
-            payloads, torn, good_size = read_frames(self.path, MAGIC)
-        except ValueError as exc:
-            raise StoreCorrupt(str(exc)) from None
-        for payload in payloads:
-            fp = self._decode(payload)
+        for fp, payload in records:
             if fp in self._index:
                 raise StoreCorrupt(
                     f"{self.path}: fingerprint {fp} stored twice — "
                     "append-only invariant violated"
                 )
             self._index[fp] = payload
-        if torn:
-            heal_tail(self.path, good_size)
-        self._fh = open(self.path, "ab")
-        return StoreInfo(
-            records=len(payloads), healed_bytes=torn, path=self.path
+        self.load_info = StoreInfo(
+            records=len(records), healed_bytes=torn, path=self.path
         )
 
-    def _decode(self, payload: bytes) -> str:
-        try:
-            record = json.loads(payload)
-        except ValueError:
-            raise StoreCorrupt(
-                f"{self.path}: frame payload is not valid JSON"
-            ) from None
-        if (
-            not isinstance(record, dict)
-            or not isinstance(record.get("fingerprint"), str)
-            or "record" not in record
-        ):
-            raise StoreCorrupt(
-                f"{self.path}: frame payload is not a verdict record"
-            )
-        return record["fingerprint"]
-
+    # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
-        if self._fh is not None and not self._fh.closed:
-            self._fh.close()
+        self._file.close()
 
     def __enter__(self) -> "VerdictStore":
         return self
@@ -183,12 +152,7 @@ class VerdictStore:
         payload = canonical_json(
             {"fingerprint": fingerprint, "job": job, "record": record}
         )
-        fh = self._fh
-        if fh is None or fh.closed:
-            self._fh = fh = open(self.path, "ab")
-        append_frame(
-            fh, payload, crash_prefix="serve.store.append", durable=True
-        )
+        self._file.append(payload, "serve.store.append", durable=True)
         self._index[fingerprint] = payload
         return True
 
@@ -199,49 +163,26 @@ class VerdictStore:
         out dead bytes, of which an append-only store has none, but the
         rewrite still refreshes the file).
 
-        Returns the number of evicted records.  Crash-safe: the new
-        file is fully written and fsync'd under a temporary name before
-        an atomic rename, and the directory entry is fsync'd after —
-        ``kill -9`` at any of the ``serve.store.compact.*`` crashpoints
-        leaves a loadable store (old bytes or new bytes, never a mix).
+        Returns the number of evicted records.  Crash-safe: ``kill -9``
+        at any of the ``serve.store.compact.*`` crashpoints leaves a
+        loadable store (old bytes or new bytes, never a mix).
 
         Evicting a verdict is a *cache* eviction, not a correctness
         event: the ledger's completion record survives, so a
         resubmitted job re-runs (and re-stores) instead of being
         answered from the store — exactly the dedupe-miss path.
         """
-        crashpoint("serve.store.compact.pre")
         items = list(self._index.items())
-        if retain is None or len(items) <= retain:
-            kept = items
-        else:
-            kept = items[len(items) - retain:]
-        evicted = len(items) - len(kept)
-        directory = os.path.dirname(self.path) or "."
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=os.path.basename(self.path) + ".compact-",
-            suffix=".tmp",
-            dir=directory,
+        if retain is not None:
+            items = items[max(0, len(items) - retain):]
+        evicted = len(self._index) - len(items)
+
+        def kept() -> None:
+            self._index = dict(items)
+
+        self._file.rewrite(
+            lambda out: out.writelines(encode_frame(p) for _, p in items),
+            kept,
+            "serve.store.compact",
         )
-        try:
-            with os.fdopen(fd, "wb") as out:
-                out.write(MAGIC)
-                for _fp, payload in kept:
-                    out.write(encode_frame(payload))
-                out.flush()
-                os.fsync(out.fileno())
-            if self._fh is not None and not self._fh.closed:
-                self._fh.close()
-            crashpoint("serve.store.compact.rename.pre")
-            os.replace(tmp_path, self.path)
-            _fsync_directory(directory)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        self._fh = open(self.path, "ab")
-        self._index = dict(kept)
-        crashpoint("serve.store.compact.post")
         return evicted

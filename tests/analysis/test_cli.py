@@ -183,6 +183,57 @@ class TestResilienceExitCodes:
         assert main(["--resume", "/nonexistent/x.ckpt", "lower-bound"]) == 2
         assert "cannot resume" in capsys.readouterr().err
 
+    def test_resume_of_a_pickle_envelope_exits_2(self, tmp_path, capsys):
+        """The whole-file pickle envelope older versions wrote is not a
+        journal: resuming it names the bad magic and exits 2."""
+        import pickle
+
+        from repro.resilience.checkpoint import CampaignCheckpoint
+
+        path = tmp_path / "legacy.ckpt"
+        path.write_bytes(pickle.dumps({
+            "format": "repro-checkpoint", "version": 1,
+            "kind": "CampaignCheckpoint", "checkpoint": CampaignCheckpoint(),
+        }))
+        assert main(["--resume", str(path), "lower-bound"]) == 2
+        err = capsys.readouterr().err
+        assert "cannot resume" in err and "bad magic" in err
+
+    def test_resume_of_an_undecodable_record_exits_2(self, tmp_path, capsys):
+        """A CRC-valid journal record whose pickle was damaged (here it
+        makes the unpickler raise TypeError) cannot resume: exit 2, not
+        the exit 1 of a theorem-contradicting result."""
+        import pickle
+
+        from repro.resilience.frames import encode_frame
+        from repro.resilience.journal import MAGIC
+
+        payload = bytearray(pickle.dumps(("unit", ("a", "ra")), protocol=5))
+        payload[21] = ord("R")
+        path = tmp_path / "damaged.ckpt"
+        path.write_bytes(MAGIC + encode_frame(bytes(payload)))
+        assert main(["--resume", str(path), "impossibility", "--n", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "cannot resume" in err and "undecodable" in err
+
+    def test_resume_into_a_new_checkpoint_copies_the_journal(
+        self, tmp_path, capsys
+    ):
+        source = tmp_path / "a.ckpt"
+        target = tmp_path / "b.ckpt"
+        argv = ["--max-states", "5", "--checkpoint", str(source),
+                "lower-bound"]
+        assert main(argv) == 2
+        before = source.read_bytes()
+        capsys.readouterr()
+        assert main(["--max-states", "1000", "--resume", str(source),
+                     "--checkpoint", str(target), "lower-bound"]) == 0
+        assert "crossover holds" in capsys.readouterr().out
+        assert source.read_bytes() == before
+        from repro.resilience.journal import load_journal
+
+        assert load_journal(target)[0].completed
+
     def test_unwritable_checkpoint_path_degrades_to_diagnostic(self, capsys):
         # The run already has a result to report; a bad --checkpoint
         # path must not replace it with a traceback.

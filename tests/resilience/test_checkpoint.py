@@ -22,10 +22,10 @@ from repro.resilience.checkpoint import (
     CheckAllCheckpoint,
     CheckpointCorrupt,
     CheckpointMismatch,
-    load_checkpoint,
-    save_checkpoint,
     system_fingerprint,
 )
+from repro.resilience.journal import MAGIC, CampaignJournal, load_journal
+from repro.serve.store import VerdictStore
 
 MAX_HOPS = 500
 
@@ -105,8 +105,10 @@ class TestDiskRoundTrip:
         )
         assert report.inconclusive
         path = tmp_path / "sweep.ckpt"
-        save_checkpoint(report.checkpoint, path)
-        loaded = load_checkpoint(path)
+        journal = CampaignJournal.create(path)
+        journal.suspend("unit", report.checkpoint)
+        journal.close()
+        loaded = load_journal(path)[0].resume_point("unit")
         assert isinstance(loaded, CheckAllCheckpoint)
         assert loaded.assignment_index == report.checkpoint.assignment_index
         resumed = ConsensusChecker(st_floodset_tight).check_all(
@@ -124,8 +126,7 @@ class TestDiskRoundTrip:
 
         path.write_bytes(pickle.dumps({"something": "else"}))
         with pytest.raises(CheckpointMismatch):
-            load_checkpoint(path)
-
+            load_journal(path)
 
 class TestFingerprintGuard:
     def test_wrong_system_rejected(
@@ -146,62 +147,114 @@ class TestFingerprintGuard:
         assert "FloodSet" in fp
 
 
+class _JournalCompaction:
+    """A journal holding ``OLD``, compacted into one holding ``NEW``."""
+
+    OLD, NEW = {"unit": "v1"}, {"unit": "v2"}
+
+    @staticmethod
+    def write_old(path):
+        journal = CampaignJournal.create(path)
+        journal.record("unit", "v1")
+        journal.close()
+
+    @staticmethod
+    def compact_new(path):
+        journal = CampaignJournal.resume(path)
+        journal.completed["unit"] = "v2"
+        journal.compact()
+        journal.close()
+
+    @staticmethod
+    def read(path):
+        return load_journal(path)[0].completed
+
+
+class _StoreCompaction:
+    """A verdict store holding ``OLD``, compacted into one holding
+    ``NEW``."""
+
+    OLD, NEW = ["old", "unit"], ["unit"]
+
+    @staticmethod
+    def write_old(path):
+        with VerdictStore(path) as store:
+            store.put("old", {}, {"v": 1})
+            store.put("unit", {}, {"v": 2})
+
+    @staticmethod
+    def compact_new(path):
+        with VerdictStore(path) as store:
+            store.compact(retain=1)
+
+    @staticmethod
+    def read(path):
+        with VerdictStore(path) as store:
+            return store.fingerprints()
+
+
+@pytest.mark.parametrize(
+    "durable",
+    [
+        pytest.param(_JournalCompaction, id="journal"),
+        pytest.param(_StoreCompaction, id="store"),
+    ],
+)
 class TestAtomicSave:
-    def test_save_replaces_atomically(self, tmp_path):
-        path = tmp_path / "campaign.ckpt"
-        first = CampaignCheckpoint(completed={"unit": "v1"})
-        second = CampaignCheckpoint(completed={"unit": "v2"})
-        save_checkpoint(first, path)
-        save_checkpoint(second, path)
-        assert load_checkpoint(path).completed == {"unit": "v2"}
+    """The shared atomic rewrite (``FramedFile.rewrite``), driven
+    through each file that compacts with it."""
+
+    def test_save_replaces_atomically(self, tmp_path, durable):
+        path = tmp_path / "durable.file"
+        durable.write_old(path)
+        durable.compact_new(path)
+        assert durable.read(path) == durable.NEW
         assert list(tmp_path.glob("*.tmp")) == []
 
-    def test_mid_write_death_preserves_previous(self, tmp_path):
-        """SIGKILL inside the serialization must leave the previous
-        checkpoint loadable — the write goes to a temp file and only an
-        atomic rename publishes it."""
+    def test_mid_write_death_preserves_previous(self, tmp_path, durable):
+        """SIGKILL while the new contents are being written must leave
+        the previous file loadable — the write goes to a temp file and
+        only an atomic rename publishes it."""
         import multiprocessing
-        import os
         import signal
 
-        path = tmp_path / "campaign.ckpt"
-        save_checkpoint(CampaignCheckpoint(completed={"unit": "v1"}), path)
+        path = tmp_path / "durable.file"
+        durable.write_old(path)
+        before = path.read_bytes()
 
         def die_mid_save() -> None:
-            import pickle as pickle_module
-
-            def torn_dump(obj, fh, protocol=None):
-                fh.write(b"\x80torn-partial-write")
-                fh.flush()
-                os.fsync(fh.fileno())
+            def torn_fsync(fd):
+                os.write(fd, b"torn-partial-write")
                 os.kill(os.getpid(), signal.SIGKILL)
 
-            pickle_module.dump = torn_dump
-            save_checkpoint(
-                CampaignCheckpoint(completed={"unit": "v2"}), path
-            )
+            os.fsync = torn_fsync
+            durable.compact_new(path)
 
         ctx = multiprocessing.get_context("fork")
         proc = ctx.Process(target=die_mid_save)
         proc.start()
         proc.join(timeout=30)
         assert proc.exitcode == -signal.SIGKILL
-        assert load_checkpoint(path).completed == {"unit": "v1"}
+        assert path.read_bytes() == before
+        assert durable.read(path) == durable.OLD
 
-    def test_directory_fsynced_after_rename(self, tmp_path, monkeypatch):
+    def test_directory_fsynced_after_rename(
+        self, tmp_path, monkeypatch, durable
+    ):
         """Durability needs three steps in order: fsync the temp file,
         rename it over the target, fsync the *directory* — without the
         last one a power failure can roll the rename back even though
         os.replace already returned."""
-        import os as os_module
         import stat as stat_module
 
+        path = tmp_path / "durable.file"
+        durable.write_old(path)
         events = []
-        real_fsync = os_module.fsync
-        real_replace = os_module.replace
+        real_fsync = os.fsync
+        real_replace = os.replace
 
         def spy_fsync(fd):
-            mode = os_module.fstat(fd).st_mode
+            mode = os.fstat(fd).st_mode
             events.append(
                 ("fsync", "dir" if stat_module.S_ISDIR(mode) else "file")
             )
@@ -211,12 +264,9 @@ class TestAtomicSave:
             events.append(("rename", None))
             real_replace(src, dst)
 
-        monkeypatch.setattr(os_module, "fsync", spy_fsync)
-        monkeypatch.setattr(os_module, "replace", spy_replace)
-        save_checkpoint(
-            CampaignCheckpoint(completed={"unit": "v1"}),
-            tmp_path / "campaign.ckpt",
-        )
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(os, "replace", spy_replace)
+        durable.compact_new(path)
         assert events == [
             ("fsync", "file"),
             ("rename", None),
@@ -224,34 +274,32 @@ class TestAtomicSave:
         ]
 
     def test_failed_save_cleans_temp_and_keeps_old(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, durable
     ):
-        import pickle as pickle_module
+        path = tmp_path / "durable.file"
+        durable.write_old(path)
+        before = path.read_bytes()
 
-        path = tmp_path / "campaign.ckpt"
-        save_checkpoint(CampaignCheckpoint(completed={"unit": "v1"}), path)
-
-        def boom(obj, fh, protocol=None):
+        def boom(fd):
             raise RuntimeError("disk full, say")
 
-        monkeypatch.setattr(pickle_module, "dump", boom)
+        monkeypatch.setattr(os, "fsync", boom)
         with pytest.raises(RuntimeError):
-            save_checkpoint(
-                CampaignCheckpoint(completed={"unit": "v2"}), path
-            )
+            durable.compact_new(path)
         monkeypatch.undo()
         assert list(tmp_path.glob("*.tmp")) == []
-        assert load_checkpoint(path).completed == {"unit": "v1"}
+        assert path.read_bytes() == before
+        assert durable.read(path) == durable.OLD
 
 
 class TestCorruptLoad:
     def test_truncated_file_is_a_clean_diagnostic(self, tmp_path):
+        """A file torn inside its magic is no journal: refused with a
+        diagnostic naming it, not opened as a fresh campaign."""
         path = tmp_path / "campaign.ckpt"
-        save_checkpoint(CampaignCheckpoint(completed={"unit": "v1"}), path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) // 2])
+        path.write_bytes(MAGIC[: len(MAGIC) // 2])
         with pytest.raises(CheckpointCorrupt) as excinfo:
-            load_checkpoint(path)
+            load_journal(path)
         message = str(excinfo.value)
         assert "corrupted checkpoint" in message
         assert str(path) in message
@@ -260,7 +308,7 @@ class TestCorruptLoad:
         path = tmp_path / "garbage.ckpt"
         path.write_bytes(b"this is not a pickle at all \x00\xff")
         with pytest.raises(CheckpointCorrupt):
-            load_checkpoint(path)
+            load_journal(path)
 
     def test_corrupt_is_a_mismatch(self):
         """Existing CheckpointMismatch handlers (the CLI exits 2) must
@@ -268,8 +316,10 @@ class TestCorruptLoad:
         assert issubclass(CheckpointCorrupt, CheckpointMismatch)
 
     def test_missing_file_stays_oserror(self, tmp_path):
+        """A missing file opens as a fresh journal, but a path that
+        cannot be created is still an OSError."""
         with pytest.raises(OSError):
-            load_checkpoint(tmp_path / "never-written.ckpt")
+            load_journal(tmp_path / "no-such-dir" / "never-written.ckpt")
 
 
 class TestCampaignCheckpoint:

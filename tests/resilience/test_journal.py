@@ -11,12 +11,7 @@ import pickle
 
 import pytest
 
-from repro.resilience.checkpoint import (
-    CampaignCheckpoint,
-    CheckpointCorrupt,
-    load_checkpoint,
-    save_checkpoint,
-)
+from repro.resilience.checkpoint import CampaignCheckpoint, CheckpointCorrupt
 from repro.resilience.frames import encode_frame
 from repro.resilience.journal import (
     MAGIC,
@@ -31,6 +26,15 @@ def _encode_frame(kind, data):
     return encode_frame(
         pickle.dumps((kind, data), protocol=pickle.HIGHEST_PROTOCOL)
     )
+
+
+def _pickle_envelope(path, checkpoint):
+    """A whole-file checkpoint in the pickle-envelope format that older
+    versions wrote (and that no journal loader accepts)."""
+    path.write_bytes(pickle.dumps({
+        "format": "repro-checkpoint", "version": 1,
+        "kind": type(checkpoint).__name__, "checkpoint": checkpoint,
+    }))
 
 
 def _journal_with_units(path, units, **kwargs):
@@ -61,18 +65,11 @@ class TestRoundTrip:
         assert state.current == "b"
         assert state.resume_point("b") == "partial-b"
 
-    def test_load_checkpoint_dispatches_to_journal(self, tmp_path):
-        path = tmp_path / "campaign.journal"
-        _journal_with_units(path, [("a", "ra")])
-        loaded = load_checkpoint(path)
-        assert isinstance(loaded, CampaignCheckpoint)
-        assert loaded.completed == {"a": "ra"}
-
     def test_is_journal(self, tmp_path):
         journal_path = tmp_path / "j.ckpt"
         _journal_with_units(journal_path, [])
         legacy_path = tmp_path / "legacy.ckpt"
-        save_checkpoint(CampaignCheckpoint(), legacy_path)
+        _pickle_envelope(legacy_path, CampaignCheckpoint())
         assert is_journal(journal_path)
         assert not is_journal(legacy_path)
         assert not is_journal(tmp_path / "missing.ckpt")
@@ -166,6 +163,35 @@ class TestTornTailHealing:
             load_journal(path)
         assert "delete the file" in str(excinfo.value)
 
+    @pytest.mark.parametrize("offset, byte", [
+        pytest.param(10, 0x80, id="OverflowError"),
+        pytest.param(21, ord("R"), id="TypeError"),
+        pytest.param(2, 0x54, id="UnicodeDecodeError"),
+    ])
+    def test_undecodable_record_is_corrupt(self, tmp_path, offset, byte):
+        """A CRC-valid record whose pickle has one byte changed raises
+        CheckpointCorrupt, whatever exception the unpickler threw."""
+        payload = bytearray(
+            pickle.dumps(("unit", ("a", "ra")), protocol=5)
+        )
+        payload[offset] = byte
+        path = tmp_path / "campaign.journal"
+        path.write_bytes(MAGIC + encode_frame(bytes(payload)))
+        with pytest.raises(CheckpointCorrupt, match="undecodable"):
+            load_journal(path)
+
+    @pytest.mark.parametrize("size", [None, 0])
+    def test_missing_or_empty_file_opens_fresh(self, tmp_path, size):
+        path = tmp_path / "campaign.journal"
+        if size is not None:
+            path.write_bytes(b"")
+        journal = CampaignJournal.resume(path)
+        assert journal.completed == {} and journal.load_info.records == 0
+        journal.record("a", "ra")
+        journal.close()
+        assert path.read_bytes().startswith(MAGIC)
+        assert load_journal(path)[0].completed == {"a": "ra"}
+
     def test_empty_journal_after_magic_is_valid(self, tmp_path):
         path = tmp_path / "campaign.journal"
         path.write_bytes(MAGIC)
@@ -249,12 +275,6 @@ class TestDurabilityCadence:
 
 
 class TestLegacyInterop:
-    def test_legacy_checkpoint_still_loads(self, tmp_path):
-        path = tmp_path / "legacy.ckpt"
-        save_checkpoint(CampaignCheckpoint(completed={"a": "ra"}), path)
-        loaded = load_checkpoint(path)
-        assert loaded.completed == {"a": "ra"}
-
     def test_adopt_migrates_legacy_state(self, tmp_path):
         legacy = CampaignCheckpoint(completed={"a": "ra"}, current="b")
         path = tmp_path / "migrated.journal"
@@ -266,9 +286,15 @@ class TestLegacyInterop:
         assert state.completed == {"a": "ra", "b": "rb"}
 
     def test_corrupt_legacy_is_clean_mismatch(self, tmp_path):
-        """Acceptance bar: an old/garbled checkpoint must either load or
-        fail with a CheckpointMismatch — never a raw pickle traceback."""
-        path = tmp_path / "broken.ckpt"
-        path.write_bytes(b"\x80\x05 broken pickle bytes")
-        with pytest.raises(CheckpointCorrupt):
-            load_checkpoint(path)
+        """An old whole-file checkpoint, intact or garbled, fails with a
+        clean CheckpointCorrupt naming the bad magic — never a raw
+        pickle traceback, and never a silent fresh start."""
+        intact = tmp_path / "legacy.ckpt"
+        _pickle_envelope(intact, CampaignCheckpoint(completed={"a": "ra"}))
+        broken = tmp_path / "broken.ckpt"
+        broken.write_bytes(b"\x80\x05 broken pickle bytes")
+        for path in (intact, broken):
+            before = path.read_bytes()
+            with pytest.raises(CheckpointCorrupt, match="bad magic"):
+                load_journal(path)
+            assert path.read_bytes() == before

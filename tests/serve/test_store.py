@@ -126,6 +126,15 @@ class TestCorruptInterior:
         with pytest.raises(StoreCorrupt, match="not a verdict record"):
             VerdictStore(path)
 
+    def test_crc_valid_deeply_nested_json_refused(self, tmp_path):
+        """JSON nested past the parser's recursion limit raises
+        RecursionError inside json.loads; the store must still refuse
+        it as StoreCorrupt."""
+        path = tmp_path / "v.store"
+        path.write_bytes(MAGIC + encode_frame(b"[" * 100000 + b"]" * 100000))
+        with pytest.raises(StoreCorrupt, match="RecursionError"):
+            VerdictStore(path)
+
     def test_duplicate_fingerprint_refused(self, tmp_path):
         path = tmp_path / "v.store"
         frame = encode_frame(
@@ -210,6 +219,19 @@ class TestCompaction:
         assert list(tmp_path.glob("*.tmp")) == []
         with VerdictStore(path) as reloaded:
             assert reloaded.fingerprints() == fps
+
+    def test_failure_after_the_rename_keeps_memory_and_disk_in_step(
+        self, tmp_path
+    ):
+        path = tmp_path / "v.store"
+        _store_with_records(path, 3)
+        with VerdictStore(path) as store:
+            with active_plan("serve.store.compact.post:1:raise"):
+                with pytest.raises(ChaosInjected):
+                    store.compact(retain=1)
+            assert store.fingerprints() == ["fp2"]
+        with VerdictStore(path) as reloaded:
+            assert reloaded.fingerprints() == ["fp2"]
 
     def test_crash_before_compaction_changes_nothing(self, tmp_path):
         path = tmp_path / "v.store"
